@@ -18,7 +18,7 @@ for label in ATTACK_CLASSES:
     print(f"{label:>10} {a.g:>8.4f} {a.g_prime:>8.4f} "
           f"{rep.I_AB:>9.4f} {rep.chi_EA:>9.4f} {rep.R:>9.4f}")
 
-print("\nFull report for the strongest class (symmetric separable, g = g' = 1 - omega):")
+print("\nFull report for the sep-sym- corner class (symmetric separable, g = g' = 1 - omega):")
 rep = keyrate_report(T, attack_from_class("sep-sym-", OMEGA))
 for key, value in rep.to_dict().items():
     print(f"  {key:>15} = {value:.12g}")

@@ -28,11 +28,11 @@ for i, T in enumerate(GRID):
         cells.append(f"{p.N_star:>10.4f}" if np.isfinite(p.N_star) else f"{'-':>10}")
     print(f"{T:>6.2f} " + " ".join(cells))
 
-# locate the crossing between the optimal two-mode attack and the one-way baseline
+# locate the crossing between the sep-sym- corner class and the one-way baseline
 diff = [curves["sep-sym-"].points[i].N_star - curves["oneway"].points[i].N_star
         for i in range(len(GRID))]
 sign_change = [i for i in range(len(diff) - 1) if diff[i] > 0 >= diff[i + 1]]
 if sign_change:
     i = sign_change[0]
-    print(f"\noptimal two-mode attack drops below the one-way baseline between "
+    print(f"\nthe sep-sym- corner class drops below the one-way baseline between "
           f"T = {GRID[i]} and T = {GRID[i + 1]}")

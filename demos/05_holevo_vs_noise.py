@@ -1,4 +1,4 @@
-"""Why the symmetric separable attack wins: information balance vs noise.
+"""Why the sep-sym- corner class wins among the named classes: information balance vs noise.
 
 As Eve's thermal noise grows, the mutual information decays slowly for the
 symmetric separable attack while her Holevo bound climbs faster than for any
@@ -20,12 +20,12 @@ for w in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
     print(f"{w:>6.1f} " + " ".join(f"{x:>{len('chi[') + len(c) + 1}.3f}"
                                    for c, x in zip(CLASSES, chis)))
 
-print("\nmutual information under the optimal attack decays with noise:")
+print("\nmutual information under the sep-sym- corner class decays with noise:")
 for w in (1.0, 2.0, 3.0, 5.0):
     iab = mutual_information_asymptotic(0.65, attack_from_class("sep-sym-", w), MU)[0]
     print(f"  omega={w}: I_AB = {iab:.4f}")
 
-print("\nrelative variations (optimal vs collective):")
+print("\nrelative variations (sep-sym- corner class vs collective):")
 print(f"{'omega':>6} {'dI(0.65)':>10} {'dchi(0.65)':>11} {'dI(0.95)':>10} {'dchi(0.95)':>11}")
 low = relative_variations(0.65, MU, [1.5, 2.0, 3.0, 4.0, 5.0])
 high = relative_variations(0.95, MU, [1.5, 2.0, 3.0, 4.0, 5.0])

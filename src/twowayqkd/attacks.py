@@ -10,6 +10,7 @@ g = g' = 0 is the standard collective attack; nonzero correlations make the
 two passes a memory channel.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,12 +41,20 @@ def _canonical_key(label):
     return name
 
 
+def _check_omega(omega):
+    """Reject a non-finite or sub-vacuum thermal variance."""
+    if not math.isfinite(omega):
+        raise ValueError(f"thermal variance omega must be finite, got {omega}")
+    if not omega >= 1.0:
+        raise UnphysicalAttackError(f"thermal variance omega must be >= 1 SNU, got {omega}")
+
+
 @dataclass(frozen=True)
 class AttackParams:
     """Eve's triple (omega, g, g') in SNU.
 
-    omega >= 1 is enforced on construction; whether the triple describes a
-    physical two-mode state is checked separately by is_physical().
+    Finite values and omega >= 1 are enforced on construction; whether the triple
+    describes a physical two-mode state is checked separately by is_physical().
     """
 
     omega: float
@@ -53,8 +62,10 @@ class AttackParams:
     g_prime: float
 
     def __post_init__(self):
-        if not self.omega >= 1.0:
-            raise UnphysicalAttackError(f"thermal variance omega must be >= 1 SNU, got {self.omega}")
+        _check_omega(self.omega)
+        for name, value in (("g", self.g), ("g_prime", self.g_prime)):
+            if not math.isfinite(value):
+                raise ValueError(f"correlation {name} must be finite, got {value}")
 
 
 def eve_cm(params):
@@ -85,8 +96,7 @@ def attack_from_class(label, omega):
     sep-sym+/-  -> (+-(w-1), +-(w-1))               separable, symmetric correlations
     sep-anti+/- -> (+-(w-1), -+(w-1))               separable, antisymmetric correlations
     """
-    if omega < 1.0:
-        raise UnphysicalAttackError(f"thermal variance omega must be >= 1 SNU, got {omega}")
+    _check_omega(omega)
     name = normalize_class(label)
     c = np.sqrt(omega * omega - 1.0)
     s = omega - 1.0
@@ -106,31 +116,15 @@ def attack_from_class(label, omega):
 def _physical_mask(omega, g, g_prime, atol=gaussian.BONA_FIDE_ATOL):
     """Vectorized physicality check of Eve's covariance matrix.
 
-    Builds the stacked 4x4 matrices and checks positive definiteness plus
-    symplectic eigenvalues >= 1 - atol.  The spectrum comes from the
-    Hermitian matrix i V^(1/2) Omega V^(1/2), whose eigenvalues are +-nu;
-    batched Hermitian solvers never raise, so boundary points just filter out.
+    [[w I, G], [G, w I]] is positive definite iff |g|, |g'| < w, and its
+    symplectic eigenvalues are sqrt((w-g)(w-g')) and sqrt((w+g)(w+g'))
+    (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)); both must
+    be >= 1 - atol.
     """
-    g = np.asarray(g, dtype=float)
-    gp = np.asarray(g_prime, dtype=float)
-    g, gp = np.broadcast_arrays(g, gp)
-    shape = g.shape
-    g = g.ravel()
-    gp = gp.ravel()
-    V = np.zeros((g.size, 4, 4))
-    idx = np.arange(4)
-    V[:, idx, idx] = omega
-    V[:, 0, 2] = V[:, 2, 0] = g
-    V[:, 1, 3] = V[:, 3, 1] = gp
-    w, U = np.linalg.eigh(V)
-    ok = w[:, 0] > 4.0 * np.finfo(float).eps * omega
-    if np.any(ok):
-        root = (U[ok] * np.sqrt(w[ok])[:, None, :]) @ np.transpose(U[ok], (0, 2, 1))
-        Om = gaussian.symplectic_form(2)
-        H = 1.0j * (root @ Om @ root)
-        nu = np.linalg.eigvalsh(0.5 * (H + np.conj(np.transpose(H, (0, 2, 1)))))
-        ok[ok] = nu[:, -2] >= 1.0 - atol  # two smallest positive eigenvalues are nu_min
-    return ok.reshape(shape)
+    g, gp = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(g_prime, dtype=float))
+    floor = (1.0 - atol) ** 2
+    return ((np.abs(g) < omega) & (np.abs(gp) < omega)
+            & ((omega - g) * (omega - gp) >= floor) & ((omega + g) * (omega + gp) >= floor))
 
 
 def is_physical(params, atol=gaussian.BONA_FIDE_ATOL):
@@ -140,14 +134,14 @@ def is_physical(params, atol=gaussian.BONA_FIDE_ATOL):
 
 def require_physical(params):
     """Raise UnphysicalAttackError (naming the check) if the attack is unphysical."""
+    if is_physical(params):
+        return params
     if abs(params.g) >= params.omega or abs(params.g_prime) >= params.omega:
         raise UnphysicalAttackError(
             f"attack {params} violates positive definiteness (|g|, |g'| must be < omega)")
-    if not is_physical(params):
-        raise UnphysicalAttackError(
-            f"attack {params} violates the bona fide condition "
-            "(symplectic eigenvalues of Eve's covariance matrix below 1)")
-    return params
+    raise UnphysicalAttackError(
+        f"attack {params} violates the bona fide condition "
+        "(symplectic eigenvalues of Eve's covariance matrix below 1)")
 
 
 def classify(params):
@@ -167,17 +161,16 @@ def classify(params):
 def physical_region_grid(omega, resolution):
     """All physical attacks on a centered square grid of step `resolution`.
 
-    Grid points are (i*step, j*step) for all integers with |i*step|, |j*step|
-    <= omega, filtered through the operational physicality check, in
-    row-major order (g varying slowest).  Always contains (0, 0).
+    Returns an (n, 2) float array of (g, g') rows: the grid points
+    (i*step, j*step) for all integers with |i*step|, |j*step| <= omega,
+    filtered through the operational physicality check, in row-major order
+    (g varying slowest).  Always contains (0, 0).
     """
-    if omega < 1.0:
-        raise UnphysicalAttackError(f"thermal variance omega must be >= 1 SNU, got {omega}")
-    if not resolution > 0.0:
-        raise ValueError(f"grid resolution must be positive, got {resolution}")
+    _check_omega(omega)
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"grid resolution must be finite and positive, got {resolution}")
     kmax = int(np.floor(omega / resolution + 1e-9))
     vals = np.arange(-kmax, kmax + 1) * resolution
     G, GP = np.meshgrid(vals, vals, indexing="ij")
     mask = _physical_mask(omega, G, GP)
-    return [AttackParams(float(omega), float(g), float(gp))
-            for g, gp in zip(G[mask], GP[mask])]
+    return np.column_stack((G[mask], GP[mask]))

@@ -15,7 +15,7 @@ from ._serialize import csv_table, json_text
 from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class, normalize_class, require_physical
 from .errors import UnphysicalStateError
 from .protocol import holevo_asymptotic, keyrate_report, mutual_information_asymptotic
-from .security import (ONEWAY_MU_A, oneway_report, oneway_threshold_curve,
+from .security import (ONEWAY_MU_A, _grid_minimizer, oneway_report, oneway_threshold_curve,
                        optimal_attack_scan, relative_variations, scan_grid, threshold_curve)
 
 _APPENDIX_CLASSES = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
@@ -78,7 +78,7 @@ def _build_parser():
                    help="modulation variance of the baseline (default 1e7)")
     common(p, "json")
 
-    p = sub.add_parser("appendix", help="I_AB, chi_EA and optimal-attack variations vs omega")
+    p = sub.add_parser("appendix", help="I_AB, chi_EA and sep-sym- corner-class variations vs omega")
     p.add_argument("--T", action="append", type=float, default=None,
                    help="transmissivity, repeatable")
     p.add_argument("--mu", type=float, default=None, help="modulation variance (default 1e6)")
@@ -185,9 +185,12 @@ def _cmd_threshold(parser, args):
 
 def _cmd_scan(parser, args):
     _require(parser, args, ("T", "omega", "step"))
-    result = optimal_attack_scan(args.T, args.omega, args.step)
+    if args.full_grid:
+        rows = scan_grid(args.T, args.omega, args.step)
+        result, grid = _grid_minimizer(args.T, args.omega, args.step, rows), rows.tolist()
+    else:
+        result, grid = optimal_attack_scan(args.T, args.omega, args.step), None
     payload = result.to_dict()
-    grid = scan_grid(args.T, args.omega, args.step) if args.full_grid else None
     if (args.format or args.fmt_default) == "json":
         if grid is not None:
             payload["grid"] = [{"g": g, "g_prime": gp, "R": r} for g, gp, r in grid]

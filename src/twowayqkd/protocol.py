@@ -344,8 +344,10 @@ def keyrate_report(T, a, mu=1e6):
     iab, sigma, sigma_p, Delta = mutual_information_asymptotic(T, a, mu)
     chi = holevo_asymptotic(T, a, mu)
     rate = keyrate_asymptotic(T, a)
-    assert abs(rate - (iab - chi)) <= 1e-10, "key rate inconsistent with I_AB - chi_EA"
-    assert chi >= -1e-9, "Holevo bound came out negative"
+    if not (abs(rate - (iab - chi)) <= 1e-10 and chi >= -1e-9):
+        raise UnphysicalStateError(
+            f"inconsistent report: R={rate}, I_AB={iab}, chi_EA={chi} "
+            "(need R = I_AB - chi_EA and chi_EA >= 0)")
     return KeyRateReport(
         nu1=nu1, nu2=nu2, nu3nu4_product=product, nubar1=nubar1, nubar2=nubar2,
         S_E=s_e, S_E_cond=s_cond, I_AB=iab, chi_EA=chi, R=rate,

@@ -218,15 +218,20 @@ class ScanResult:
 
 
 def scan_grid(T, omega, resolution):
-    """Key rate at every physical grid point, row-major in (g, g')."""
+    """(n, 3) array of (g, g', R) rows: the key rate at every node of physical_region_grid."""
+    if not 0.0 < T < 1.0:
+        raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
     grid = physical_region_grid(omega, resolution)
-    g = np.array([a.g for a in grid])
-    gp = np.array([a.g_prime for a in grid])
-    if g.size:
-        rates = _keyrate_arrays(T, omega, g, gp)
-    else:  # unreachable: the grid always contains (0, 0)
-        rates = np.array([])
-    return [(float(gi), float(gpi), float(ri)) for gi, gpi, ri in zip(g, gp, rates)]
+    return np.column_stack((grid, _keyrate_arrays(T, omega, grid[:, 0], grid[:, 1])))
+
+
+def _grid_minimizer(T, omega, resolution, rows):
+    """ScanResult of the lowest-rate row of scan_grid output; ties go to the smallest g, then g'."""
+    g, gp, rates = rows.T
+    best = np.lexsort((gp, g, rates))[0]
+    return ScanResult(T=float(T), omega=float(omega),
+                      best_g=float(g[best]), best_g_prime=float(gp[best]),
+                      R_min=float(rates[best]), grid_resolution=float(resolution))
 
 
 def optimal_attack_scan(T, omega, resolution):
@@ -234,14 +239,7 @@ def optimal_attack_scan(T, omega, resolution):
 
     Ties are broken towards the smallest g, then the smallest g'.
     """
-    rows = scan_grid(T, omega, resolution)
-    g = np.array([r[0] for r in rows])
-    gp = np.array([r[1] for r in rows])
-    rates = np.array([r[2] for r in rows])
-    best = np.lexsort((gp, g, rates))[0]
-    return ScanResult(T=float(T), omega=float(omega),
-                      best_g=float(g[best]), best_g_prime=float(gp[best]),
-                      R_min=float(rates[best]), grid_resolution=float(resolution))
+    return _grid_minimizer(T, omega, resolution, scan_grid(T, omega, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +294,13 @@ def oneway_report(T, omega, mu_a=ONEWAY_MU_A):
 
 
 # ---------------------------------------------------------------------------
-# relative variations of the optimal attack
+# relative variations of the sep-sym- corner class
 # ---------------------------------------------------------------------------
 
 def relative_variations(T, mu, omega_grid):
-    """Relative change of I_AB and chi_EA for the optimal attack vs collective.
+    """Relative change of I_AB and chi_EA for the sep-sym- corner class vs collective.
 
-    For each omega in the grid, compares the symmetric separable attack
+    For each omega in the grid, compares the sep-sym- corner class
     g = g' = 1 - omega against the collective attack at the same (T, omega,
     mu), returning rows (omega, dI_AB, dchi_EA) with dX = (X - X_c)/X_c.
     Rows where the collective reference is nonpositive carry NaN instead of

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, AttackParams, UnphysicalAttackError, attack_from_class,
-                       classify, eve_cm, is_physical, normalize_class, physical_region_grid,
-                       ppt_separable, require_physical, symplectic_spectrum)
+                       classify, eve_cm, is_bona_fide, is_physical, normalize_class,
+                       physical_region_grid, ppt_separable, require_physical,
+                       symplectic_spectrum)
+from twowayqkd.attacks import _physical_mask
+from twowayqkd.gaussian import BONA_FIDE_ATOL
+
+
+def matrix_oracle(omega, g, g_prime):
+    """Physicality by the toolbox route: Cholesky/SVD spectrum of Eve's 4x4 matrix."""
+    return is_bona_fide(eve_cm(AttackParams(omega, g, g_prime)))
 
 
 class TestEveCm:
@@ -91,34 +101,71 @@ class TestClassify:
 class TestPhysicalRegionGrid:
     def test_omega_one_collapses_to_origin(self):
         grid = physical_region_grid(1.0, 0.37)
-        assert [(a.g, a.g_prime) for a in grid] == [(0.0, 0.0)]
+        assert grid.tolist() == [[0.0, 0.0]]
 
     def test_contents_at_omega_two(self):
         grid = physical_region_grid(2.0, 0.5)
-        pts = {(a.g, a.g_prime) for a in grid}
+        assert grid.shape[1] == 2
+        pts = {(g, gp) for g, gp in grid.tolist()}
         assert (-1.0, -1.0) in pts
         assert (0.0, 0.0) in pts
         assert (2.0, 2.0) not in pts
 
     def test_every_point_classifies(self):
-        for a in physical_region_grid(2.0, 0.5):
-            assert classify(a) in ("collective", "separable_correlated", "entangled")
+        for g, gp in physical_region_grid(2.0, 0.5).tolist():
+            assert classify(AttackParams(2.0, g, gp)) in (
+                "collective", "separable_correlated", "entangled")
 
     def test_grid_symmetries(self):
-        pts = {(a.g, a.g_prime) for a in physical_region_grid(1.8, 0.3)}
+        pts = {(g, gp) for g, gp in physical_region_grid(1.8, 0.3).tolist()}
         assert pts == {(gp, g) for g, gp in pts}
         assert pts == {(-g, -gp) for g, gp in pts}
 
     def test_row_major_order(self):
-        grid = physical_region_grid(1.5, 0.75)
-        seq = [(a.g, a.g_prime) for a in grid]
-        assert seq == sorted(seq)
+        rows = physical_region_grid(1.5, 0.75).tolist()
+        assert rows == sorted(rows)
 
     def test_validates_arguments(self):
         with pytest.raises(UnphysicalAttackError):
             physical_region_grid(0.9, 0.1)
         with pytest.raises(ValueError):
             physical_region_grid(2.0, 0.0)
+
+
+class TestClosedFormPhysicality:
+    """The closed-form mask against the covariance-matrix route."""
+
+    @pytest.mark.parametrize("omega", [1.0, 1.5, 2.0, 3.0])
+    def test_matches_matrix_oracle_at_every_node(self, omega):
+        k = int(np.floor(omega / 0.1 + 1e-9))
+        vals = np.arange(-k, k + 1) * 0.1
+        G, GP = np.meshgrid(vals, vals, indexing="ij")
+        mask = _physical_mask(omega, G, GP)
+        expected = [matrix_oracle(omega, g, gp) for g, gp in zip(G.ravel(), GP.ravel())]
+        assert mask.ravel().tolist() == expected
+        assert 0 < mask.sum() < mask.size
+
+    @settings(max_examples=300, deadline=None)
+    @given(omega=st.floats(1.0, 4.0), u=st.floats(-3.0, 3.0), v=st.floats(-3.0, 3.0))
+    def test_matches_matrix_oracle_off_the_boundary(self, omega, u, v):
+        g, gp = u * omega, v * omega
+        floor = (1.0 - BONA_FIDE_ATOL) ** 2
+        assume(abs((omega - g) * (omega - gp) - floor) > 1e-6)
+        assume(abs((omega + g) * (omega + gp) - floor) > 1e-6)
+        assert bool(_physical_mask(omega, g, gp)) == matrix_oracle(omega, g, gp)
+
+    def test_require_physical_names_the_failed_condition(self):
+        with pytest.raises(UnphysicalAttackError, match="positive definiteness"):
+            require_physical(AttackParams(2.0, 2.5, 0.0))
+        with pytest.raises(UnphysicalAttackError, match="bona fide"):
+            require_physical(AttackParams(2.0, 1.5, 1.5))
+
+    @pytest.mark.parametrize("field", ["omega", "g", "g_prime"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_parameters_rejected(self, field, value):
+        params = {"omega": 2.0, "g": 0.0, "g_prime": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AttackParams(**params)
 
 
 class TestSymmetries:

@@ -5,15 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from twowayqkd import attack_from_class, keyrate_report, physical_region_grid
+from twowayqkd import attack_from_class, keyrate_report, physical_region_grid, security
 from twowayqkd.cli import main
 
 
-def run(_capsys, *argv):
+def run_with_stderr(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(_capsys, *argv):
+    code, out, _ = run_with_stderr(*argv)
+    return code, out
 
 
 class TestKeyrateCommand:
@@ -131,6 +136,45 @@ class TestScanCommand:
                      "--step", "0.25", "--full-grid", "--format", "json")
         payload = json.loads(out)
         assert len(payload["grid"]) == len(physical_region_grid(1.5, 0.25))
+
+    def test_full_grid_evaluates_the_grid_once(self, capsys, monkeypatch):
+        calls = []
+        keyrate_arrays = security._keyrate_arrays
+
+        def counted(*args):
+            calls.append(args)
+            return keyrate_arrays(*args)
+
+        monkeypatch.setattr(security, "_keyrate_arrays", counted)
+        code, out = run(capsys, "scan", "--T", "0.9", "--omega", "1.5",
+                        "--step", "0.25", "--full-grid", "--format", "json")
+        assert code == 0
+        assert len(calls) == 1
+        payload = json.loads(out)
+        best = min((row["R"], row["g"], row["g_prime"]) for row in payload["grid"])
+        assert (payload["R_min"], payload["best_g"], payload["best_g_prime"]) == best
+
+
+class TestInvalidInput:
+    """Non-finite and out-of-range values fail with exit code 1 and a message
+    naming the value, never with a traceback or a physics verdict."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (("scan", "--T", "0.8", "--omega", "inf", "--step", "0.1"), ("omega", "inf")),
+        (("scan", "--T", "1.5", "--omega", "2", "--step", "0.1"), ("T", "1.5")),
+        (("scan", "--T", "nan", "--omega", "2", "--step", "0.1"), ("T", "nan")),
+        (("scan", "--T", "0", "--omega", "2", "--step", "0.1"), ("T", "0.0")),
+        (("scan", "--T", "0.8", "--omega", "2", "--step", "inf"), ("resolution", "inf")),
+        (("keyrate", "--T", "0.8", "--omega", "inf", "--attack", "collective"), ("omega", "inf")),
+    ], ids=["scan-omega-inf", "scan-T-above-one", "scan-T-nan", "scan-T-zero",
+            "scan-step-inf", "keyrate-omega-inf"])
+    def test_rejected_with_message(self, argv, named):
+        code, out, err = run_with_stderr(*argv)
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert all(word in err for word in named)
+        assert "must" in err and "unphysical" not in err
 
 
 class TestOnewayCommand:

@@ -9,6 +9,7 @@ from twowayqkd import (AttackParams, ProtocolParams, UnphysicalStateError, attac
                        mutual_information_asymptotic, partial_trace, symplectic_spectrum,
                        total_cm, total_cm_circuit, total_entropy_asymptotic,
                        von_neumann_entropy)
+from twowayqkd import protocol
 
 from _util import random_physical_attack
 
@@ -255,6 +256,22 @@ class TestKeyRate:
             "I_AB", "chi_EA", "R", "sigma", "sigma_prime", "Delta"]
         assert rep.nu1 == pytest.approx(3.0, rel=1e-12)
         assert rep.nu2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_report_rejects_inconsistent_rate(self, monkeypatch):
+        # raised errors, not asserts, so the check survives python -O
+        a = attack_from_class("sep-sym-", 2.0)
+        chi = holevo_asymptotic(0.65, a, 1e6)
+        monkeypatch.setattr(protocol, "holevo_asymptotic", lambda T, a, mu: chi + 1e-6)
+        with pytest.raises(UnphysicalStateError, match="inconsistent"):
+            keyrate_report(0.65, a, mu=1e6)
+
+    def test_report_rejects_negative_holevo_bound(self, monkeypatch):
+        a = attack_from_class("sep-sym-", 2.0)
+        iab = mutual_information_asymptotic(0.65, a, 1e6)[0]
+        monkeypatch.setattr(protocol, "holevo_asymptotic", lambda T, a, mu: -1.0)
+        monkeypatch.setattr(protocol, "keyrate_asymptotic", lambda T, a: iab + 1.0)
+        with pytest.raises(UnphysicalStateError, match="inconsistent"):
+            keyrate_report(0.65, a, mu=1e6)
 
 
 class TestExactEntanglementBasedOracle:

@@ -114,8 +114,8 @@ class TestOptimalAttackScan:
     def test_matches_scalar_brute_force(self):
         T, w, step = 0.8, 1.6, 0.2
         result = optimal_attack_scan(T, w, step)
-        rates = [(keyrate_asymptotic(T, a), a.g, a.g_prime)
-                 for a in physical_region_grid(w, step)]
+        rates = [(keyrate_asymptotic(T, AttackParams(w, g, gp)), g, gp)
+                 for g, gp in physical_region_grid(w, step).tolist()]
         best = min(rates)
         assert result.R_min == pytest.approx(best[0], abs=1e-12)
         assert (result.best_g, result.best_g_prime) == (best[1], best[2])
