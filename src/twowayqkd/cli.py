@@ -7,9 +7,8 @@ Commands: keyrate | threshold | scan | oneway | appendix.  Exit codes:
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from ._serialize import csv_table, json_text
 from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class, normalize_class, require_physical
@@ -19,6 +18,9 @@ from .security import (ONEWAY_MU_A, _grid_minimizer, oneway_report, oneway_thres
                        optimal_attack_scan, relative_variations, scan_grid, threshold_curve)
 
 _APPENDIX_CLASSES = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
+
+#: most points an evenly spaced T or omega grid may hold
+MAX_GRID_POINTS = 10 ** 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,13 +140,25 @@ def normalize_if_known(label):
     return normalize_class(label)
 
 
+def _even_grid(parser, name, lo, hi, step):
+    """lo, lo + step, ... up to hi (lo <= hi); the size is checked before anything is built."""
+    for suffix, value in (("min", lo), ("max", hi), ("step", step)):
+        if not math.isfinite(value):
+            parser.error(f"{name}-{suffix} must be finite, got {value}")
+    if not step > 0.0:
+        parser.error(f"{name}-step must be positive, got {step}")
+    span = (hi - lo) / step + 1e-9
+    count = math.floor(span) + 1 if math.isfinite(span) else span
+    if count > MAX_GRID_POINTS:
+        parser.error(f"{name}-step {step} gives {count:.6g} grid points; "
+                     f"a grid must hold at most {MAX_GRID_POINTS}")
+    return [lo + k * step for k in range(count)]
+
+
 def _t_grid(parser, args):
     if not 0.0 < args.t_min < args.t_max < 1.0:
         parser.error(f"need 0 < t-min < t-max < 1, got {args.t_min}, {args.t_max}")
-    if not args.t_step > 0.0:
-        parser.error(f"t-step must be positive, got {args.t_step}")
-    count = int(np.floor((args.t_max - args.t_min) / args.t_step + 1e-9)) + 1
-    return [args.t_min + k * args.t_step for k in range(count)]
+    return _even_grid(parser, "t", args.t_min, args.t_max, args.t_step)
 
 
 def _cmd_keyrate(parser, args):
@@ -171,12 +185,7 @@ def _cmd_threshold(parser, args):
     if args.with_oneway:
         curves.append(oneway_threshold_curve(grid))
     if (args.format or args.fmt_default) == "json":
-        payload = [{"attack_class": c.attack_class,
-                    "points": [{"T": p.T, "omega_star": p.omega_star,
-                                "N_star": p.N_star, "secure": p.secure}
-                               for p in c.points]}
-                   for c in curves]
-        _emit(json_text(payload), args.output)
+        _emit(json_text([c.to_dict() for c in curves]), args.output)
     else:
         rows = [[c.attack_class, *row] for c in curves for row in c.to_rows()]
         _emit(csv_table(("attack", "T", "omega_star", "N_star", "secure"), rows), args.output)
@@ -223,10 +232,9 @@ def _cmd_appendix(parser, args):
     w_min = 1.0 if args.omega_min is None else args.omega_min
     w_max = 5.0 if args.omega_max is None else args.omega_max
     w_step = 0.25 if args.omega_step is None else args.omega_step
-    if not (w_min >= 1.0 and w_max >= w_min and w_step > 0.0):
+    if not (w_min >= 1.0 and w_max >= w_min):
         parser.error(f"bad omega grid: [{w_min}, {w_max}] step {w_step}")
-    count = int(np.floor((w_max - w_min) / w_step + 1e-9)) + 1
-    omegas = [w_min + k * w_step for k in range(count)]
+    omegas = _even_grid(parser, "omega", w_min, w_max, w_step)
 
     header = ["T", "omega"]
     header += [f"I_AB_{c}" for c in _APPENDIX_CLASSES]

@@ -188,28 +188,6 @@ def _spectrum_from_cholesky(V):
     return 0.5 * (s[0::2] + s[1::2])
 
 
-def _spectrum_from_eig(V):
-    """Symplectic eigenvalues via a complex eigensolver on Omega V.
-
-    Independent of the Cholesky/SVD route; kept for cross-validation.
-    """
-    n = V.shape[0] // 2
-    ew = np.linalg.eigvalsh(V)
-    if ew[0] <= 0.0:
-        raise UnphysicalStateError(
-            "covariance matrix is not positive definite (unphysical state)")
-    lam = np.linalg.eigvals(symplectic_form(n) @ V)
-    scale = max(np.abs(lam).max(), 1.0)
-    if np.max(np.abs(lam.real)) > 1e-8 * scale:
-        raise DegenerateSpectrumError(
-            f"eigenvalues of Omega V are not purely imaginary (residue {np.abs(lam.real).max():.3e})")
-    pos = np.sort(lam.imag[lam.imag > 0])[::-1]
-    if pos.size != n:
-        raise DegenerateSpectrumError(
-            f"expected {n} positive-imaginary eigenvalues, found {pos.size}")
-    return np.abs(pos)
-
-
 def symplectic_spectrum(V):
     """Symplectic eigenvalues of a covariance matrix, sorted descending.
 

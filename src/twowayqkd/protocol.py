@@ -210,8 +210,8 @@ def _keyrate_arrays(T, omega, g, g_prime):
 def _check_asymptotic_args(T, a, mu=None):
     if not 0.0 < T < 1.0:
         raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
-    if mu is not None and not mu > 0.0:
-        raise ValueError(f"modulation variance mu must be positive, got {mu}")
+    if mu is not None and not 0.0 < mu < math.inf:
+        raise ValueError(f"modulation variance mu must be positive and finite, got {mu}")
     if not isinstance(a, AttackParams):
         raise TypeError(f"expected AttackParams, got {type(a).__name__}")
 

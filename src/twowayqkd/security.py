@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian
-from .attacks import AttackParams, attack_from_class, normalize_class, physical_region_grid
+from .attacks import (AttackParams, _check_omega, attack_from_class, normalize_class,
+                      physical_region_grid)
 from .errors import DivergentThresholdError, MonotonicityError, UnphysicalStateError
 from .gaussian import entropic_h
 from .protocol import _keyrate_arrays, keyrate_asymptotic
@@ -136,13 +136,14 @@ class ThresholdCurve:
         from ._serialize import csv_table
         return csv_table(("T", "omega_star", "N_star", "secure"), self.to_rows())
 
+    def to_dict(self):
+        return {"attack_class": self.attack_class,
+                "points": [{"T": p.T, "omega_star": p.omega_star,
+                            "N_star": p.N_star, "secure": p.secure} for p in self.points]}
+
     def to_json(self):
         from ._serialize import json_text
-        return json_text({
-            "attack_class": self.attack_class,
-            "points": [{"T": p.T, "omega_star": p.omega_star,
-                        "N_star": p.N_star, "secure": p.secure} for p in self.points],
-        })
+        return json_text(self.to_dict())
 
 
 def _threshold_point(T, rate):
@@ -247,26 +248,34 @@ def optimal_attack_scan(T, omega, resolution):
 # ---------------------------------------------------------------------------
 
 def _oneway_quantities(T, omega, mu_a):
-    """Exact finite-modulation one-way quantities (I_AB, chi_EA)."""
+    """Exact finite-modulation one-way quantities (I_AB, chi_EA).
+
+    Bob holds b = T a + (1-T) omega of Alice's EPR variance a = mu_a, with
+    A-B correlation c^2 = T (a^2 - 1); heterodyne on A leaves
+    b_cond = T + (1-T) omega, and sqrt(det V_AB) = a b - c^2 = (1-T) a omega + T.
+    """
     if not 0.0 < T < 1.0:
         raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
-    if omega < 1.0:
-        raise ValueError(f"thermal variance must be >= 1 SNU, got {omega}")
-    # modes: A (kept), A' (sent), E (thermal); one pass through the channel
-    V = gaussian.tensor(gaussian.epr_cm(mu_a), gaussian.thermal_cm(omega))
-    V = gaussian.apply_symplectic(gaussian.beam_splitter(T, (1, 2), 3), V)
-    V_ab = gaussian.partial_trace(V, keep=(0, 1))
-    b = V_ab[2, 2]
-    b_cond = gaussian.heterodyne_condition(V_ab, measured=0)[0, 0]
-    # exact value is T + (1-T)*omega >= 1; snap the cancellation dust at large mu_a
-    dust = 256.0 * np.finfo(float).eps * b
-    if b_cond < 1.0 - dust:
-        raise UnphysicalStateError(f"conditional variance {b_cond} below vacuum noise")
-    if abs(b_cond - 1.0) <= dust:
-        b_cond = 1.0
+    _check_omega(omega)
+    if not math.isfinite(mu_a):
+        raise ValueError(f"EPR variance mu_a must be finite, got {mu_a}")
+    if not mu_a >= 1.0:
+        raise UnphysicalStateError(f"EPR variance must be >= 1 SNU, got {mu_a}")
+    if mu_a == 1.0:
+        # no modulation: A and B are uncorrelated, so nobody learns anything;
+        # the general form below would leave rounding dust of either sign in R
+        return 0.0, 0.0
+    b = T * mu_a + (1.0 - T) * omega
+    b_cond = T + (1.0 - T) * omega
+    root_det = (1.0 - T) * mu_a * omega + T
+    # symplectic eigenvalues of V_AB: the larger one without cancellation,
+    # the smaller from their product sqrt(det)
+    d = abs(mu_a - b)
+    nu_plus = 0.5 * (math.sqrt(d * d + 4.0 * root_det) + d)
+    nu_minus = root_det / nu_plus
     # heterodyne read-out of both quadratures, one vacuum unit added
     i_ab = math.log2((b + 1.0) / (b_cond + 1.0))
-    chi = gaussian.von_neumann_entropy(V_ab) - entropic_h(b_cond)
+    chi = entropic_h(nu_plus) + entropic_h(nu_minus) - entropic_h(b_cond)
     return i_ab, chi
 
 
@@ -274,13 +283,13 @@ def oneway_keyrate(T, omega, mu_a=ONEWAY_MU_A):
     """Key rate of the one-way baseline: coherent states, heterodyne
     detection, direct reconciliation, single-mode collective attack.
 
-    Built from the same Gaussian machinery as the two-way protocol: Alice
-    heterodynes one EPR arm, the other crosses one thermal-loss pass (T,
-    omega), Bob heterodynes.  I_AB compares Bob's measured variance with and
-    without conditioning on Alice; chi_EA = S(AB) - S(B|A) by purity of the
-    global state.  At the default mu_a the rate is modulation-independent to
-    well below 1e-6 over the threshold-relevant region.  The pure-loss rate
-    is log2(T / (e (1-T))), positive for T > e/(1+e) ~ 0.731.
+    Alice heterodynes one EPR arm, the other crosses one thermal-loss pass
+    (T, omega), Bob heterodynes.  I_AB and chi_EA = S(AB) - S(B|A) are an
+    exact closed form at any mu_a; the tests check it against the
+    covariance-matrix circuit.  At the default mu_a the rate is
+    modulation-independent to well below 1e-6 over the threshold-relevant
+    region.  The pure-loss rate is log2(T / (e (1-T))), positive for
+    T > e/(1+e) ~ 0.731.
     """
     i_ab, chi = _oneway_quantities(T, omega, mu_a)
     return i_ab - chi

@@ -111,3 +111,28 @@ def with_dps(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     finally:
         mp.mp.dps = old
+
+
+def mp_entropic_h(nu):
+    """entropic_h in mp precision, with 0 log 0 = 0."""
+    a = (nu + 1) / 2
+    b = (nu - 1) / 2
+    return a * mp.log(a, 2) - (b * mp.log(b, 2) if b > 0 else 0)
+
+
+def mp_oneway_rate(T, omega, mu_a):
+    """One-way baseline rate I_AB - chi_EA from the A-B covariance matrix in mp numbers.
+
+    Builds V_AB = [[a I, c Z], [c Z, b I]] with b = T a + (1-T) omega and
+    c = sqrt(T (a^2 - 1)), takes its symplectic spectrum with
+    mp_symplectic_spectrum and conditions on Alice's heterodyne by the Schur
+    complement b - c^2/(a+1).
+    """
+    T, w, a = map(_mpf, (T, omega, mu_a))
+    b = T * a + (1 - T) * w
+    c = mp.sqrt(T * (a * a - 1))
+    V = mp.matrix([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
+    b_cond = b - c * c / (a + 1)
+    i_ab = mp.log((b + 1) / (b_cond + 1), 2)
+    chi = sum(mp_entropic_h(nu) for nu in mp_symplectic_spectrum(V)) - mp_entropic_h(b_cond)
+    return i_ab - chi

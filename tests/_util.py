@@ -1,8 +1,12 @@
-"""Shared random-state generators for the test suite."""
+"""Shared random-state generators and matrix-route oracles for the test suite."""
+
+import math
 
 import numpy as np
 
-from twowayqkd import apply_symplectic, beam_splitter, epr_cm, tensor, thermal_cm, vacuum_cm
+from twowayqkd import (DegenerateSpectrumError, UnphysicalStateError, apply_symplectic,
+                       beam_splitter, entropic_h, epr_cm, heterodyne_condition, partial_trace,
+                       symplectic_form, tensor, thermal_cm, vacuum_cm, von_neumann_entropy)
 
 
 def random_bona_fide_cm(rng, n, pure=False):
@@ -51,3 +55,47 @@ def random_physical_attack(rng, omega=None):
         a = AttackParams(w, g, gp)
         if is_physical(a):
             return a
+
+
+def spectrum_from_eig(V):
+    """Symplectic eigenvalues via a complex eigensolver on Omega V.
+
+    Independent of the package's Cholesky/SVD route; kept for cross-validation.
+    """
+    n = V.shape[0] // 2
+    ew = np.linalg.eigvalsh(V)
+    if ew[0] <= 0.0:
+        raise UnphysicalStateError(
+            "covariance matrix is not positive definite (unphysical state)")
+    lam = np.linalg.eigvals(symplectic_form(n) @ V)
+    scale = max(np.abs(lam).max(), 1.0)
+    if np.max(np.abs(lam.real)) > 1e-8 * scale:
+        raise DegenerateSpectrumError(
+            f"eigenvalues of Omega V are not purely imaginary (residue {np.abs(lam.real).max():.3e})")
+    pos = np.sort(lam.imag[lam.imag > 0])[::-1]
+    if pos.size != n:
+        raise DegenerateSpectrumError(
+            f"expected {n} positive-imaginary eigenvalues, found {pos.size}")
+    return np.abs(pos)
+
+
+def oneway_quantities_circuit(T, omega, mu_a):
+    """(I_AB, chi_EA) of the one-way baseline, simulated with the covariance-matrix toolbox.
+
+    Oracle for security._oneway_quantities: modes A (kept), A' (sent) and E
+    (thermal) pass once through the channel, then A is heterodyned.
+    """
+    V = tensor(epr_cm(mu_a), thermal_cm(omega))
+    V = apply_symplectic(beam_splitter(T, (1, 2), 3), V)
+    V_ab = partial_trace(V, keep=(0, 1))
+    b = V_ab[2, 2]
+    b_cond = heterodyne_condition(V_ab, measured=0)[0, 0]
+    # exact value is T + (1-T)*omega >= 1; snap the cancellation dust at large mu_a
+    dust = 256.0 * np.finfo(float).eps * b
+    if b_cond < 1.0 - dust:
+        raise UnphysicalStateError(f"conditional variance {b_cond} below vacuum noise")
+    if abs(b_cond - 1.0) <= dust:
+        b_cond = 1.0
+    i_ab = math.log2((b + 1.0) / (b_cond + 1.0))
+    chi = von_neumann_entropy(V_ab) - entropic_h(b_cond)
+    return i_ab, chi

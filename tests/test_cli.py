@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twowayqkd import attack_from_class, keyrate_report, physical_region_grid, security
-from twowayqkd.cli import main
+from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
 
 def run_with_stderr(*argv):
@@ -166,8 +166,21 @@ class TestInvalidInput:
         (("scan", "--T", "0", "--omega", "2", "--step", "0.1"), ("T", "0.0")),
         (("scan", "--T", "0.8", "--omega", "2", "--step", "inf"), ("resolution", "inf")),
         (("keyrate", "--T", "0.8", "--omega", "inf", "--attack", "collective"), ("omega", "inf")),
+        (("oneway", "--T", "0.9", "--omega", "inf"), ("omega", "inf")),
+        (("oneway", "--T", "0.9", "--omega", "nan"), ("omega", "nan")),
+        (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "inf"), ("mu", "inf")),
+        (("keyrate", "--T", "0.8", "--omega", "1.5", "--attack", "collective", "--mu", "inf"),
+         ("mu", "inf")),
+        (("appendix", "--T", "0.65", "--mu", "inf", "--omega-max", "2"), ("mu", "inf")),
+        (("appendix", "--T", "0.65", "--omega-max", "inf"), ("omega-max", "inf")),
+        (("threshold", "--attack", "collective", "--t-min", "0.5", "--t-max", "0.9",
+          "--t-step", "1e-300"), ("4e+299", "grid points", str(MAX_GRID_POINTS))),
+        (("appendix", "--T", "0.65", "--omega-step", "1e-300"),
+         ("4e+300", "grid points", str(MAX_GRID_POINTS))),
     ], ids=["scan-omega-inf", "scan-T-above-one", "scan-T-nan", "scan-T-zero",
-            "scan-step-inf", "keyrate-omega-inf"])
+            "scan-step-inf", "keyrate-omega-inf", "oneway-omega-inf", "oneway-omega-nan",
+            "oneway-mu-inf", "keyrate-mu-inf", "appendix-mu-inf", "appendix-omega-max-inf",
+            "threshold-grid-over-cap", "appendix-grid-over-cap"])
     def test_rejected_with_message(self, argv, named):
         code, out, err = run_with_stderr(*argv)
         assert code == 1
@@ -175,6 +188,13 @@ class TestInvalidInput:
         assert "Traceback" not in err
         assert all(word in err for word in named)
         assert "must" in err and "unphysical" not in err
+
+    def test_grid_cap_is_inclusive(self, capsys):
+        parser = _build_parser()
+        assert len(_even_grid(parser, "t", 0.0, MAX_GRID_POINTS - 1.0, 1.0)) == MAX_GRID_POINTS
+        with pytest.raises(SystemExit):
+            _even_grid(parser, "t", 0.0, float(MAX_GRID_POINTS), 1.0)
+        assert f"gives {MAX_GRID_POINTS + 1} grid points" in capsys.readouterr().err
 
 
 class TestOnewayCommand:
@@ -186,6 +206,12 @@ class TestOnewayCommand:
     def test_insecure_point(self, capsys):
         code, out = run(capsys, "oneway", "--T", "0.7", "--omega", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("T, omega", [("0.9", "1.2"), ("0.3", "2")])
+    def test_zero_modulation_has_zero_rate(self, capsys, T, omega):
+        code, out = run(capsys, "oneway", "--T", T, "--omega", omega, "--mu", "0")
+        assert code == 2
+        assert json.loads(out)["R"] == 0.0
 
 
 class TestAppendixCommand:

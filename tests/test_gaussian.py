@@ -6,9 +6,7 @@ from twowayqkd import (AttackParams, UnphysicalStateError,
                        epr_cm, eve_cm, heterodyne_condition, is_bona_fide, is_symplectic,
                        partial_trace, ppt_separable, symplectic_form, symplectic_spectrum,
                        tensor, thermal_cm, vacuum_cm, von_neumann_entropy)
-from twowayqkd.gaussian import _spectrum_from_eig
-
-from _util import random_beam_splitter_net, random_bona_fide_cm
+from _util import random_beam_splitter_net, random_bona_fide_cm, spectrum_from_eig
 
 
 class TestSymplecticForm:
@@ -49,7 +47,7 @@ class TestSymplecticSpectrum:
         np.testing.assert_allclose(expected, [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(symplectic_spectrum(V), expected, atol=1e-9)
         # independent dense eigensolver route on the same matrix
-        np.testing.assert_allclose(_spectrum_from_eig(V), expected, atol=1e-9)
+        np.testing.assert_allclose(spectrum_from_eig(V), expected, atol=1e-9)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(UnphysicalStateError):
@@ -67,7 +65,7 @@ class TestSymplecticSpectrum:
             for _ in range(20):
                 V = random_bona_fide_cm(rng, n)
                 np.testing.assert_allclose(
-                    symplectic_spectrum(V), _spectrum_from_eig(V), atol=1e-8, rtol=1e-8)
+                    symplectic_spectrum(V), spectrum_from_eig(V), atol=1e-8, rtol=1e-8)
 
     def test_descending_order(self):
         V = tensor(thermal_cm(1.3), thermal_cm(3.7), thermal_cm(2.1))

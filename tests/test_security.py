@@ -3,13 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twowayqkd import (AttackParams, MonotonicityError, attack_from_class, excess_noise,
-                       keyrate_asymptotic, omega_from_excess, oneway_keyrate, oneway_report,
-                       oneway_threshold_curve, oneway_threshold_omega, optimal_attack_scan,
-                       physical_region_grid, relative_variations, scan_grid, threshold_curve,
-                       threshold_omega)
-from twowayqkd.gaussian import entropic_h
+from twowayqkd import (AttackParams, MonotonicityError, UnphysicalStateError, attack_from_class,
+                       excess_noise, keyrate_asymptotic, omega_from_excess, oneway_keyrate,
+                       oneway_report, oneway_threshold_curve, oneway_threshold_omega,
+                       optimal_attack_scan, physical_region_grid, relative_variations, scan_grid,
+                       threshold_curve, threshold_omega)
+from twowayqkd.gaussian import BONA_FIDE_ATOL, entropic_h
+from twowayqkd.security import ONEWAY_MU_A, _oneway_quantities
+
+from _hiprec import mp_oneway_rate, with_dps
+from _util import oneway_quantities_circuit
 
 
 class TestExcessNoise:
@@ -192,6 +198,45 @@ class TestOneWayBaseline:
         rep = oneway_report(0.9, 1.2)
         assert set(rep) == {"T", "omega", "I_AB", "chi_EA", "R"}
         assert rep["R"] == pytest.approx(rep["I_AB"] - rep["chi_EA"], abs=1e-12)
+
+    @pytest.mark.parametrize("mu_a, tol", [
+        (1.0, 1e-10), (2.0, 1e-10), (11.0, 1e-10), (1e3 + 1.0, 1e-10), (ONEWAY_MU_A, 1e-6)])
+    def test_matches_matrix_route_on_grid(self, mu_a, tol):
+        for T in np.linspace(0.05, 0.99, 20):
+            for w in np.linspace(1.0, 6.0, 11):
+                np.testing.assert_allclose(_oneway_quantities(T, w, mu_a),
+                                           oneway_quantities_circuit(T, w, mu_a), rtol=0, atol=tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(T=st.floats(0.05, 0.99), omega=st.floats(1.0, 6.0), mu_a=st.floats(1.0, 1e3 + 1.0))
+    def test_matches_matrix_route_property(self, T, omega, mu_a):
+        i_ab, chi = _oneway_quantities(T, omega, mu_a)
+        i_circuit, chi_circuit = oneway_quantities_circuit(T, omega, mu_a)
+        assert i_ab == pytest.approx(i_circuit, abs=1e-10)
+        # the matrix route snaps symplectic eigenvalues within 1e-9 of 1 to 1
+        # (von_neumann_entropy), dropping up to h(1 + 1e-9) = 1.6e-8 bits near omega = 1
+        assert chi == pytest.approx(chi_circuit, abs=1e-10 + entropic_h(1.0 + BONA_FIDE_ATOL))
+
+    def test_matches_extended_precision(self):
+        for T in (0.05, 0.3, 0.6, 0.8, 0.9, 0.99):
+            for w in (1.0, 1.5, 3.0, 6.0):
+                exact = with_dps(mp_oneway_rate, T, w, ONEWAY_MU_A)
+                assert abs(oneway_keyrate(T, w) - float(exact)) <= 1e-7
+
+    def test_zero_modulation_has_zero_rate(self):
+        for T in np.linspace(0.01, 0.99, 99):
+            for w in np.linspace(1.0, 6.0, 51):
+                assert _oneway_quantities(T, w, 1.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"T": 0.0}, ValueError), ({"T": 1.0}, ValueError),
+        ({"omega": 0.5}, ValueError), ({"omega": math.inf}, ValueError),
+        ({"omega": math.nan}, ValueError), ({"mu_a": math.inf}, ValueError),
+        ({"mu_a": math.nan}, ValueError), ({"mu_a": 0.5}, UnphysicalStateError)])
+    def test_rejects_bad_input(self, kwargs, error):
+        args = {"T": 0.9, "omega": 1.2, "mu_a": ONEWAY_MU_A, **kwargs}
+        with pytest.raises(error):
+            _oneway_quantities(**args)
 
 
 class TestRelativeVariations:
