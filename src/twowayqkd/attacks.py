@@ -31,6 +31,12 @@ ATTACK_CLASSES = (
     COLLECTIVE, EPR_POS, EPR_NEG, SEP_SYM_POS, SEP_SYM_NEG, SEP_ANTI_POS, SEP_ANTI_NEG,
 )
 
+#: most nodes a physical_region_grid (and so a scan) may span.  A scan peaks
+#: near 90 bytes per node and `scan --full-grid --format json` near 550
+#: (omega = 3, step 0.01), so the cap bounds a scan near 0.1 GB, or 0.55 GB
+MAX_GRID_NODES = 10 ** 6
+
+
 def _canonical_key(label):
     """Fold underscore/suffix spellings onto the canonical labels."""
     name = str(label).strip().lower().replace("_", "-")
@@ -88,6 +94,27 @@ def normalize_class(label):
     raise ValueError(f"unknown attack class {label!r}; expected one of {', '.join(ATTACK_CLASSES)}")
 
 
+def _class_correlations(name, omega):
+    """Correlations (g, g') of the canonical class `name`, as arrays shaped like omega.
+
+    The table behind attack_from_class; batch paths call it once per array of omega.
+    """
+    omega = np.asarray(omega, dtype=float)
+    c = np.sqrt(omega * omega - 1.0)
+    s = omega - 1.0
+    zero = np.zeros_like(omega)
+    table = {
+        COLLECTIVE: (zero, zero),
+        EPR_POS: (c, -c),
+        EPR_NEG: (-c, c),
+        SEP_SYM_POS: (s, s),
+        SEP_SYM_NEG: (-s, -s),
+        SEP_ANTI_POS: (s, -s),
+        SEP_ANTI_NEG: (-s, s),
+    }
+    return table[name]
+
+
 def attack_from_class(label, omega):
     """Attack parameters of a named extremal class at thermal variance omega.
 
@@ -97,19 +124,7 @@ def attack_from_class(label, omega):
     sep-anti+/- -> (+-(w-1), -+(w-1))               separable, antisymmetric correlations
     """
     _check_omega(omega)
-    name = normalize_class(label)
-    c = np.sqrt(omega * omega - 1.0)
-    s = omega - 1.0
-    table = {
-        COLLECTIVE: (0.0, 0.0),
-        EPR_POS: (c, -c),
-        EPR_NEG: (-c, c),
-        SEP_SYM_POS: (s, s),
-        SEP_SYM_NEG: (-s, -s),
-        SEP_ANTI_POS: (s, -s),
-        SEP_ANTI_NEG: (-s, s),
-    }
-    g, gp = table[name]
+    g, gp = _class_correlations(normalize_class(label), omega)
     return AttackParams(float(omega), float(g), float(gp))
 
 
@@ -158,6 +173,19 @@ def classify(params):
     return "separable_correlated"
 
 
+def _grid_half_width(omega, resolution):
+    """kmax of the (2 kmax + 1)^2-node grid of physical_region_grid, checked against the cap."""
+    _check_omega(omega)
+    if not (math.isfinite(resolution) and resolution > 0.0):
+        raise ValueError(f"grid resolution must be finite and positive, got {resolution}")
+    span = omega / resolution + 1e-9
+    nodes = (2 * math.floor(span) + 1) ** 2 if math.isfinite(span) else span
+    if nodes > MAX_GRID_NODES:
+        raise ValueError(f"grid resolution {resolution} at omega {omega} gives {nodes:.6g} "
+                         f"grid nodes; a scan grid must hold at most {MAX_GRID_NODES}")
+    return math.floor(span)
+
+
 def physical_region_grid(omega, resolution):
     """All physical attacks on a centered square grid of step `resolution`.
 
@@ -166,10 +194,7 @@ def physical_region_grid(omega, resolution):
     filtered through the operational physicality check, in row-major order
     (g varying slowest).  Always contains (0, 0).
     """
-    _check_omega(omega)
-    if not (math.isfinite(resolution) and resolution > 0.0):
-        raise ValueError(f"grid resolution must be finite and positive, got {resolution}")
-    kmax = int(np.floor(omega / resolution + 1e-9))
+    kmax = _grid_half_width(omega, resolution)
     vals = np.arange(-kmax, kmax + 1) * resolution
     G, GP = np.meshgrid(vals, vals, indexing="ij")
     mask = _physical_mask(omega, G, GP)

@@ -92,6 +92,35 @@ def _build_parser():
     return parser
 
 
+def _config_value(parser, key, action, value):
+    """A config value checked against its flag: the value the flag would have set.
+
+    store_true flags take a bool, repeatable flags a JSON list or one item,
+    and each item must be a number (not a bool) for a float flag and a string
+    otherwise, one of the flag's choices if it has any.
+    """
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            parser.error(f"config key {key!r} must be true or false, got {value!r}")
+        return value
+    repeatable = isinstance(action, argparse._AppendAction)
+    items = value if repeatable and isinstance(value, list) else [value]
+    if action.type is float:
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in items):
+            parser.error(f"config key {key!r} must be a number"
+                         f"{' or a list of numbers' if repeatable else ''}, got {value!r}")
+        try:
+            items = [float(x) for x in items]
+        except OverflowError:
+            parser.error(f"config key {key!r} must be a number a float can hold, got {value!r}")
+    elif not all(isinstance(x, str) and (action.choices is None or x in action.choices)
+                 for x in items):
+        allowed = "one of " + ", ".join(action.choices) if action.choices else "a string"
+        parser.error(f"config key {key!r} must be {allowed}"
+                     f"{' or a list of them' if repeatable else ''}, got {value!r}")
+    return items if repeatable else items[0]
+
+
 def _merge_config(parser, args):
     if args.config is None:
         return args
@@ -99,13 +128,15 @@ def _merge_config(parser, args):
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         parser.error(f"config {args.config} must hold a JSON object")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, value in cfg.items():
         dest = str(key).replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in flags or dest == "help":
             parser.error(f"config key {key!r} does not match any flag of {args.command!r}")
         current = getattr(args, dest)
         if current is None or current is False:
-            setattr(args, dest, value)
+            setattr(args, dest, _config_value(parser, key, flags[dest], value))
     return args
 
 
@@ -214,6 +245,8 @@ def _cmd_scan(parser, args):
 
 def _cmd_oneway(parser, args):
     _require(parser, args, ("T", "omega"))
+    if args.mu is not None and not 0.0 <= args.mu < math.inf:
+        parser.error(f"modulation variance --mu must be finite and >= 0, got {args.mu}")
     mu_a = ONEWAY_MU_A if args.mu is None else args.mu + 1.0
     report = oneway_report(args.T, args.omega, mu_a=mu_a)
     if (args.format or args.fmt_default) == "json":

@@ -56,8 +56,8 @@ class ProtocolParams:
         variance diverges as eta -> 1 while her effective displacement keeps
         modulation variance mu.
         """
-        if not mu > 0.0:
-            raise ValueError(f"modulation variance mu must be positive, got {mu}")
+        if not 0.0 < mu < math.inf:
+            raise ValueError(f"modulation variance mu must be positive and finite, got {mu}")
         return cls(T=T, eta=eta, mu_B=mu + 1.0, mu_A=mu / (1.0 - eta) + 1.0)
 
 
@@ -199,12 +199,21 @@ def _sigma_arrays(T, omega, g, g_prime):
 
 
 def _keyrate_arrays(T, omega, g, g_prime):
-    """Vectorized asymptotic key rate over arrays of correlations."""
+    """Asymptotic key rate, broadcast over all four arguments.
+
+    Lanes with g = g' = 0 take the collective reduction nu1 = nu2 = nubar1 =
+    omega, so R = log2(...) - h(omega) there, one rounding closer than the
+    general form.  (Their sqrt(sigma sigma') = sqrt(Delta^2) is Delta
+    exactly: a correctly rounded square root of a correctly rounded square
+    returns the operand in binary floating point.)
+    """
     nu1, nu2 = _total_spectrum_arrays(omega, g, g_prime)
     nubar1 = _conditional_nu_arrays(T, omega, g, g_prime)
     sigma, sigma_p, _ = _sigma_arrays(T, omega, g, g_prime)
     log_term = np.log2(2.0 * T * (1.0 + T) / (np.e * (1.0 - T) * np.sqrt(sigma * sigma_p)))
-    return log_term - entropic_h(nu1) - entropic_h(nu2) + entropic_h(nubar1)
+    rate = np.asarray(log_term - entropic_h(nu1) - entropic_h(nu2) + entropic_h(nubar1))
+    np.subtract(log_term, entropic_h(omega), out=rate, where=(g == 0.0) & (g_prime == 0.0))
+    return rate
 
 
 def _check_asymptotic_args(T, a, mu=None):
@@ -293,11 +302,6 @@ def keyrate_asymptotic(T, a):
     so R carries no modulation dependence.
     """
     _check_asymptotic_args(T, a)
-    if a.g == 0.0 and a.g_prime == 0.0:
-        # collective reduction: nu1 = nu2 = nubar1 = omega, so -h-h+h = -h(omega)
-        sigma, _, _ = _sigma_arrays(T, a.omega, 0.0, 0.0)
-        return float(np.log2(2.0 * T * (1.0 + T) / (np.e * (1.0 - T) * sigma))
-                     - entropic_h(a.omega))
     return float(_keyrate_arrays(T, a.omega, a.g, a.g_prime))
 
 

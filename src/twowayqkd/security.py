@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import (AttackParams, _check_omega, attack_from_class, normalize_class,
-                      physical_region_grid)
+from .attacks import (AttackParams, _check_omega, _class_correlations, attack_from_class,
+                      normalize_class, physical_region_grid)
 from .errors import DivergentThresholdError, MonotonicityError, UnphysicalStateError
 from .gaussian import entropic_h
-from .protocol import _keyrate_arrays, keyrate_asymptotic
+from .protocol import _keyrate_arrays
 
 #: doubling cap for the threshold bracket search
 BRACKET_CAP = 2.0 ** 16
@@ -53,55 +53,74 @@ def omega_from_excess(T, N):
 # threshold root finding
 # ---------------------------------------------------------------------------
 
-def _bisect_threshold(rate):
-    """Zero of a rate function of omega on [1, inf), by doubling plus bisection.
+#: ThresholdPoint.status values: the solver's outcome for one lane (one T)
+OK = "ok"
+INSECURE_AT_VACUUM = "insecure_at_vacuum"  # rate(1) <= 0: no secure region
+NO_CROSSING = "no_crossing"                # rate still positive past BRACKET_CAP
+NON_MONOTONE = "non_monotone"              # rate rose while bracketing, or residual too large
 
-    Returns None when rate(1) <= 0 (no secure region at all).  Raises
-    MonotonicityError if the sampled rate fails to decrease strictly while
-    bracketing, and DivergentThresholdError if no sign change is found below
-    the cap.  The returned root has bracket width <= BRACKET_TOL and
-    |rate| <= RESIDUAL_TOL.
+
+def _bisect_lanes(rate, n):
+    """Zeros in omega of n lane rates on [1, inf), all bisected at once.
+
+    rate(lanes, omega) returns the rates of the lanes indexed by `lanes` at
+    the matching thermal variances `omega` (both arrays).  Each lane doubles
+    omega from 2 until the rate turns negative, requiring it to fall strictly
+    at every step and to do so below BRACKET_CAP, then bisects to a bracket
+    width <= BRACKET_TOL and checks |rate| <= RESIDUAL_TOL at the midpoint.
+    Lanes share no arithmetic, so each makes the decisions a scalar search
+    would.  Returns (roots, status): a float array, NaN unless the lane's
+    status is OK, and an object array of the status strings above.
     """
-    r_lo = rate(1.0)
-    if not r_lo > 0.0:
-        return None
-    lo, hi = 1.0, 2.0
+    status = np.full(n, OK, dtype=object)
+    roots = np.full(n, np.nan)
+    lo, hi = np.ones(n), np.full(n, 2.0)
+    lanes = np.arange(n)
+    r_lo = rate(lanes, lo)
+    secure = r_lo > 0.0
+    status[~secure] = INSECURE_AT_VACUUM
+    active, r_lo = lanes[secure], r_lo[secure]
+    bracketed = [lanes[:0]]
+    while active.size:
+        r_hi = rate(active, hi[active])
+        rising = ~(r_hi < r_lo)
+        status[active[rising]] = NON_MONOTONE
+        crossed = ~rising & (r_hi < 0.0)
+        bracketed.append(active[crossed])
+        going = ~rising & ~crossed
+        active, r_lo = active[going], r_hi[going]
+        lo[active] = hi[active]
+        hi[active] *= 2.0
+        capped = hi[active] > BRACKET_CAP
+        status[active[capped]] = NO_CROSSING
+        active, r_lo = active[~capped], r_lo[~capped]
+    done = active = np.concatenate(bracketed)
     while True:
-        r_hi = rate(hi)
-        if not r_hi < r_lo:
-            raise MonotonicityError(
-                f"rate rose from {r_lo} at omega={lo} to {r_hi} at omega={hi}")
-        if r_hi < 0.0:
+        active = active[hi[active] - lo[active] > BRACKET_TOL]
+        if not active.size:
             break
-        lo, r_lo = hi, r_hi
-        hi *= 2.0
-        if hi > BRACKET_CAP:
-            raise DivergentThresholdError(
-                f"rate still positive at omega={lo} (cap {BRACKET_CAP:g})")
-    while hi - lo > BRACKET_TOL:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    if abs(rate(root)) > RESIDUAL_TOL:
-        raise MonotonicityError(f"root residual {rate(root)} exceeds {RESIDUAL_TOL}")
-    return root
+        mid = 0.5 * (lo[active] + hi[active])
+        up = rate(active, mid) > 0.0
+        lo[active[up]] = mid[up]
+        hi[active[~up]] = mid[~up]
+    root = 0.5 * (lo[done] + hi[done])
+    off = np.abs(rate(done, root)) > RESIDUAL_TOL
+    status[done[off]] = NON_MONOTONE
+    roots[done[~off]] = root[~off]
+    return roots, status
 
 
-def threshold_omega(T, attack_class):
-    """Thermal variance omega* where the two-way rate crosses zero, or None.
-
-    None means the channel is insecure already at omega = 1 for this T.
-    """
-    label = normalize_class(attack_class)
-    return _bisect_threshold(lambda w: keyrate_asymptotic(T, attack_from_class(label, w)))
+def _class_rate(label, t):
+    """Lane rate of the canonical class `label` over the transmissivities t, for _bisect_lanes."""
+    t = np.asarray(t, dtype=float)
+    return lambda lanes, omega: _keyrate_arrays(t[lanes], omega,
+                                                *_class_correlations(label, omega))
 
 
-def oneway_threshold_omega(T):
-    """Threshold of the one-way baseline protocol at transmissivity T, or None."""
-    return _bisect_threshold(lambda w: oneway_keyrate(T, w))
+def _oneway_rate(t):
+    """Lane rate of the one-way baseline over the transmissivities t, one lane at a time."""
+    return lambda lanes, omega: np.array(
+        [oneway_keyrate(t[i], w) for i, w in zip(lanes.tolist(), omega.tolist())])
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +131,19 @@ def oneway_threshold_omega(T):
 class ThresholdPoint:
     """One point of a security-threshold curve.
 
-    secure is True whenever a positive rate exists at omega = 1.  Points with
-    no secure region carry (omega_star, N_star) = (1, 0); points whose
-    threshold search failed (rate never went negative, or rose while
-    bracketing) keep secure = True with NaN/inf coordinates.
+    status is the solver's outcome: OK (omega_star is the root), or
+    INSECURE_AT_VACUUM (no positive rate even at omega = 1; omega_star,
+    N_star = 1, 0 and secure is False), NO_CROSSING (rate still positive at
+    the bracket cap; inf, inf) or NON_MONOTONE (rate rose while bracketing,
+    or the residual check failed; NaN, NaN).  secure is True whenever a
+    positive rate exists at omega = 1.
     """
 
     T: float
     omega_star: float
     N_star: float
     secure: bool
+    status: str
 
 
 @dataclass(frozen=True)
@@ -146,24 +168,57 @@ class ThresholdCurve:
         return json_text(self.to_dict())
 
 
-def _threshold_point(T, rate):
-    try:
-        w = _bisect_threshold(rate)
-    except DivergentThresholdError:
-        return ThresholdPoint(T, math.inf, math.inf, True)
-    except MonotonicityError:
-        return ThresholdPoint(T, math.nan, math.nan, True)
-    if w is None:
-        return ThresholdPoint(T, 1.0, 0.0, False)
-    return ThresholdPoint(T, w, excess_noise(T, w), True)
+#: (omega_star, N_star, secure) of the points whose threshold search found no root
+_FAILED_POINT = {INSECURE_AT_VACUUM: (1.0, 0.0, False), NO_CROSSING: (math.inf, math.inf, True),
+                 NON_MONOTONE: (math.nan, math.nan, True)}
+
+
+def _curve(attack_class, t_grid, rate):
+    """ThresholdCurve of one lane rate over the checked grid, all lanes solved at once."""
+    roots, status = _bisect_lanes(rate, len(t_grid))
+    points = tuple(
+        ThresholdPoint(T, w, excess_noise(T, w), True, OK) if s == OK
+        else ThresholdPoint(T, *_FAILED_POINT[s], s)
+        for T, w, s in zip(t_grid, roots.tolist(), status.tolist()))
+    return ThresholdCurve(attack_class=attack_class, points=points)
+
+
+def _root_of(point):
+    """omega* of a one-point curve: None if insecure at omega = 1, else the root or an exception."""
+    if point.status == INSECURE_AT_VACUUM:
+        return None
+    if point.status == NO_CROSSING:
+        raise DivergentThresholdError(
+            f"rate at T={point.T} still positive at omega={BRACKET_CAP:g} (the bracket cap)")
+    if point.status == NON_MONOTONE:
+        raise MonotonicityError(
+            f"rate at T={point.T} is not strictly decreasing in omega: it rose while "
+            f"bracketing, or the root residual exceeds {RESIDUAL_TOL}")
+    return point.omega_star
+
+
+def threshold_omega(T, attack_class):
+    """Thermal variance omega* where the two-way rate crosses zero, or None.
+
+    None means the channel is insecure already at omega = 1 for this T.
+    Raises DivergentThresholdError or MonotonicityError where the curve
+    point's status is NO_CROSSING or NON_MONOTONE.
+    """
+    return _root_of(threshold_curve(attack_class, [T]).points[0])
+
+
+def oneway_threshold_omega(T):
+    """Threshold of the one-way baseline protocol at transmissivity T, or None."""
+    return _root_of(oneway_threshold_curve([T]).points[0])
 
 
 def _check_t_grid(t_grid):
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("empty transmissivity grid")
-    if any(not 0.0 < t < 1.0 for t in t_grid):
-        raise ValueError("transmissivities must lie strictly inside (0, 1)")
+    outside = [t for t in t_grid if not 0.0 < t < 1.0]
+    if outside:
+        raise ValueError(f"transmissivities must lie strictly inside (0, 1), got {outside[0]}")
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("transmissivity grid must be strictly increasing")
     return t_grid
@@ -172,20 +227,18 @@ def _check_t_grid(t_grid):
 def threshold_curve(attack_class, t_grid):
     """Security-threshold curve of one attack class over a strictly increasing T grid.
 
-    Per-point failures are flagged in the point rather than aborting the curve.
+    Every T is bisected at once; per-point failures are flagged in the point's
+    status rather than aborting the curve.
     """
     label = normalize_class(attack_class)
-    points = tuple(
-        _threshold_point(T, lambda w: keyrate_asymptotic(T, attack_from_class(label, w)))
-        for T in _check_t_grid(t_grid))
-    return ThresholdCurve(attack_class=label, points=points)
+    t_grid = _check_t_grid(t_grid)
+    return _curve(label, t_grid, _class_rate(label, t_grid))
 
 
 def oneway_threshold_curve(t_grid):
     """Threshold curve of the one-way baseline over a strictly increasing T grid."""
-    points = tuple(
-        _threshold_point(T, lambda w: oneway_keyrate(T, w)) for T in _check_t_grid(t_grid))
-    return ThresholdCurve(attack_class="oneway", points=points)
+    t_grid = _check_t_grid(t_grid)
+    return _curve("oneway", t_grid, _oneway_rate(t_grid))
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,8 @@ def test_criterion_06_threshold_ordering():
                        f"T={T}: N_d={n_d:.6f} > N_collective={n_coll:.6f}"))
         checks.append((n_one <= n_coll + 1e-12,
                        f"T={T}: N_oneway={n_one:.6f} > N_collective={n_coll:.6f}"))
-    _criterion(6, "optimal-attack and one-way thresholds never exceed the "
-                  "collective two-way threshold", checks)
+    _criterion(6, "the sep-sym- corner class's and the one-way thresholds never exceed "
+                  "the collective two-way threshold", checks)
 
 
 def test_criterion_07_oneway_crossing_location():
@@ -171,7 +171,8 @@ def test_criterion_07_oneway_crossing_location():
         else:
             hi = mid
     crossing = 0.5 * (lo + hi)
-    _criterion(7, "optimal-attack threshold crosses the one-way baseline at T = 0.86 +- 0.02",
+    _criterion(7, "the sep-sym- corner class's threshold crosses the one-way baseline "
+                  "at T = 0.86 +- 0.02",
                [(abs(crossing - 0.86) <= 0.02, f"crossing at T = {crossing:.4f}")])
 
 
@@ -192,8 +193,8 @@ def test_criterion_08_holevo_ordering_and_variations():
                        f"w={w}: |dI(0.95)|={abs(di_hi):.5f} not below |dI(0.65)|={abs(di_lo):.5f}"))
         checks.append((dchi_hi > dchi_lo,
                        f"w={w}: dchi(0.95)={dchi_hi:.5f} not above dchi(0.65)={dchi_lo:.5f}"))
-    _criterion(8, "optimal attack has the largest Holevo bound; variations follow "
-                  "the transmissivity trend", checks)
+    _criterion(8, "the sep-sym- corner class has the largest Holevo bound of five classes; "
+                  "variations follow the transmissivity trend", checks)
 
 
 def test_criterion_09_analytic_spot_values():

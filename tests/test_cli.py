@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from twowayqkd import attack_from_class, keyrate_report, physical_region_grid, security
+from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, keyrate_report,
+                       physical_region_grid, protocol, security)
+from twowayqkd.attacks import MAX_GRID_NODES, _grid_half_width
 from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
 
@@ -155,6 +157,33 @@ class TestScanCommand:
         assert (payload["R_min"], payload["best_g"], payload["best_g_prime"]) == best
 
 
+class TestThresholdBatching:
+    def test_threshold_builds_no_attack_params(self, capsys, monkeypatch):
+        calls = {"attack_from_class": 0, "keyrate_asymptotic": 0, "_keyrate_arrays": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (attacks, security, cli):
+            monkeypatch.setattr(module, "attack_from_class",
+                                counted(attacks, "attack_from_class"))
+        monkeypatch.setattr(protocol, "keyrate_asymptotic",
+                            counted(protocol, "keyrate_asymptotic"))
+        monkeypatch.setattr(security, "_keyrate_arrays", counted(security, "_keyrate_arrays"))
+        classes = [x for c in ATTACK_CLASSES for x in ("--attack", c)]
+        code, out = run(capsys, "threshold", *classes, "--t-min", "0.3", "--t-max", "0.99",
+                        "--t-step", "0.01", "--with-oneway")
+        assert code == 0 and len(out.splitlines()) == 1 + 8 * 70
+        assert calls["attack_from_class"] == 0 and calls["keyrate_asymptotic"] == 0
+        # one kernel call per solver step for all 70 lanes of a curve, not one per lane
+        assert 0 < calls["_keyrate_arrays"] <= 7 * 60
+
+
 class TestInvalidInput:
     """Non-finite and out-of-range values fail with exit code 1 and a message
     naming the value, never with a traceback or a physics verdict."""
@@ -177,10 +206,15 @@ class TestInvalidInput:
           "--t-step", "1e-300"), ("4e+299", "grid points", str(MAX_GRID_POINTS))),
         (("appendix", "--T", "0.65", "--omega-step", "1e-300"),
          ("4e+300", "grid points", str(MAX_GRID_POINTS))),
+        (("scan", "--T", "0.8", "--omega", "3", "--step", "1e-4"),
+         ("3.60012e+09", "grid nodes", str(MAX_GRID_NODES))),
+        (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "-0.5"), ("--mu", "-0.5")),
+        (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "nan"), ("--mu", "nan")),
     ], ids=["scan-omega-inf", "scan-T-above-one", "scan-T-nan", "scan-T-zero",
             "scan-step-inf", "keyrate-omega-inf", "oneway-omega-inf", "oneway-omega-nan",
             "oneway-mu-inf", "keyrate-mu-inf", "appendix-mu-inf", "appendix-omega-max-inf",
-            "threshold-grid-over-cap", "appendix-grid-over-cap"])
+            "threshold-grid-over-cap", "appendix-grid-over-cap", "scan-grid-over-cap",
+            "oneway-mu-negative", "oneway-mu-nan"])
     def test_rejected_with_message(self, argv, named):
         code, out, err = run_with_stderr(*argv)
         assert code == 1
@@ -195,6 +229,54 @@ class TestInvalidInput:
         with pytest.raises(SystemExit):
             _even_grid(parser, "t", 0.0, float(MAX_GRID_POINTS), 1.0)
         assert f"gives {MAX_GRID_POINTS + 1} grid points" in capsys.readouterr().err
+
+    def test_scan_grid_cap_is_inclusive(self, monkeypatch):
+        # node counts only: nothing of the grid is allocated
+        assert _grid_half_width(3.0, 0.01) == 300  # 361,201 nodes, the largest scan in use
+        assert _grid_half_width(499.0, 1.0) == 499  # 999^2 <= MAX_GRID_NODES < 1001^2
+        with pytest.raises(ValueError, match="1.002e\\+06 grid nodes"):
+            _grid_half_width(500.0, 1.0)
+        monkeypatch.setattr(attacks, "MAX_GRID_NODES", 25)
+        assert _grid_half_width(2.0, 1.0) == 2
+        with pytest.raises(ValueError, match="at most 25"):
+            _grid_half_width(3.0, 1.0)
+
+    @pytest.mark.parametrize("argv, cfg, flags", [
+        (("threshold",), {"attack": "sep-sym-", "t-min": 0.5, "t-max": 0.9, "t-step": 0.1},
+         ("threshold", "--attack", "sep-sym-", "--t-min", "0.5", "--t-max", "0.9",
+          "--t-step", "0.1")),
+        (("appendix", "--omega-max", "2"), {"T": 0.8},
+         ("appendix", "--omega-max", "2", "--T", "0.8")),
+    ], ids=["threshold-attack-scalar", "appendix-T-scalar"])
+    def test_config_scalar_for_repeatable_flag(self, tmp_path, argv, cfg, flags):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_with_stderr(*argv, "--config", str(path))
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run_with_stderr(*flags)
+
+    @pytest.mark.parametrize("command, cfg, named", [
+        ("scan", {"T": "0.8", "omega": 2, "step": 0.1}, ("'T'", "number", "'0.8'")),
+        ("scan", {"T": True, "omega": 2, "step": 0.1}, ("'T'", "number", "True")),
+        ("threshold", {"attack": ["collective", 3], "t-min": 0.5, "t-max": 0.9, "t-step": 0.1},
+         ("'attack'", "string", "3")),
+        ("threshold", {"attack": "collective", "t-min": 0.5, "t-max": 0.9, "t-step": 0.1,
+                       "with-oneway": "yes"}, ("'with-oneway'", "true or false", "'yes'")),
+        ("appendix", {"T": [0.65, None]}, ("'T'", "list of numbers", "None")),
+        ("keyrate", {"T": 0.9, "omega": 1, "attack": "collective", "format": "xml"},
+         ("'format'", "csv, json", "'xml'")),
+        ("keyrate", {"T": 0.9, "omega": 10 ** 400, "attack": "collective"},
+         ("'omega'", "number", "1000")),
+    ], ids=["scan-T-string", "scan-T-bool", "threshold-attack-number",
+            "threshold-with-oneway-string", "appendix-T-null", "keyrate-format-choice",
+            "keyrate-omega-overflow"])
+    def test_config_value_of_wrong_type(self, tmp_path, command, cfg, named):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_with_stderr(command, "--config", str(path))
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        assert all(word in err for word in named)
 
 
 class TestOnewayCommand:

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from twowayqkd import (AttackParams, ProtocolParams, UnphysicalStateError, attack_from_class,
                        asymptotic_total_spectrum, bob_cm, conditional_cm,
                        conditional_entropy_asymptotic, conditional_spectrum_asymptotic,
-                       conditioning_deviation, heterodyne_condition,
+                       conditioning_deviation, entropic_h, heterodyne_condition,
                        holevo_asymptotic, keyrate_asymptotic, keyrate_report,
                        mutual_information_asymptotic, partial_trace, symplectic_spectrum,
                        total_cm, total_cm_circuit, total_entropy_asymptotic,
@@ -37,6 +39,11 @@ class TestProtocolParams:
         p = ProtocolParams.displacement_limit(0.7, mu=10.0, eta=0.9)
         assert p.mu_B == 11.0
         assert p.mu_A == pytest.approx(10.0 / 0.1 + 1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("mu", [math.inf, math.nan, 0.0, -1.0])
+    def test_displacement_limit_needs_finite_positive_mu(self, mu):
+        with pytest.raises(ValueError, match=f"mu must be positive and finite, got {mu}"):
+            ProtocolParams.displacement_limit(0.8, mu=mu)
 
 
 class TestTotalCm:
@@ -210,6 +217,22 @@ class TestKeyRate:
     def test_pure_loss_spot_value(self):
         r = keyrate_asymptotic(0.9, AttackParams(1.0, 0.0, 0.0))
         assert abs(r - np.log2(0.9 * 1.9 / (np.e * 0.1))) < 1e-12
+
+    def test_broadcast_kernel_equals_scalar_rate(self):
+        # one call over lanes of different (T, w, g, g'), collective lanes included
+        rng = np.random.default_rng(59)
+        attacks = [random_physical_attack(rng) for _ in range(40)]
+        attacks += [AttackParams(float(w), 0.0, 0.0) for w in rng.uniform(1.0, 6.0, 40)]
+        T = rng.uniform(0.05, 0.99, len(attacks))
+        lanes = protocol._keyrate_arrays(T, *np.array([[a.omega, a.g, a.g_prime]
+                                                      for a in attacks]).T)
+        for t, a, r in zip(T.tolist(), attacks, lanes.tolist()):
+            assert r == keyrate_asymptotic(t, a)
+            if a.g == 0.0:
+                # collective reduction, one rounding closer than -h(nu1) - h(nu2) + h(nubar1)
+                delta = 1.0 + t * t + (1.0 - t * t) * a.omega
+                assert r == float(np.log2(2.0 * t * (1.0 + t) / (np.e * (1.0 - t) * delta))
+                                  - entropic_h(a.omega))
 
     def test_epr_signs_equivalent(self):
         for T in (0.3, 0.65, 0.9):

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twowayqkd import (AttackParams, MonotonicityError, UnphysicalStateError, attack_from_class,
-                       excess_noise, keyrate_asymptotic, omega_from_excess, oneway_keyrate,
-                       oneway_report, oneway_threshold_curve, oneway_threshold_omega,
-                       optimal_attack_scan, physical_region_grid, relative_variations, scan_grid,
-                       threshold_curve, threshold_omega)
+from twowayqkd import (ATTACK_CLASSES, AttackParams, DivergentThresholdError, MonotonicityError,
+                       UnphysicalStateError, attack_from_class, excess_noise, keyrate_asymptotic,
+                       omega_from_excess, oneway_keyrate, oneway_report, oneway_threshold_curve,
+                       oneway_threshold_omega, optimal_attack_scan, physical_region_grid,
+                       relative_variations, scan_grid, threshold_curve, threshold_omega)
 from twowayqkd.gaussian import BONA_FIDE_ATOL, entropic_h
-from twowayqkd.security import ONEWAY_MU_A, _oneway_quantities
+from twowayqkd.security import (INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE, OK, ONEWAY_MU_A,
+                                _bisect_lanes, _oneway_quantities)
 
 from _hiprec import mp_oneway_rate, with_dps
-from _util import oneway_quantities_circuit
+from _util import bisect_threshold, oneway_quantities_circuit
 
 
 class TestExcessNoise:
@@ -116,6 +117,85 @@ class TestThresholdCurve:
             threshold_curve("collective", [])
 
 
+class TestBatchedSolver:
+    # insecure at vacuum noise below T ~ 0.66 (one-way: ~ 0.73), rebounding
+    # EPR rates above it, roots for the other classes
+    T_GRID = [0.01, 0.2, 0.45, 0.6, 0.66, 0.7, 0.73, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 0.999]
+
+    @staticmethod
+    def _oracle(rate):
+        try:
+            return bisect_threshold(rate), OK
+        except DivergentThresholdError:
+            return math.inf, NO_CROSSING
+        except MonotonicityError:
+            return math.nan, NON_MONOTONE
+
+    @pytest.mark.parametrize("label", [*ATTACK_CLASSES, "oneway"])
+    def test_roots_equal_scalar_oracle_bit_for_bit(self, label):
+        if label == "oneway":
+            curve = oneway_threshold_curve(self.T_GRID)
+            rates = [lambda w, T=T: oneway_keyrate(T, w) for T in self.T_GRID]
+        else:
+            curve = threshold_curve(label, self.T_GRID)
+            rates = [lambda w, T=T: keyrate_asymptotic(T, attack_from_class(label, w))
+                     for T in self.T_GRID]
+        statuses = set()
+        for p, rate in zip(curve.points, rates):
+            root, status = self._oracle(rate)
+            if root is None:
+                root, status = 1.0, INSECURE_AT_VACUUM
+            assert p.status == status
+            assert repr(p.omega_star) == repr(root)
+            statuses.add(status)
+        expected = {INSECURE_AT_VACUUM, NON_MONOTONE if label.startswith("epr") else OK}
+        if label == "sep-sym+":
+            expected.add(NO_CROSSING)  # at T = 0.999 the root lies beyond BRACKET_CAP
+        assert statuses == expected
+
+    def test_synthetic_lanes_cover_every_outcome(self):
+        lane_rates = [
+            lambda w: 3.0 - w,                      # ok, root 3
+            lambda w: -1.0,                         # insecure at vacuum noise
+            lambda w: 1.0 / w,                      # positive up to the cap
+            lambda w: w - 0.5,                      # rises while bracketing
+            lambda w: 4.0 - w if w < 3.0 else -1.0,  # falls, but jumps across zero
+            lambda w: 5.0 - w,                      # ok, root 5
+        ]
+
+        def rate(lanes, omega):
+            return np.array([lane_rates[i](w) for i, w in zip(lanes, omega)], dtype=float)
+
+        roots, status = _bisect_lanes(rate, len(lane_rates))
+        assert status.tolist() == [OK, INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE,
+                                   NON_MONOTONE, OK]
+        assert roots[0] == pytest.approx(3.0, abs=1e-10)
+        assert roots[5] == pytest.approx(5.0, abs=1e-10)
+        assert np.isnan(roots[1:5]).all()
+        for i in (0, 5):
+            assert roots[i] == bisect_threshold(lane_rates[i])
+
+    def test_single_lane_contract(self):
+        def rate(T, label):
+            return lambda w: keyrate_asymptotic(T, attack_from_class(label, w))
+
+        assert threshold_omega(0.9, "sep-sym-") == bisect_threshold(rate(0.9, "sep-sym-"))
+        assert oneway_threshold_omega(0.9) == bisect_threshold(lambda w: oneway_keyrate(0.9, w))
+        assert threshold_omega(0.5, "collective") is None
+        assert oneway_threshold_omega(0.7) is None
+        with pytest.raises(DivergentThresholdError, match="T=0.999"):
+            threshold_omega(0.999, "sep-sym+")
+        with pytest.raises(MonotonicityError, match="T=0.9"):
+            threshold_omega(0.9, "epr-")
+
+    def test_curve_points_carry_status(self):
+        curve = threshold_curve("epr+", [0.5, 0.9])
+        assert [p.status for p in curve.points] == [INSECURE_AT_VACUUM, NON_MONOTONE]
+        T, omega_star, n_star, secure = curve.to_rows()[1]
+        assert math.isnan(omega_star) and math.isnan(n_star) and secure
+        assert list(curve.to_dict()["points"][0]) == ["T", "omega_star", "N_star", "secure"]
+
+
 class TestOptimalAttackScan:
     def test_matches_scalar_brute_force(self):
         T, w, step = 0.8, 1.6, 0.2
@@ -143,6 +223,13 @@ class TestOptimalAttackScan:
         fine = optimal_attack_scan(0.95, 2.0, 0.05)
         assert abs(fine.best_g - coarse.best_g) <= 0.1 + 1e-12
         assert abs(fine.best_g_prime - coarse.best_g_prime) <= 0.1 + 1e-12
+
+    def test_collective_node_equals_scalar_rate(self):
+        # the grid's (0, 0) node takes the kernel's collective reduction, as keyrate does
+        for T, w in ((0.5, 2.0), (0.65, 1.5), (0.8, 3.0), (0.95, 2.5)):
+            rows = scan_grid(T, w, 0.5)
+            g, gp, rate = rows[(rows[:, 0] == 0.0) & (rows[:, 1] == 0.0)][0]
+            assert rate == keyrate_asymptotic(T, AttackParams(w, 0.0, 0.0))
 
     def test_full_grid_matches_region(self):
         rows = scan_grid(0.7, 1.5, 0.25)
