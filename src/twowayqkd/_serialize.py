@@ -1,63 +1,81 @@
 """Deterministic CSV/JSON emission with full double precision.
 
-Floats are printed with 17 significant digits so that re-parsing reproduces
-the exact binary value.  CSV uses '.' decimals, ',' separators, '\\n' line
-endings and always carries a header row.  JSON replaces non-finite floats
-with null (strict JSON has no inf/nan).
+Formatting is column-wise.  A table is a header plus one equal-length column
+per header entry; each column is formatted in one pass by its dtype.  Floats
+get 17 significant digits ("%.17g") so that re-parsing reproduces the exact
+binary value, and inf, -inf and nan print as such.  CSV renders a table as a
+header row and one data row per line, with '.' decimals, ',' separators and
+'\\n' line endings.  JSON renders it as a list of {header: value} objects
+through one per-row template, and prints non-finite floats as null (strict
+JSON has no inf/nan).
 """
 
 import json
-import math
+from typing import NamedTuple
+
+import numpy as np
 
 
-def fmt_float(x):
-    """17-significant-digit decimal form of a float; 'inf'/'nan' pass through."""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+class Table(NamedTuple):
+    """Named columns: one sequence or 1-d array per header entry, all the same length."""
+
+    header: tuple
+    columns: tuple
+
+    @classmethod
+    def record(cls, mapping):
+        """One-row table of a mapping's keys and values."""
+        return cls(tuple(mapping), tuple([v] for v in mapping.values()))
 
 
-def _csv_cell(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
-    return str(value)
+def _cells(column, null):
+    """Text of every value of one column; null: print non-finite floats as JSON's null."""
+    values = np.asarray(column)
+    kind = values.dtype.kind
+    if kind == "f":
+        cells = list(map("%.17g".__mod__, values))
+        if null:
+            for i in np.flatnonzero(~np.isfinite(values)):
+                cells[i] = "null"
+        return cells
+    if kind == "b":
+        return ["true" if v else "false" for v in values]
+    if kind == "U":
+        return list(map(json.dumps if null else str, values))
+    raise TypeError(f"cannot serialize a column of dtype {values.dtype}")
 
 
-def csv_table(header, rows):
-    """CSV text from a header sequence and an iterable of row sequences."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _rows(table, template, null):
+    """Each row of `table` rendered through `template`, one '%s' per column."""
+    cells = [_cells(c, null) for c in table.columns]
+    return map(template.__mod__, zip(*cells))
 
 
-def _json_value(value):
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            return "null"
-        return fmt_float(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
+def csv_table(*tables):
+    """CSV text of one or more tables, separated by a blank line."""
+    texts = []
+    for table in tables:
+        template = ",".join(["%s"] * len(table.header))
+        texts.append("\n".join([",".join(table.header), *_rows(table, template, False)]) + "\n")
+    return "\n".join(texts)
+
+
+def _json(value):
+    if isinstance(value, Table):
+        template = "{" + ", ".join(json.dumps(str(h)).replace("%", "%%") + ": %s"
+                                   for h in value.header) + "}"
+        return "[" + ", ".join(_rows(value, template, True)) + "]"
     if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in value.items())
-        return "{" + items + "}"
+        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json(v)}"
+                               for k, v in value.items()) + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_value(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+        return "[" + ", ".join(map(_json, value)) + "]"
+    return _cells([value], True)[0]
 
 
 def json_text(value):
-    """Deterministic JSON text (insertion-ordered keys, 17-digit floats)."""
-    return _json_value(value) + "\n"
+    """Deterministic JSON text of nested dicts, lists, scalars and Tables.
+
+    Keys keep insertion order; a Table becomes a list of row objects.
+    """
+    return _json(value) + "\n"

@@ -10,7 +10,7 @@ import json
 import math
 import sys
 
-from ._serialize import csv_table, json_text
+from ._serialize import Table, csv_table, json_text
 from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class, normalize_class, require_physical
 from .errors import UnphysicalStateError
 from .protocol import holevo_asymptotic, keyrate_report, mutual_information_asymptotic
@@ -132,6 +132,8 @@ def _merge_config(parser, args):
     flags = {a.dest: a for a in subparsers.choices[args.command]._actions}
     for key, value in cfg.items():
         dest = str(key).replace("-", "_")
+        if dest == "config":
+            parser.error(f"config key {key!r} is not allowed: a config cannot name another config")
         if dest not in flags or dest == "help":
             parser.error(f"config key {key!r} does not match any flag of {args.command!r}")
         current = getattr(args, dest)
@@ -146,11 +148,16 @@ def _require(parser, args, names):
             parser.error(f"--{name.replace('_', '-')} is required (flag or config)")
 
 
-def _emit(text, output):
-    if output is None:
+def _write(args, payload, tables):
+    """Write a command's result: `payload` as JSON, or `tables` as CSV."""
+    if (args.format or args.fmt_default) == "json":
+        text = json_text(payload)
+    else:
+        text = csv_table(*tables)
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
@@ -199,10 +206,7 @@ def _cmd_keyrate(parser, args):
     mu = 1e6 if args.mu is None else args.mu
     report = keyrate_report(args.T, attack, mu=mu)
     payload = report.to_dict()
-    if (args.format or args.fmt_default) == "json":
-        _emit(json_text(payload), args.output)
-    else:
-        _emit(csv_table(list(payload), [list(payload.values())]), args.output)
+    _write(args, payload, [Table.record(payload)])
     return 0 if report.R > 0.0 else 2
 
 
@@ -215,11 +219,11 @@ def _cmd_threshold(parser, args):
     curves = [threshold_curve(c, grid) for c in classes]
     if args.with_oneway:
         curves.append(oneway_threshold_curve(grid))
-    if (args.format or args.fmt_default) == "json":
-        _emit(json_text([c.to_dict() for c in curves]), args.output)
-    else:
-        rows = [[c.attack_class, *row] for c in curves for row in c.to_rows()]
-        _emit(csv_table(("attack", "T", "omega_star", "N_star", "secure"), rows), args.output)
+    header = ("T", "omega_star", "N_star", "secure")
+    payload = [{"attack_class": c.attack_class, "points": Table(header, tuple(zip(*c.to_rows())))}
+               for c in curves]
+    rows = [(c.attack_class, *row) for c in curves for row in c.to_rows()]
+    _write(args, payload, [Table(("attack", *header), tuple(zip(*rows)))])
     return 0
 
 
@@ -227,19 +231,16 @@ def _cmd_scan(parser, args):
     _require(parser, args, ("T", "omega", "step"))
     if args.full_grid:
         rows = scan_grid(args.T, args.omega, args.step)
-        result, grid = _grid_minimizer(args.T, args.omega, args.step, rows), rows.tolist()
+        result = _grid_minimizer(args.T, args.omega, args.step, rows)
     else:
-        result, grid = optimal_attack_scan(args.T, args.omega, args.step), None
+        result = optimal_attack_scan(args.T, args.omega, args.step)
     payload = result.to_dict()
-    if (args.format or args.fmt_default) == "json":
-        if grid is not None:
-            payload["grid"] = [{"g": g, "g_prime": gp, "R": r} for g, gp, r in grid]
-        _emit(json_text(payload), args.output)
-    else:
-        text = csv_table(list(payload), [list(payload.values())])
-        if grid is not None:
-            text += "\n" + csv_table(("g", "g_prime", "R"), grid)
-        _emit(text, args.output)
+    tables = [Table.record(payload)]
+    if args.full_grid:
+        grid = Table(("g", "g_prime", "R"), tuple(rows.T))
+        payload = {**payload, "grid": grid}
+        tables.append(grid)
+    _write(args, payload, tables)
     return 0 if result.R_min > 0.0 else 2
 
 
@@ -249,10 +250,7 @@ def _cmd_oneway(parser, args):
         parser.error(f"modulation variance --mu must be finite and >= 0, got {args.mu}")
     mu_a = ONEWAY_MU_A if args.mu is None else args.mu + 1.0
     report = oneway_report(args.T, args.omega, mu_a=mu_a)
-    if (args.format or args.fmt_default) == "json":
-        _emit(json_text(report), args.output)
-    else:
-        _emit(csv_table(list(report), [list(report.values())]), args.output)
+    _write(args, report, [Table.record(report)])
     return 0 if report["R"] > 0.0 else 2
 
 
@@ -281,11 +279,8 @@ def _cmd_appendix(parser, args):
             i_vals = [mutual_information_asymptotic(T, a, mu)[0] for a in attacks_row]
             chi_vals = [holevo_asymptotic(T, a, mu) for a in attacks_row]
             rows.append([float(T), omega, *i_vals, *chi_vals, d_i, d_chi])
-    if (args.format or args.fmt_default) == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(json_text(payload), args.output)
-    else:
-        _emit(csv_table(header, rows), args.output)
+    table = Table(header, tuple(zip(*rows)))
+    _write(args, table, [table])
     return 0
 
 

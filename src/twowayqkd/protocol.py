@@ -166,13 +166,15 @@ def conditioning_deviation(p, a):
 def _clamped_sqrt(radicand, scale):
     """sqrt of a squared symplectic eigenvalue with a rounding-floor clamp.
 
-    Physical attacks keep all radicands >= 1; floating-point cancellation can
-    leave them a few ulps of scale^2 below.  Values inside that band clamp to
-    1, anything lower is an unphysical regime.
+    Physical attacks keep all radicands >= 1, and attacks that pass
+    attacks.is_physical (eigenvalues >= 1 - BONA_FIDE_ATOL) keep them >=
+    (1 - BONA_FIDE_ATOL)^2; floating-point cancellation can leave them a few
+    ulps of scale^2 below.  Values inside that band clamp to 1, anything
+    lower is an unphysical regime.
     """
     radicand = np.asarray(radicand, dtype=float)
-    dust = 1e-9 + 64.0 * _EPS * scale * scale
-    if np.any(radicand < 1.0 - dust):
+    floor = (1.0 - gaussian.BONA_FIDE_ATOL) ** 2 - 64.0 * _EPS * scale * scale
+    if np.any(radicand < floor):
         raise UnphysicalStateError(
             f"squared symplectic eigenvalue {radicand.min()} below 1: unphysical attack regime")
     out = np.sqrt(np.maximum(radicand, 1.0))

@@ -35,8 +35,7 @@ def excess_noise(T, omega):
     """Excess noise N = (1-T)(omega-1)/T of a thermal-loss pass."""
     if not 0.0 < T <= 1.0:
         raise ValueError(f"transmissivity must lie in (0, 1], got {T}")
-    if omega < 1.0:
-        raise ValueError(f"thermal variance must be >= 1 SNU, got {omega}")
+    _check_omega(omega)
     return (1.0 - T) * (omega - 1.0) / T
 
 
@@ -44,8 +43,8 @@ def omega_from_excess(T, N):
     """Inverse of excess_noise: thermal variance giving excess noise N."""
     if not 0.0 < T < 1.0:
         raise ValueError(f"transmissivity must lie in (0, 1), got {T}")
-    if N < 0.0:
-        raise ValueError(f"excess noise must be >= 0, got {N}")
+    if not 0.0 <= N < math.inf:
+        raise ValueError(f"excess noise N must be finite and >= 0, got {N}")
     return 1.0 + T * N / (1.0 - T)
 
 
@@ -154,18 +153,10 @@ class ThresholdCurve:
     def to_rows(self):
         return [(p.T, p.omega_star, p.N_star, p.secure) for p in self.points]
 
-    def to_csv(self):
-        from ._serialize import csv_table
-        return csv_table(("T", "omega_star", "N_star", "secure"), self.to_rows())
-
     def to_dict(self):
         return {"attack_class": self.attack_class,
                 "points": [{"T": p.T, "omega_star": p.omega_star,
                             "N_star": p.N_star, "secure": p.secure} for p in self.points]}
-
-    def to_json(self):
-        from ._serialize import json_text
-        return json_text(self.to_dict())
 
 
 #: (omega_star, N_star, secure) of the points whose threshold search found no root
@@ -260,15 +251,6 @@ class ScanResult:
         return {"T": self.T, "omega": self.omega, "best_g": self.best_g,
                 "best_g_prime": self.best_g_prime, "R_min": self.R_min,
                 "grid_resolution": self.grid_resolution}
-
-    def to_csv(self):
-        from ._serialize import csv_table
-        d = self.to_dict()
-        return csv_table(list(d), [list(d.values())])
-
-    def to_json(self):
-        from ._serialize import json_text
-        return json_text(self.to_dict())
 
 
 def scan_grid(T, omega, resolution):

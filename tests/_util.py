@@ -1,5 +1,6 @@
-"""Shared random-state generators and scalar or matrix-route oracles for the test suite."""
+"""Shared random-state generators and scalar, matrix-route or per-value oracles for the tests."""
 
+import json
 import math
 
 import numpy as np
@@ -138,3 +139,60 @@ def bisect_threshold(rate):
     if abs(rate(root)) > RESIDUAL_TOL:
         raise MonotonicityError(f"root residual {rate(root)} exceeds {RESIDUAL_TOL}")
     return root
+
+
+# ---------------------------------------------------------------------------
+# per-value CSV/JSON emitter: oracle for twowayqkd._serialize
+# ---------------------------------------------------------------------------
+
+def fmt_float(x):
+    """17-significant-digit decimal form of a float; 'inf'/'nan' pass through."""
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return format(x, ".17g")
+
+
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, int):
+        return str(value)
+    return str(value)
+
+
+def csv_table(header, rows):
+    """CSV text from a header sequence and an iterable of row sequences."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _json_value(value):
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            return "null"
+        return fmt_float(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = ", ".join(f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_json_value(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def json_text(value):
+    """Deterministic JSON text (insertion-ordered keys, 17-digit floats)."""
+    return _json_value(value) + "\n"

@@ -267,9 +267,11 @@ class TestInvalidInput:
          ("'format'", "csv, json", "'xml'")),
         ("keyrate", {"T": 0.9, "omega": 10 ** 400, "attack": "collective"},
          ("'omega'", "number", "1000")),
+        ("oneway", {"config": "/nonexistent.json", "T": 0.8, "omega": 1.2},
+         ("'config'", "not allowed")),
     ], ids=["scan-T-string", "scan-T-bool", "threshold-attack-number",
             "threshold-with-oneway-string", "appendix-T-null", "keyrate-format-choice",
-            "keyrate-omega-overflow"])
+            "keyrate-omega-overflow", "oneway-nested-config"])
     def test_config_value_of_wrong_type(self, tmp_path, command, cfg, named):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))

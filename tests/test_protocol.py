@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from twowayqkd import (AttackParams, ProtocolParams, UnphysicalStateError, attack_from_class,
                        asymptotic_total_spectrum, bob_cm, conditional_cm,
@@ -12,6 +15,7 @@ from twowayqkd import (AttackParams, ProtocolParams, UnphysicalStateError, attac
                        total_cm, total_cm_circuit, total_entropy_asymptotic,
                        von_neumann_entropy)
 from twowayqkd import protocol
+from twowayqkd.attacks import _class_correlations, _physical_mask
 
 from _util import random_physical_attack
 
@@ -233,6 +237,27 @@ class TestKeyRate:
                 delta = 1.0 + t * t + (1.0 - t * t) * a.omega
                 assert r == float(np.log2(2.0 * t * (1.0 + t) / (np.e * (1.0 - t) * delta))
                                   - entropic_h(a.omega))
+
+    @settings(max_examples=300, deadline=None)
+    @given(T=st.floats(0.01, 0.99), omega=st.floats(1.0, 6.0), u=st.floats(-1.0, 1.0),
+           v=st.floats(-1.0, 1.0))
+    @example(T=0.5, omega=1.0, u=1e-9, v=1e-9)  # on is_physical's floor (1 - 1e-9)^2
+    def test_rate_symmetric_in_the_correlations(self, T, omega, u, v):
+        g, gp = u * omega, v * omega
+        assume(_physical_mask(omega, g, gp))
+        bits = lambda a, b: struct.pack("<d", protocol._keyrate_arrays(T, omega, a, b))
+        assert bits(g, gp) == bits(gp, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(label=st.sampled_from(["collective", "sep-sym+", "sep-sym-", "sep-anti+",
+                                  "sep-anti-"]),
+           T=st.floats(0.01, 0.99), w1=st.floats(1.0, 50.0 - 1e-3), step=st.floats(1e-3, 49.0))
+    def test_rate_falls_strictly_with_omega(self, label, T, w1, step):
+        # the EPR classes rebound near T = 1 and are left out
+        w2 = w1 + step
+        assume(w2 <= 50.0)
+        rates = [protocol._keyrate_arrays(T, w, *_class_correlations(label, w)) for w in (w1, w2)]
+        assert rates[1] < rates[0]
 
     def test_epr_signs_equivalent(self):
         for T in (0.3, 0.65, 0.9):

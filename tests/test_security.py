@@ -11,6 +11,7 @@ from twowayqkd import (ATTACK_CLASSES, AttackParams, DivergentThresholdError, Mo
                        omega_from_excess, oneway_keyrate, oneway_report, oneway_threshold_curve,
                        oneway_threshold_omega, optimal_attack_scan, physical_region_grid,
                        relative_variations, scan_grid, threshold_curve, threshold_omega)
+from twowayqkd._serialize import Table, csv_table, json_text
 from twowayqkd.gaussian import BONA_FIDE_ATOL, entropic_h
 from twowayqkd.security import (INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE, OK, ONEWAY_MU_A,
                                 _bisect_lanes, _oneway_quantities)
@@ -41,6 +42,16 @@ class TestExcessNoise:
             excess_noise(0.5, 0.5)
         with pytest.raises(ValueError):
             omega_from_excess(1.0, 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_excess_noise_rejects_non_finite_omega(self, value):
+        with pytest.raises(ValueError, match=f"omega must be finite, got {value}"):
+            excess_noise(0.5, value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_omega_from_excess_rejects_non_finite_noise(self, value):
+        with pytest.raises(ValueError, match=f"N must be finite and >= 0, got {value}"):
+            omega_from_excess(0.5, value)
 
 
 class TestThresholdOmega:
@@ -82,14 +93,17 @@ class TestThresholdCurve:
 
     def test_epr_serializations_byte_identical(self):
         grid = [0.4, 0.55, 0.7, 0.85]
-        assert threshold_curve("epr+", grid).to_csv() == threshold_curve("epr-", grid).to_csv()
-        pos = json.loads(threshold_curve("epr+", grid).to_json())
-        neg = json.loads(threshold_curve("epr-", grid).to_json())
-        assert pos["points"] == neg["points"]
+        pos, neg = threshold_curve("epr+", grid), threshold_curve("epr-", grid)
+        header = ("T", "omega_star", "N_star", "secure")
+        csv = [csv_table(Table(header, tuple(zip(*c.to_rows())))) for c in (pos, neg)]
+        assert csv[0] == csv[1]
+        assert json_text(pos.to_dict()["points"]) == json_text(neg.to_dict()["points"])
 
     def test_csv_header_contract(self):
         curve = threshold_curve("collective", [0.5, 0.7, 0.9])
-        assert curve.to_csv().splitlines()[0] == "T,omega_star,N_star,secure"
+        points = curve.to_dict()["points"]
+        assert all(list(p) == ["T", "omega_star", "N_star", "secure"] for p in points)
+        assert curve.to_rows() == [tuple(p.values()) for p in points]
 
     def test_insecure_points_flagged_not_dropped(self):
         curve = threshold_curve("collective", [0.3, 0.5, 0.7, 0.9])
@@ -237,9 +251,9 @@ class TestOptimalAttackScan:
 
     def test_serialization(self):
         result = optimal_attack_scan(0.7, 1.5, 0.5)
-        parsed = json.loads(result.to_json())
+        parsed = json.loads(json_text(result.to_dict()))
         assert parsed["T"] == 0.7 and parsed["grid_resolution"] == 0.5
-        assert result.to_csv().splitlines()[0] == "T,omega,best_g,best_g_prime,R_min,grid_resolution"
+        assert list(parsed) == ["T", "omega", "best_g", "best_g_prime", "R_min", "grid_resolution"]
 
 
 class TestOneWayBaseline:

@@ -1,0 +1,141 @@
+import contextlib
+import io
+import json
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twowayqkd import (ATTACK_CLASSES, attack_from_class, holevo_asymptotic, keyrate_report,
+                       mutual_information_asymptotic, oneway_report, oneway_threshold_curve,
+                       optimal_attack_scan, relative_variations, scan_grid, threshold_curve)
+from twowayqkd._serialize import Table
+from twowayqkd._serialize import csv_table as column_csv
+from twowayqkd._serialize import json_text as column_json
+from twowayqkd.cli import _build_parser, _even_grid, main
+
+from _util import csv_table, json_text
+
+
+def cli_text(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) in (0, 2)
+    return out.getvalue()
+
+
+def record(payload, fmt):
+    """A one-row result as the per-value emitter prints it."""
+    if fmt == "json":
+        return json_text(payload)
+    return csv_table(list(payload), [list(payload.values())])
+
+
+def oracle_keyrate(fmt):
+    return record(keyrate_report(0.8, attack_from_class("sep-anti+", 1.6)).to_dict(), fmt)
+
+
+def oracle_threshold(fmt):
+    # T up to 0.999 holds NaN rows (the EPR rebound) and an inf row (sep-sym+ at 0.999)
+    grid = _even_grid(_build_parser(), "t", 0.90, 0.999, 0.003)
+    curves = [threshold_curve(c, grid) for c in ATTACK_CLASSES] + [oneway_threshold_curve(grid)]
+    if fmt == "json":
+        return json_text([c.to_dict() for c in curves])
+    rows = [[c.attack_class, *row] for c in curves for row in c.to_rows()]
+    return csv_table(("attack", "T", "omega_star", "N_star", "secure"), rows)
+
+
+def oracle_scan(fmt):
+    return record(optimal_attack_scan(0.8, 1.5, 0.1).to_dict(), fmt)
+
+
+def oracle_full_grid(fmt):
+    rows = scan_grid(0.8, 1.5, 0.1).tolist()
+    payload = optimal_attack_scan(0.8, 1.5, 0.1).to_dict()
+    if fmt == "json":
+        payload["grid"] = [{"g": g, "g_prime": gp, "R": r} for g, gp, r in rows]
+        return json_text(payload)
+    return record(payload, fmt) + "\n" + csv_table(("g", "g_prime", "R"), rows)
+
+
+def oracle_oneway(fmt):
+    return record(oneway_report(0.9, 1.2), fmt)
+
+
+def oracle_appendix(fmt):
+    classes = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
+    header = ["T", "omega", *(f"I_AB_{c}" for c in classes), *(f"chi_EA_{c}" for c in classes),
+              "dI_AB", "dchi_EA"]
+    rows = []
+    for T in (0.65, 0.95):
+        for omega, d_i, d_chi in relative_variations(T, 1e6, [1.0, 1.5, 2.0]):
+            attacks = [attack_from_class(c, omega) for c in classes]
+            rows.append([T, omega, *(mutual_information_asymptotic(T, a, 1e6)[0] for a in attacks),
+                         *(holevo_asymptotic(T, a, 1e6) for a in attacks), d_i, d_chi])
+    if fmt == "json":
+        return json_text([dict(zip(header, row)) for row in rows])
+    return csv_table(header, rows)
+
+
+class TestPerValueOracle:
+    """Every command prints, in either format, the text of the per-value emitter."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, oracle", [
+        (("keyrate", "--T", "0.8", "--omega", "1.6", "--attack", "sep-anti+"), oracle_keyrate),
+        (("threshold", *(x for c in ATTACK_CLASSES for x in ("--attack", c)), "--with-oneway",
+          "--t-min", "0.90", "--t-max", "0.999", "--t-step", "0.003"), oracle_threshold),
+        (("scan", "--T", "0.8", "--omega", "1.5", "--step", "0.1"), oracle_scan),
+        (("scan", "--T", "0.8", "--omega", "1.5", "--step", "0.1", "--full-grid"),
+         oracle_full_grid),
+        (("oneway", "--T", "0.9", "--omega", "1.2"), oracle_oneway),
+        (("appendix", "--T", "0.65", "--T", "0.95", "--omega-max", "2", "--omega-step", "0.5"),
+         oracle_appendix),
+    ], ids=["keyrate", "threshold", "scan", "scan-full-grid", "oneway", "appendix"])
+    def test_cli_text_equals_oracle(self, argv, oracle, fmt):
+        assert cli_text(*argv, "--format", fmt) == oracle(fmt)
+
+    def test_threshold_oracle_holds_non_finite_rows(self):
+        csv = oracle_threshold("csv")
+        assert ",nan,nan," in csv and ",inf,inf," in csv
+        assert '"omega_star": null' in oracle_threshold("json")
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+columns = st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.lists(floats | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072e-308]),
+             min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+class TestRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(columns)
+    def test_csv_cells_reparse_to_the_same_bits(self, cols):
+        xs, flags = cols
+        text = column_csv(Table(("x", "flag"), (np.array(xs, dtype=float), flags)))
+        lines = text.splitlines()
+        assert text.endswith("\n") and lines[0] == "x,flag" and len(lines) == 1 + len(xs)
+        for line, x, flag in zip(lines[1:], xs, flags):
+            cell, word = line.split(",")
+            assert math.isnan(float(cell)) if math.isnan(x) else bits(float(cell)) == bits(x)
+            assert word == ("true" if flag else "false")
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns)
+    def test_json_gives_the_same_floats_and_null_for_non_finite(self, cols):
+        xs, flags = cols
+        rows = json.loads(column_json(Table(("x", "flag"), (np.array(xs, dtype=float), flags))),
+                          parse_int=float)
+        assert len(rows) == len(xs)
+        for row, x, flag in zip(rows, xs, flags):
+            assert list(row) == ["x", "flag"]
+            assert row["x"] is None if not math.isfinite(x) else bits(row["x"]) == bits(x)
+            assert row["flag"] is flag
