@@ -48,11 +48,14 @@ def _canonical_key(label):
 
 
 def _check_omega(omega):
-    """Reject a non-finite or sub-vacuum thermal variance."""
+    """Reject a non-finite, sub-vacuum or oversized thermal variance."""
     if not math.isfinite(omega):
         raise ValueError(f"thermal variance omega must be finite, got {omega}")
     if not omega >= 1.0:
         raise UnphysicalAttackError(f"thermal variance omega must be >= 1 SNU, got {omega}")
+    if omega > gaussian.MAX_VARIANCE:
+        raise ValueError(f"thermal variance omega must be <= {gaussian.MAX_VARIANCE:g} SNU, "
+                         f"got {omega}")
 
 
 @dataclass(frozen=True)

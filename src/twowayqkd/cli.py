@@ -10,10 +10,14 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from ._serialize import Table, csv_table, json_text
-from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class, normalize_class, require_physical
+from .attacks import (ATTACK_CLASSES, AttackParams, _class_correlations, attack_from_class,
+                      normalize_class)
 from .errors import UnphysicalStateError
-from .protocol import holevo_asymptotic, keyrate_report, mutual_information_asymptotic
+from .gaussian import MAX_VARIANCE
+from .protocol import _information_arrays, keyrate_report
 from .security import (ONEWAY_MU_A, _grid_minimizer, oneway_report, oneway_threshold_curve,
                        optimal_attack_scan, relative_variations, scan_grid, threshold_curve)
 
@@ -162,20 +166,14 @@ def _write(args, payload, tables):
 
 
 def _resolve_attack(parser, args):
-    named = args.attack is not None and normalize_if_known(args.attack) != "custom"
-    if named:
+    if args.attack is not None and str(args.attack).strip().lower() != "custom":
+        label = normalize_class(args.attack)
         if args.g is not None or args.g_prime is not None:
             parser.error("--g/--g-prime conflict with a named --attack; use --attack custom")
-        return attack_from_class(args.attack, args.omega)
+        return attack_from_class(label, args.omega)
     if args.g is None or args.g_prime is None:
         parser.error("custom attacks need both --g and --g-prime")
     return AttackParams(args.omega, args.g, args.g_prime)
-
-
-def normalize_if_known(label):
-    if str(label).strip().lower() == "custom":
-        return "custom"
-    return normalize_class(label)
 
 
 def _even_grid(parser, name, lo, hi, step):
@@ -202,7 +200,6 @@ def _t_grid(parser, args):
 def _cmd_keyrate(parser, args):
     _require(parser, args, ("T", "omega"))
     attack = _resolve_attack(parser, args)
-    require_physical(attack)
     mu = 1e6 if args.mu is None else args.mu
     report = keyrate_report(args.T, attack, mu=mu)
     payload = report.to_dict()
@@ -246,8 +243,8 @@ def _cmd_scan(parser, args):
 
 def _cmd_oneway(parser, args):
     _require(parser, args, ("T", "omega"))
-    if args.mu is not None and not 0.0 <= args.mu < math.inf:
-        parser.error(f"modulation variance --mu must be finite and >= 0, got {args.mu}")
+    if args.mu is not None and not 0.0 <= args.mu <= MAX_VARIANCE - 1.0:
+        parser.error(f"modulation variance --mu must be in [0, {MAX_VARIANCE:g} - 1], got {args.mu}")
     mu_a = ONEWAY_MU_A if args.mu is None else args.mu + 1.0
     report = oneway_report(args.T, args.omega, mu_a=mu_a)
     _write(args, report, [Table.record(report)])
@@ -265,21 +262,20 @@ def _cmd_appendix(parser, args):
     w_step = 0.25 if args.omega_step is None else args.omega_step
     if not (w_min >= 1.0 and w_max >= w_min):
         parser.error(f"bad omega grid: [{w_min}, {w_max}] step {w_step}")
-    omegas = _even_grid(parser, "omega", w_min, w_max, w_step)
+    omegas = np.array(_even_grid(parser, "omega", w_min, w_max, w_step))
 
     header = ["T", "omega"]
     header += [f"I_AB_{c}" for c in _APPENDIX_CLASSES]
     header += [f"chi_EA_{c}" for c in _APPENDIX_CLASSES]
     header += ["dI_AB", "dchi_EA"]
-    rows = []
+    blocks = []
     for T in args.T:
-        variations = relative_variations(T, mu, omegas)
-        for (omega, d_i, d_chi) in variations:
-            attacks_row = [attack_from_class(c, omega) for c in _APPENDIX_CLASSES]
-            i_vals = [mutual_information_asymptotic(T, a, mu)[0] for a in attacks_row]
-            chi_vals = [holevo_asymptotic(T, a, mu) for a in attacks_row]
-            rows.append([float(T), omega, *i_vals, *chi_vals, d_i, d_chi])
-    table = Table(header, tuple(zip(*rows)))
+        # relative_variations checks T, mu and the grid before any class is evaluated
+        _, d_i, d_chi = zip(*relative_variations(T, mu, omegas))
+        g, g_prime = np.stack([_class_correlations(c, omegas) for c in _APPENDIX_CLASSES], 1)
+        i_ab, chi = _information_arrays(T, omegas, g, g_prime, mu)
+        blocks.append((np.full(omegas.size, T), omegas, *i_ab, *chi, d_i, d_chi))
+    table = Table(header, tuple(np.concatenate(c) for c in zip(*blocks)))
     _write(args, table, [table])
     return 0
 

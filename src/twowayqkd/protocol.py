@@ -17,7 +17,7 @@ on (T, omega, g, g'), plus mu for the quantities that keep a log(mu) term.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -177,8 +177,7 @@ def _clamped_sqrt(radicand, scale):
     if np.any(radicand < floor):
         raise UnphysicalStateError(
             f"squared symplectic eigenvalue {radicand.min()} below 1: unphysical attack regime")
-    out = np.sqrt(np.maximum(radicand, 1.0))
-    return out
+    return np.sqrt(np.maximum(radicand, 1.0))
 
 
 def _total_spectrum_arrays(omega, g, g_prime):
@@ -218,11 +217,36 @@ def _keyrate_arrays(T, omega, g, g_prime):
     return rate
 
 
-def _check_asymptotic_args(T, a, mu=None):
+def _information_arrays(T, omega, g, g_prime, mu):
+    """(I_AB, chi_EA) in bits, broadcast over all five arguments.
+
+    I_AB = (1/2) log2(T^2 mu^2 / (sigma sigma')) and
+    chi_EA = h(nu1) + h(nu2) - h(nubar1) + log2((e/2) (1-T)/(1+T) mu).
+    """
+    sigma, sigma_p, _ = _sigma_arrays(T, omega, g, g_prime)
+    if np.any(sigma <= 0.0) or np.any(sigma_p <= 0.0):
+        raise UnphysicalStateError(f"conditional variances sigma={np.min(sigma)}, "
+                                   f"sigma'={np.min(sigma_p)} not positive")
+    nu1, nu2 = _total_spectrum_arrays(omega, g, g_prime)
+    nubar1 = _conditional_nu_arrays(T, omega, g, g_prime)
+    iab = 0.5 * np.log2(T * T * mu * mu / (sigma * sigma_p))
+    chi = (entropic_h(nu1) + entropic_h(nu2) - entropic_h(nubar1)
+           + np.log2(0.5 * np.e * (1.0 - T) / (1.0 + T) * mu))
+    return iab, chi
+
+
+def _check_regime(T, mu=None):
+    """Reject T outside (0, 1) and a modulation variance outside (0, MAX_VARIANCE]."""
     if not 0.0 < T < 1.0:
         raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
     if mu is not None and not 0.0 < mu < math.inf:
         raise ValueError(f"modulation variance mu must be positive and finite, got {mu}")
+    if mu is not None and mu > gaussian.MAX_VARIANCE:
+        raise ValueError(f"modulation variance mu must be <= {gaussian.MAX_VARIANCE:g}, got {mu}")
+
+
+def _check_asymptotic_args(T, a, mu=None):
+    _check_regime(T, mu)
     if not isinstance(a, AttackParams):
         raise TypeError(f"expected AttackParams, got {type(a).__name__}")
 
@@ -233,15 +257,12 @@ def asymptotic_total_spectrum(T, a, mu):
     Returns (nu1, nu2, nu3*nu4): two finite eigenvalues
     nu1 = sqrt((w-g)(w-g')) and nu2 = sqrt((w+g)(w+g')), which coincide with
     the spectrum of Eve's input state, and the product of the two divergent
-    ones, (1-T)^2 mu^2.  The collective point g = g' = 0 reduces exactly to
-    nu1 = nu2 = omega.
+    ones, (1-T)^2 mu^2.  At the collective point g = g' = 0 both are omega
+    exactly: sqrt(fl(w*w)) == w for every w in [1, MAX_VARIANCE].
     """
     _check_asymptotic_args(T, a, mu)
-    product = (1.0 - T) ** 2 * mu * mu
-    if a.g == 0.0 and a.g_prime == 0.0:
-        return a.omega, a.omega, product
     nu1, nu2 = _total_spectrum_arrays(a.omega, a.g, a.g_prime)
-    return float(nu1), float(nu2), product
+    return float(nu1), float(nu2), (1.0 - T) ** 2 * mu * mu
 
 
 def total_entropy_asymptotic(T, a, mu):
@@ -257,10 +278,7 @@ def conditional_spectrum_asymptotic(T, a, mu):
     finite; nubar2 = (1 - T^2) mu diverges with the modulation.
     """
     _check_asymptotic_args(T, a, mu)
-    nubar2 = (1.0 - T * T) * mu
-    if a.g == 0.0 and a.g_prime == 0.0:
-        return a.omega, nubar2
-    return float(_conditional_nu_arrays(T, a.omega, a.g, a.g_prime)), nubar2
+    return float(_conditional_nu_arrays(T, a.omega, a.g, a.g_prime)), (1.0 - T * T) * mu
 
 
 def conditional_entropy_asymptotic(T, a, mu):
@@ -274,10 +292,8 @@ def holevo_asymptotic(T, a, mu):
 
     chi = h(nu1) + h(nu2) - h(nubar1) + log2((e/2) (1-T)/(1+T) mu).
     """
-    nu1, nu2, _ = asymptotic_total_spectrum(T, a, mu)
-    nubar1, _ = conditional_spectrum_asymptotic(T, a, mu)
-    return (entropic_h(nu1) + entropic_h(nu2) - entropic_h(nubar1)
-            + math.log2(0.5 * np.e * (1.0 - T) / (1.0 + T) * mu))
+    _check_asymptotic_args(T, a, mu)
+    return float(_information_arrays(T, a.omega, a.g, a.g_prime, mu)[1])
 
 
 def mutual_information_asymptotic(T, a, mu):
@@ -288,12 +304,8 @@ def mutual_information_asymptotic(T, a, mu):
     I_AB = (1/2) log2(T^2 mu^2 / (sigma sigma')).
     """
     _check_asymptotic_args(T, a, mu)
-    sigma, sigma_p, Delta = _sigma_arrays(T, a.omega, a.g, a.g_prime)
-    if sigma <= 0.0 or sigma_p <= 0.0:
-        raise UnphysicalStateError(
-            f"conditional variances sigma={sigma}, sigma'={sigma_p} not positive")
-    iab = 0.5 * math.log2(T * T * mu * mu / (sigma * sigma_p))
-    return iab, float(sigma), float(sigma_p), float(Delta)
+    iab, _ = _information_arrays(T, a.omega, a.g, a.g_prime, mu)
+    return (float(iab), *map(float, _sigma_arrays(T, a.omega, a.g, a.g_prime)))
 
 
 def keyrate_asymptotic(T, a):
@@ -331,13 +343,7 @@ class KeyRateReport:
     Delta: float
 
     def to_dict(self):
-        return {
-            "nu1": self.nu1, "nu2": self.nu2, "nu3nu4_product": self.nu3nu4_product,
-            "nubar1": self.nubar1, "nubar2": self.nubar2,
-            "S_E": self.S_E, "S_E_cond": self.S_E_cond,
-            "I_AB": self.I_AB, "chi_EA": self.chi_EA, "R": self.R,
-            "sigma": self.sigma, "sigma_prime": self.sigma_prime, "Delta": self.Delta,
-        }
+        return asdict(self)
 
 
 def keyrate_report(T, a, mu=1e6):

@@ -6,15 +6,15 @@ of the channel transmissivity T.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attacks import (AttackParams, _check_omega, _class_correlations, attack_from_class,
-                      normalize_class, physical_region_grid)
+from .attacks import (COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_correlations, normalize_class,
+                      physical_region_grid)
 from .errors import DivergentThresholdError, MonotonicityError, UnphysicalStateError
-from .gaussian import entropic_h
-from .protocol import _keyrate_arrays
+from .gaussian import MAX_VARIANCE, entropic_h
+from .protocol import _check_regime, _information_arrays, _keyrate_arrays
 
 #: doubling cap for the threshold bracket search
 BRACKET_CAP = 2.0 ** 16
@@ -117,9 +117,9 @@ def _class_rate(label, t):
 
 
 def _oneway_rate(t):
-    """Lane rate of the one-way baseline over the transmissivities t, one lane at a time."""
-    return lambda lanes, omega: np.array(
-        [oneway_keyrate(t[i], w) for i, w in zip(lanes.tolist(), omega.tolist())])
+    """Lane rate of the one-way baseline over the transmissivities t, for _bisect_lanes."""
+    t = np.asarray(t, dtype=float)
+    return lambda lanes, omega: np.subtract(*_oneway_arrays(t[lanes], omega, ONEWAY_MU_A))
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +248,12 @@ class ScanResult:
     grid_resolution: float
 
     def to_dict(self):
-        return {"T": self.T, "omega": self.omega, "best_g": self.best_g,
-                "best_g_prime": self.best_g_prime, "R_min": self.R_min,
-                "grid_resolution": self.grid_resolution}
+        return asdict(self)
 
 
 def scan_grid(T, omega, resolution):
     """(n, 3) array of (g, g', R) rows: the key rate at every node of physical_region_grid."""
-    if not 0.0 < T < 1.0:
-        raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
+    _check_regime(T)
     grid = physical_region_grid(omega, resolution)
     return np.column_stack((grid, _keyrate_arrays(T, omega, grid[:, 0], grid[:, 1])))
 
@@ -282,36 +279,41 @@ def optimal_attack_scan(T, omega, resolution):
 # one-way baseline
 # ---------------------------------------------------------------------------
 
-def _oneway_quantities(T, omega, mu_a):
-    """Exact finite-modulation one-way quantities (I_AB, chi_EA).
+def _oneway_arrays(T, omega, mu_a):
+    """Exact finite-modulation one-way (I_AB, chi_EA), broadcast over all three arguments.
 
     Bob holds b = T a + (1-T) omega of Alice's EPR variance a = mu_a, with
     A-B correlation c^2 = T (a^2 - 1); heterodyne on A leaves
     b_cond = T + (1-T) omega, and sqrt(det V_AB) = a b - c^2 = (1-T) a omega + T.
     """
-    if not 0.0 < T < 1.0:
-        raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
-    _check_omega(omega)
-    if not math.isfinite(mu_a):
-        raise ValueError(f"EPR variance mu_a must be finite, got {mu_a}")
-    if not mu_a >= 1.0:
-        raise UnphysicalStateError(f"EPR variance must be >= 1 SNU, got {mu_a}")
-    if mu_a == 1.0:
-        # no modulation: A and B are uncorrelated, so nobody learns anything;
-        # the general form below would leave rounding dust of either sign in R
-        return 0.0, 0.0
     b = T * mu_a + (1.0 - T) * omega
     b_cond = T + (1.0 - T) * omega
     root_det = (1.0 - T) * mu_a * omega + T
     # symplectic eigenvalues of V_AB: the larger one without cancellation,
     # the smaller from their product sqrt(det)
-    d = abs(mu_a - b)
-    nu_plus = 0.5 * (math.sqrt(d * d + 4.0 * root_det) + d)
+    d = np.abs(mu_a - b)
+    nu_plus = 0.5 * (np.sqrt(d * d + 4.0 * root_det) + d)
     nu_minus = root_det / nu_plus
     # heterodyne read-out of both quadratures, one vacuum unit added
-    i_ab = math.log2((b + 1.0) / (b_cond + 1.0))
+    i_ab = np.log2((b + 1.0) / (b_cond + 1.0))
     chi = entropic_h(nu_plus) + entropic_h(nu_minus) - entropic_h(b_cond)
     return i_ab, chi
+
+
+def _oneway_quantities(T, omega, mu_a):
+    """Checked one-way (I_AB, chi_EA) at one point, as Python floats."""
+    _check_regime(T)
+    _check_omega(omega)
+    if not mu_a <= MAX_VARIANCE:
+        raise ValueError(f"EPR variance mu_a must be finite and <= {MAX_VARIANCE:g}, got {mu_a}")
+    if not mu_a >= 1.0:
+        raise UnphysicalStateError(f"EPR variance must be >= 1 SNU, got {mu_a}")
+    if mu_a == 1.0:
+        # no modulation: A and B are uncorrelated, so nobody learns anything;
+        # the general form would leave rounding dust of either sign in R
+        return 0.0, 0.0
+    i_ab, chi = _oneway_arrays(T, omega, mu_a)
+    return float(i_ab), float(chi)
 
 
 def oneway_keyrate(T, omega, mu_a=ONEWAY_MU_A):
@@ -350,21 +352,15 @@ def relative_variations(T, mu, omega_grid):
     Rows where the collective reference is nonpositive carry NaN instead of
     a ratio; they are flagged, not fatal.
     """
-    from .protocol import holevo_asymptotic, mutual_information_asymptotic
-
     if not mu >= 1e3:
         raise ValueError(f"relative variations need the asymptotic regime mu >= 1e3, got {mu}")
-    rows = []
-    for omega in omega_grid:
-        if omega < 1.0:
-            raise ValueError(f"thermal variance must be >= 1 SNU, got {omega}")
-        coll = AttackParams(omega, 0.0, 0.0)
-        opt = attack_from_class("sep-sym-", omega)
-        i_c = mutual_information_asymptotic(T, coll, mu)[0]
-        chi_c = holevo_asymptotic(T, coll, mu)
-        i_d = mutual_information_asymptotic(T, opt, mu)[0]
-        chi_d = holevo_asymptotic(T, opt, mu)
-        d_i = (i_d - i_c) / i_c if i_c > 0.0 else math.nan
-        d_chi = (chi_d - chi_c) / chi_c if chi_c > 0.0 else math.nan
-        rows.append((float(omega), d_i, d_chi))
-    return rows
+    _check_regime(T, mu)
+    omega = np.asarray(omega_grid, dtype=float)
+    bad = ~((omega >= 1.0) & (omega <= MAX_VARIANCE))
+    if bad.any():
+        _check_omega(float(omega[bad][0]))
+    g, g_prime = np.stack([_class_correlations(c, omega) for c in (COLLECTIVE, SEP_SYM_NEG)], 1)
+    (i_c, i_d), (chi_c, chi_d) = _information_arrays(T, omega, g, g_prime, mu)
+    d_i = np.divide(i_d - i_c, i_c, out=np.full_like(i_c, math.nan), where=i_c > 0.0)
+    d_chi = np.divide(chi_d - chi_c, chi_c, out=np.full_like(chi_c, math.nan), where=chi_c > 0.0)
+    return list(zip(omega.tolist(), d_i.tolist(), d_chi.tolist()))

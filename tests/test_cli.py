@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, keyrate_report,
-                       physical_region_grid, protocol, security)
+from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, holevo_asymptotic,
+                       keyrate_report, mutual_information_asymptotic, physical_region_grid,
+                       protocol, security)
 from twowayqkd.attacks import MAX_GRID_NODES, _grid_half_width
 from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
@@ -157,31 +158,35 @@ class TestScanCommand:
         assert (payload["R_min"], payload["best_g"], payload["best_g_prime"]) == best
 
 
+def count_calls(monkeypatch, calls, targets):
+    """Patch each (module, name) in targets with a wrapper that counts into calls[name]."""
+    for module, name in targets:
+        fn = getattr(module, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        calls.setdefault(name, 0)
+        monkeypatch.setattr(module, name, wrapper)
+
+
 class TestThresholdBatching:
     def test_threshold_builds_no_attack_params(self, capsys, monkeypatch):
-        calls = {"attack_from_class": 0, "keyrate_asymptotic": 0, "_keyrate_arrays": 0}
-
-        def counted(module, name):
-            fn = getattr(module, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for module in (attacks, security, cli):
-            monkeypatch.setattr(module, "attack_from_class",
-                                counted(attacks, "attack_from_class"))
-        monkeypatch.setattr(protocol, "keyrate_asymptotic",
-                            counted(protocol, "keyrate_asymptotic"))
-        monkeypatch.setattr(security, "_keyrate_arrays", counted(security, "_keyrate_arrays"))
+        calls = {}
+        count_calls(monkeypatch, calls, [
+            (attacks, "attack_from_class"), (cli, "attack_from_class"),
+            (protocol, "keyrate_asymptotic"), (security, "_keyrate_arrays"),
+            (security, "oneway_keyrate"), (security, "_oneway_quantities"),
+            (security, "_oneway_arrays")])
         classes = [x for c in ATTACK_CLASSES for x in ("--attack", c)]
         code, out = run(capsys, "threshold", *classes, "--t-min", "0.3", "--t-max", "0.99",
                         "--t-step", "0.01", "--with-oneway")
         assert code == 0 and len(out.splitlines()) == 1 + 8 * 70
         assert calls["attack_from_class"] == 0 and calls["keyrate_asymptotic"] == 0
+        assert calls["oneway_keyrate"] == 0 and calls["_oneway_quantities"] == 0
         # one kernel call per solver step for all 70 lanes of a curve, not one per lane
         assert 0 < calls["_keyrate_arrays"] <= 7 * 60
+        assert 0 < calls["_oneway_arrays"] <= 60
 
 
 class TestInvalidInput:
@@ -210,11 +215,26 @@ class TestInvalidInput:
          ("3.60012e+09", "grid nodes", str(MAX_GRID_NODES))),
         (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "-0.5"), ("--mu", "-0.5")),
         (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "nan"), ("--mu", "nan")),
+        (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "1e15"),
+         ("--mu", "1000000000000000.0", "1e+09")),
+        (("appendix", "--T", "0.5", "--mu", "1e200"), ("mu", "1e+200", "1e+09")),
+        (("scan", "--T", "0.5", "--omega", "1e300", "--step", "1e299"),
+         ("omega", "1e+300", "1e+09")),
+        (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "1e200"),
+         ("--mu", "1e+200", "1e+09")),
+        (("keyrate", "--T", "0.8", "--omega", "1.5", "--attack", "collective", "--mu", "1e160"),
+         ("mu", "1e+160", "1e+09")),
+        (("keyrate", "--T", "0.8", "--omega", "2e9", "--attack", "collective"),
+         ("omega", "2000000000.0", "1e+09")),
+        (("appendix", "--T", "0.5", "--omega-max", "2e9", "--omega-step", "1e5"),
+         ("omega", "1e+09")),
     ], ids=["scan-omega-inf", "scan-T-above-one", "scan-T-nan", "scan-T-zero",
             "scan-step-inf", "keyrate-omega-inf", "oneway-omega-inf", "oneway-omega-nan",
             "oneway-mu-inf", "keyrate-mu-inf", "appendix-mu-inf", "appendix-omega-max-inf",
             "threshold-grid-over-cap", "appendix-grid-over-cap", "scan-grid-over-cap",
-            "oneway-mu-negative", "oneway-mu-nan"])
+            "oneway-mu-negative", "oneway-mu-nan", "oneway-mu-over-bound",
+            "appendix-mu-over-bound", "scan-omega-over-bound", "oneway-mu-far-over-bound",
+            "keyrate-mu-over-bound", "keyrate-omega-over-bound", "appendix-omega-over-bound"])
     def test_rejected_with_message(self, argv, named):
         code, out, err = run_with_stderr(*argv)
         assert code == 1
@@ -326,6 +346,31 @@ class TestAppendixCommand:
                      "--omega-max", "2", "--omega-step", "1", "--format", "json")
         rows = json.loads(out)
         assert sorted({row["T"] for row in rows}) == [0.65, 0.95]
+
+    def test_appendix_builds_no_attack_params(self, capsys, monkeypatch):
+        calls = {}
+        count_calls(monkeypatch, calls, [
+            (attacks, "attack_from_class"), (cli, "attack_from_class"),
+            (protocol, "mutual_information_asymptotic"), (protocol, "holevo_asymptotic"),
+            (cli, "_information_arrays"), (security, "_information_arrays")])
+        monkeypatch.setattr(attacks.AttackParams, "__post_init__",
+                            lambda self: pytest.fail("AttackParams built"))
+        code, out = run(capsys, "appendix", "--T", "0.65", "--T", "0.95", "--omega-step", "0.01")
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 401
+        assert calls["attack_from_class"] == 0
+        assert calls["mutual_information_asymptotic"] == calls["holevo_asymptotic"] == 0
+        # the five-class block and relative_variations' two classes, once per T each
+        assert calls["_information_arrays"] == 2 * 2
+
+    def test_matches_point_calls(self, capsys):
+        # each cell against the scalar information functions at the class's attack
+        _, out = run(capsys, "appendix", "--T", "0.3", "--T", "0.9", "--mu", "1e5",
+                     "--omega-max", "4", "--omega-step", "0.75", "--format", "json")
+        for row in json.loads(out):
+            for label in cli._APPENDIX_CLASSES:
+                a = attack_from_class(label, row["omega"])
+                assert row[f"I_AB_{label}"] == mutual_information_asymptotic(row["T"], a, 1e5)[0]
+                assert row[f"chi_EA_{label}"] == holevo_asymptotic(row["T"], a, 1e5)
 
     def test_rejects_small_modulation(self, capsys):
         code, _ = run(capsys, "appendix", "--T", "0.65", "--mu", "10")

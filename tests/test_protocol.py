@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twowayqkd import (AttackParams, ProtocolParams, UnphysicalStateError, attack_from_class,
-                       asymptotic_total_spectrum, bob_cm, conditional_cm,
+from twowayqkd import (ATTACK_CLASSES, AttackParams, ProtocolParams, UnphysicalStateError,
+                       attack_from_class, asymptotic_total_spectrum, bob_cm, conditional_cm,
                        conditional_entropy_asymptotic, conditional_spectrum_asymptotic,
                        conditioning_deviation, entropic_h, heterodyne_condition,
                        holevo_asymptotic, keyrate_asymptotic, keyrate_report,
@@ -16,6 +16,7 @@ from twowayqkd import (AttackParams, ProtocolParams, UnphysicalStateError, attac
                        von_neumann_entropy)
 from twowayqkd import protocol
 from twowayqkd.attacks import _class_correlations, _physical_mask
+from twowayqkd.gaussian import MAX_VARIANCE
 
 from _util import random_physical_attack
 
@@ -134,6 +135,16 @@ class TestAsymptoticSpectra:
             nb1, _ = conditional_spectrum_asymptotic(0.6, AttackParams(w, 0.0, 0.0), 1e6)
             assert nb1 == w
 
+    @settings(max_examples=300, deadline=None)
+    @given(T=st.floats(0.01, 0.99), omega=st.floats(1.0, MAX_VARIANCE))
+    @example(T=0.5, omega=MAX_VARIANCE)
+    def test_collective_spectra_are_omega_bit_for_bit(self, T, omega):
+        # the general form sqrt(fl(w*w)) returns w: no collective branch is needed
+        a = AttackParams(omega, 0.0, 0.0)
+        nu1, nu2, _ = asymptotic_total_spectrum(T, a, 1e6)
+        nubar1, _ = conditional_spectrum_asymptotic(T, a, 1e6)
+        assert struct.pack("<3d", nu1, nu2, nubar1) == struct.pack("<3d", omega, omega, omega)
+
     def test_epr_attack_hides_thermal_noise(self):
         a = attack_from_class("epr+", 2.0)
         nu1, nu2, product = asymptotic_total_spectrum(0.5, a, 1e6)
@@ -210,6 +221,30 @@ class TestInformationQuantities:
             0.9, AttackParams(1.0, 0.0, 0.0), 1e6)
         assert sigma == 2.0 and sigma_p == 2.0 and delta == 2.0
         assert iab == pytest.approx(0.5 * np.log2(0.81e12 / 4.0), rel=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(label=st.sampled_from(ATTACK_CLASSES),
+           T=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+           omega=st.lists(st.floats(1.0, 50.0), min_size=1, max_size=6),
+           mu=st.floats(1e3, MAX_VARIANCE))
+    def test_broadcast_information_equals_point_calls(self, label, T, omega, mu):
+        # a (T column x omega row) grid in one call, against the 0-d public functions
+        w = np.array(omega)
+        g, g_prime = _class_correlations(label, w)
+        iab, chi = protocol._information_arrays(np.array(T)[:, None], w, g, g_prime, mu)
+        assert iab.shape == chi.shape == (len(T), len(omega))
+        for i, t in enumerate(T):
+            for j, a in enumerate(AttackParams(*x) for x in zip(omega, g.tolist(),
+                                                                 g_prime.tolist())):
+                assert iab[i, j] == mutual_information_asymptotic(t, a, mu)[0]
+                assert chi[i, j] == holevo_asymptotic(t, a, mu)
+
+    def test_information_rejects_nonpositive_sigma(self):
+        # |g| >= omega is unphysical, but a custom g reaches sigma < 0 this way
+        a = AttackParams(10.0, -30.0, -30.0)
+        for fn in (mutual_information_asymptotic, holevo_asymptotic):
+            with pytest.raises(UnphysicalStateError, match="sigma=.* not positive"):
+                fn(0.5, a, 1e6)
 
     def test_mutual_information_decreases_with_noise(self):
         vals = [mutual_information_asymptotic(0.65, attack_from_class("sep-sym-", w), 1e6)[0]

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, AttackParams, DivergentThresholdError, MonotonicityError,
-                       UnphysicalStateError, attack_from_class, excess_noise, keyrate_asymptotic,
-                       omega_from_excess, oneway_keyrate, oneway_report, oneway_threshold_curve,
+                       UnphysicalStateError, attack_from_class, excess_noise, holevo_asymptotic,
+                       keyrate_asymptotic, mutual_information_asymptotic, omega_from_excess,
+                       oneway_keyrate, oneway_report, oneway_threshold_curve,
                        oneway_threshold_omega, optimal_attack_scan, physical_region_grid,
                        relative_variations, scan_grid, threshold_curve, threshold_omega)
 from twowayqkd._serialize import Table, csv_table, json_text
-from twowayqkd.gaussian import BONA_FIDE_ATOL, entropic_h
+from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
 from twowayqkd.security import (INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE, OK, ONEWAY_MU_A,
-                                _bisect_lanes, _oneway_quantities)
+                                _bisect_lanes, _oneway_arrays, _oneway_quantities)
 
 from _hiprec import mp_oneway_rate, with_dps
 from _util import bisect_threshold, oneway_quantities_circuit
@@ -318,6 +319,18 @@ class TestOneWayBaseline:
         # (von_neumann_entropy), dropping up to h(1 + 1e-9) = 1.6e-8 bits near omega = 1
         assert chi == pytest.approx(chi_circuit, abs=1e-10 + entropic_h(1.0 + BONA_FIDE_ATOL))
 
+    @settings(max_examples=100, deadline=None)
+    @given(T=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+           omega=st.lists(st.floats(1.0, 1e3), min_size=1, max_size=6),
+           mu_a=st.floats(1.0, MAX_VARIANCE, exclude_min=True))
+    def test_broadcast_quantities_equal_point_calls(self, T, omega, mu_a):
+        # the solver's array form over a (T column x omega row) grid, against 0-d calls
+        i_ab, chi = _oneway_arrays(np.array(T)[:, None], np.array(omega), mu_a)
+        assert i_ab.shape == chi.shape == (len(T), len(omega))
+        for i, t in enumerate(T):
+            for j, w in enumerate(omega):
+                assert (i_ab[i, j], chi[i, j]) == _oneway_quantities(t, w, mu_a)
+
     def test_matches_extended_precision(self):
         for T in (0.05, 0.3, 0.6, 0.8, 0.9, 0.99):
             for w in (1.0, 1.5, 3.0, 6.0):
@@ -333,7 +346,8 @@ class TestOneWayBaseline:
         ({"T": 0.0}, ValueError), ({"T": 1.0}, ValueError),
         ({"omega": 0.5}, ValueError), ({"omega": math.inf}, ValueError),
         ({"omega": math.nan}, ValueError), ({"mu_a": math.inf}, ValueError),
-        ({"mu_a": math.nan}, ValueError), ({"mu_a": 0.5}, UnphysicalStateError)])
+        ({"mu_a": math.nan}, ValueError), ({"mu_a": 0.5}, UnphysicalStateError),
+        ({"omega": 2e9}, ValueError), ({"mu_a": 2e9}, ValueError)])
     def test_rejects_bad_input(self, kwargs, error):
         args = {"T": 0.9, "omega": 1.2, "mu_a": ONEWAY_MU_A, **kwargs}
         with pytest.raises(error):
@@ -360,3 +374,26 @@ class TestRelativeVariations:
     def test_validates_regime(self):
         with pytest.raises(ValueError):
             relative_variations(0.65, 10.0, [2.0])
+
+    @pytest.mark.parametrize("T, mu, omegas, match", [
+        (0.65, 2e9, [2.0], "mu must be <= 1e\\+09, got 2000000000.0"),
+        (0.65, math.inf, [2.0], "mu must be positive and finite, got inf"),
+        (1.5, 1e6, [2.0], "T must lie in \\(0, 1\\), got 1.5"),
+        (0.65, 1e6, [2.0, 0.5], "omega must be >= 1 SNU, got 0.5"),
+        (0.65, 1e6, [2.0, math.nan], "omega must be finite, got nan"),
+        (0.65, 1e6, [2.0, 2e9], "omega must be <= 1e\\+09 SNU, got 2000000000.0")],
+        ids=["mu-over-bound", "mu-inf", "T-above-one", "omega-below-one", "omega-nan",
+             "omega-over-bound"])
+    def test_rejects_out_of_range_input(self, T, mu, omegas, match):
+        with pytest.raises(ValueError, match=match):
+            relative_variations(T, mu, omegas)
+
+    def test_matches_point_calls(self):
+        # the one array call per grid against the scalar information functions
+        omegas = [1.0, 1.25, 2.0, 3.5, 5.0]
+        for T in (0.3, 0.65, 0.95):
+            for (w, d_i, d_chi), w_ref in zip(relative_variations(T, 1e6, omegas), omegas):
+                coll, corner = AttackParams(w_ref, 0.0, 0.0), attack_from_class("sep-sym-", w_ref)
+                i_c, i_d = (mutual_information_asymptotic(T, a, 1e6)[0] for a in (coll, corner))
+                chi_c, chi_d = (holevo_asymptotic(T, a, 1e6) for a in (coll, corner))
+                assert (w, d_i, d_chi) == (w_ref, (i_d - i_c) / i_c, (chi_d - chi_c) / chi_c)
