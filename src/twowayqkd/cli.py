@@ -13,13 +13,12 @@ import sys
 import numpy as np
 
 from ._serialize import Table, csv_table, json_text
-from .attacks import (ATTACK_CLASSES, AttackParams, _class_correlations, attack_from_class,
-                      normalize_class)
+from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class, normalize_class
 from .errors import UnphysicalStateError
 from .gaussian import MAX_VARIANCE
-from .protocol import _information_arrays, keyrate_report
-from .security import (ONEWAY_MU_A, _grid_minimizer, oneway_report, oneway_threshold_curve,
-                       optimal_attack_scan, relative_variations, scan_grid, threshold_curve)
+from .protocol import keyrate_report
+from .security import (ONEWAY_MU_A, _class_variations, _grid_minimizer, oneway_report,
+                       oneway_threshold_curve, optimal_attack_scan, scan_grid, threshold_curve)
 
 _APPENDIX_CLASSES = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
 
@@ -270,10 +269,7 @@ def _cmd_appendix(parser, args):
     header += ["dI_AB", "dchi_EA"]
     blocks = []
     for T in args.T:
-        # relative_variations checks T, mu and the grid before any class is evaluated
-        _, d_i, d_chi = zip(*relative_variations(T, mu, omegas))
-        g, g_prime = np.stack([_class_correlations(c, omegas) for c in _APPENDIX_CLASSES], 1)
-        i_ab, chi = _information_arrays(T, omegas, g, g_prime, mu)
+        _, i_ab, chi, d_i, d_chi = _class_variations(T, mu, omegas, _APPENDIX_CLASSES)
         blocks.append((np.full(omegas.size, T), omegas, *i_ab, *chi, d_i, d_chi))
     table = Table(header, tuple(np.concatenate(c) for c in zip(*blocks)))
     _write(args, table, [table])

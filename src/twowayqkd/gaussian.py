@@ -8,7 +8,6 @@ quantity computed here depends on second moments only.
 """
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DegenerateSpectrumError, UnphysicalStateError
 
@@ -21,8 +20,10 @@ BONA_FIDE_ATOL = 1e-9
 #: absolute symmetry tolerance for covariance matrices
 SYMMETRY_ATOL = 1e-12
 
-#: largest thermal or modulation variance (SNU) the closed forms accept: below
-#: it entropic_h stays within 4e-6 bits of the exact h, and every square is finite
+#: largest thermal or modulation variance (SNU) the closed forms accept.  It is
+#: not a precision limit: every square in them stays finite up to about 1e154,
+#: and entropic_h was within 4e-16 relative of a 50-digit h at every point
+#: sampled up to 1.7e308
 MAX_VARIANCE = 1e9
 
 
@@ -208,20 +209,48 @@ def is_bona_fide(V, atol=BONA_FIDE_ATOL):
     return bool(nu[-1] >= 1.0 - atol)
 
 
+#: entropic_h takes its log1p form below this eigenvalue and its series from it on
+_NU_SERIES = 1.5
+
+#: coefficients 1 / (2k (2k+1) ln 2), k = 38..1, of the series in u = nu^-2;
+#: the first omitted term is below 1e-17 at nu = 1.5
+_SERIES = tuple(1.0 / (2 * k * (2 * k + 1) * _LN2) for k in range(38, 0, -1))
+
+_LOG2_HALF_E = np.log2(np.e) - 1.0
+
+
 def entropic_h(nu):
     """Von Neumann entropy contribution of one symplectic eigenvalue, in bits.
 
     h(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2), with
     0 log 0 = 0 so that h(1) = 0.  Values in [1 - 1e-9, 1) are clamped to 1;
     anything lower is a domain error.  Accepts scalars or arrays.
+
+    It needs only numpy, has a relative error below 1e-15 and never steps
+    down between adjacent floats.  With b = (nu-1)/2, below nu = 1.5 it is
+    (log1p(b) + b log1p(1/b)) / ln 2, a sum of two nonnegative terms; there
+    one float step raises h by more than two units in its last place, more
+    than rounding can take back.  From 1.5 on, where a step can be far below
+    one unit, it is log2(nu) + log2(e/2) - sum_k u^k / (2k (2k+1) ln 2) with
+    u = nu^-2: every term of the sum is a product of nonnegative factors that
+    fall with nu, and rounding a sum or a product keeps such an order.
     """
     arr = np.asarray(nu, dtype=float)
     if np.any(arr < 1.0 - BONA_FIDE_ATOL):
         raise ValueError(f"symplectic eigenvalue below 1: {arr.min()}")
     arr = np.maximum(arr, 1.0)
-    a = 0.5 * (arr + 1.0)
-    b = 0.5 * (arr - 1.0)
-    out = (xlogy(a, a) - xlogy(b, b)) / _LN2
+    # lanes from the switch on (inf among them) take the series, so the log1p
+    # form sees at most the switch; its b = 0 lane divides by 1 and adds 0
+    b = 0.5 * (np.minimum(arr, _NU_SERIES) - 1.0)
+    near = (np.log1p(b) + b * np.log1p(1.0 / np.where(b > 0.0, b, 1.0))) / _LN2
+    u = 1.0 / arr
+    u = u * u
+    series = _SERIES[0] * u + _SERIES[1]
+    for c in _SERIES[2:]:
+        series *= u
+        series += c
+    series *= u
+    out = np.where(arr < _NU_SERIES, near, np.log2(arr) + (_LOG2_HALF_E - series))
     return float(out) if np.ndim(nu) == 0 else out
 
 

@@ -343,6 +343,29 @@ def oneway_report(T, omega, mu_a=ONEWAY_MU_A):
 # relative variations of the sep-sym- corner class
 # ---------------------------------------------------------------------------
 
+def _class_variations(T, mu, omega_grid, classes):
+    """Checked (omega, I_AB, chi_EA, dI_AB, dchi_EA) of named classes over an omega grid.
+
+    I_AB and chi_EA hold one row per class, in the order given; the
+    variations compare the sep-sym- corner class with the collective attack,
+    which must both be among the classes.  T, mu and every omega are checked
+    before any class is evaluated.
+    """
+    if not mu >= 1e3:
+        raise ValueError(f"relative variations need the asymptotic regime mu >= 1e3, got {mu}")
+    _check_regime(T, mu)
+    omega = np.asarray(omega_grid, dtype=float)
+    bad = ~((omega >= 1.0) & (omega <= MAX_VARIANCE))
+    if bad.any():
+        _check_omega(float(omega[bad][0]))
+    g, g_prime = np.stack([_class_correlations(c, omega) for c in classes], 1)
+    i_ab, chi = _information_arrays(T, omega, g, g_prime, mu)
+    ref, corner = classes.index(COLLECTIVE), classes.index(SEP_SYM_NEG)
+    d_i, d_chi = (np.divide(x[corner] - x[ref], x[ref], out=np.full_like(x[ref], math.nan),
+                            where=x[ref] > 0.0) for x in (i_ab, chi))
+    return omega, i_ab, chi, d_i, d_chi
+
+
 def relative_variations(T, mu, omega_grid):
     """Relative change of I_AB and chi_EA for the sep-sym- corner class vs collective.
 
@@ -352,15 +375,5 @@ def relative_variations(T, mu, omega_grid):
     Rows where the collective reference is nonpositive carry NaN instead of
     a ratio; they are flagged, not fatal.
     """
-    if not mu >= 1e3:
-        raise ValueError(f"relative variations need the asymptotic regime mu >= 1e3, got {mu}")
-    _check_regime(T, mu)
-    omega = np.asarray(omega_grid, dtype=float)
-    bad = ~((omega >= 1.0) & (omega <= MAX_VARIANCE))
-    if bad.any():
-        _check_omega(float(omega[bad][0]))
-    g, g_prime = np.stack([_class_correlations(c, omega) for c in (COLLECTIVE, SEP_SYM_NEG)], 1)
-    (i_c, i_d), (chi_c, chi_d) = _information_arrays(T, omega, g, g_prime, mu)
-    d_i = np.divide(i_d - i_c, i_c, out=np.full_like(i_c, math.nan), where=i_c > 0.0)
-    d_chi = np.divide(chi_d - chi_c, chi_c, out=np.full_like(chi_c, math.nan), where=chi_c > 0.0)
+    omega, _, _, d_i, d_chi = _class_variations(T, mu, omega_grid, (COLLECTIVE, SEP_SYM_NEG))
     return list(zip(omega.tolist(), d_i.tolist(), d_chi.tolist()))

@@ -352,15 +352,15 @@ class TestAppendixCommand:
         count_calls(monkeypatch, calls, [
             (attacks, "attack_from_class"), (cli, "attack_from_class"),
             (protocol, "mutual_information_asymptotic"), (protocol, "holevo_asymptotic"),
-            (cli, "_information_arrays"), (security, "_information_arrays")])
+            (security, "_information_arrays")])
         monkeypatch.setattr(attacks.AttackParams, "__post_init__",
                             lambda self: pytest.fail("AttackParams built"))
         code, out = run(capsys, "appendix", "--T", "0.65", "--T", "0.95", "--omega-step", "0.01")
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 401
         assert calls["attack_from_class"] == 0
         assert calls["mutual_information_asymptotic"] == calls["holevo_asymptotic"] == 0
-        # the five-class block and relative_variations' two classes, once per T each
-        assert calls["_information_arrays"] == 2 * 2
+        # one five-class block per T; the variations are derived from it
+        assert calls["_information_arrays"] == 2
 
     def test_matches_point_calls(self, capsys):
         # each cell against the scalar information functions at the class's attack

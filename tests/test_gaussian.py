@@ -1,11 +1,16 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twowayqkd import (AttackParams, UnphysicalStateError,
                        apply_symplectic, beam_splitter, entropic_h, entropic_h_asymptotic,
                        epr_cm, eve_cm, heterodyne_condition, is_bona_fide, is_symplectic,
                        partial_trace, ppt_separable, symplectic_form, symplectic_spectrum,
                        tensor, thermal_cm, vacuum_cm, von_neumann_entropy)
+from twowayqkd.gaussian import _NU_SERIES
+from _hiprec import mp_entropic_h, with_dps
 from _util import random_beam_splitter_net, random_bona_fide_cm, spectrum_from_eig
 
 
@@ -98,6 +103,28 @@ class TestEntropicH:
         grid = np.geomspace(1.0 + 1e-12, 1e6, 400)
         vals = entropic_h(grid)
         assert np.all(np.diff(vals) > 0)
+
+    def test_matches_extended_precision(self):
+        # log-spaced in nu - 1 and in nu, plus the stretch where the two forms meet
+        rng = np.random.default_rng(3)
+        nus = np.concatenate([1.0 + np.geomspace(1e-12, 1e9 - 1.0, 2000),
+                              np.geomspace(1.0 + 1e-12, 1e9, 2000), rng.uniform(1.25, 4.0, 200)])
+        exact = with_dps(lambda: [mp_entropic_h(mp.mpf(float(x))) for x in nus])
+        worst = max(abs(mp.mpf(float(h)) / e - 1) for h, e in zip(entropic_h(nus), exact))
+        assert worst <= 1e-15, f"largest relative error {float(worst):.3g}"
+        assert entropic_h(1.0) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(1.0, 1e9))
+    @example(x=1.7)  # the xlogy form gave h(1.7000000000000002) < h(1.7)
+    @example(x=float(np.nextafter(_NU_SERIES, 0.0)))  # the last float of the log1p form
+    def test_never_steps_down(self, x):
+        assert entropic_h(np.nextafter(x, np.inf)) >= entropic_h(x)
+
+    def test_never_steps_down_across_the_switch(self):
+        # 10^4 adjacent floats on each side of the switch from the log1p form to the series
+        nus = _NU_SERIES + np.arange(-10 ** 4, 10 ** 4 + 1) * np.spacing(_NU_SERIES)
+        assert np.all(np.diff(entropic_h(nus)) >= 0.0)
 
     def test_asymptotic_values(self):
         assert abs(entropic_h_asymptotic(2.0 / np.e)) < 1e-15
