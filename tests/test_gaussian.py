@@ -118,6 +118,7 @@ class TestEntropicH:
     @given(x=st.floats(1.0, 1e9))
     @example(x=1.7)  # the xlogy form gave h(1.7000000000000002) < h(1.7)
     @example(x=float(np.nextafter(_NU_SERIES, 0.0)))  # the last float of the log1p form
+    @example(x=327880392.0625)  # the log1p form alone steps down here
     def test_never_steps_down(self, x):
         assert entropic_h(np.nextafter(x, np.inf)) >= entropic_h(x)
 
