@@ -229,11 +229,12 @@ def entropic_h(nu):
     It needs only numpy, has a relative error below 1e-15 and never steps
     down between adjacent floats.  With b = (nu-1)/2, below nu = 1.5 it is
     (log1p(b) + b log1p(1/b)) / ln 2, a sum of two nonnegative terms; there
-    one float step raises h by more than two units in its last place, more
-    than rounding can take back.  From 1.5 on, where a step can be far below
-    one unit, it is log2(nu) + log2(e/2) - sum_k u^k / (2k (2k+1) ln 2) with
-    u = nu^-2: every term of the sum is a product of nonnegative factors that
-    fall with nu, and rounding a sum or a product keeps such an order.
+    each float step raises log1p(b) by more than three units in its last
+    place, more than the rounding of b log1p(1/b) can take back.  From 1.5
+    on, where a step can raise h by far less than one unit, it is
+    log2(nu) + log2(e/2) - sum_k u^k / (2k (2k+1) ln 2) with u = nu^-2:
+    every term of the sum is a product of nonnegative factors that fall with
+    nu, and rounding a sum or a product keeps such an order.
     """
     arr = np.asarray(nu, dtype=float)
     if np.any(arr < 1.0 - BONA_FIDE_ATOL):

@@ -122,6 +122,10 @@ class TestEntropicH:
     def test_never_steps_down(self, x):
         assert entropic_h(np.nextafter(x, np.inf)) >= entropic_h(x)
 
+    def test_infinity(self):
+        # no inf - inf or 0 * inf on the way (RuntimeWarnings are errors here)
+        assert entropic_h(np.inf) == np.inf
+
     def test_never_steps_down_across_the_switch(self):
         # 10^4 adjacent floats on each side of the switch from the log1p form to the series
         nus = _NU_SERIES + np.arange(-10 ** 4, 10 ** 4 + 1) * np.spacing(_NU_SERIES)
