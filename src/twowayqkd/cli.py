@@ -16,7 +16,7 @@ from ._serialize import Table, csv_table, json_text
 from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class, normalize_class
 from .errors import UnphysicalStateError
 from .gaussian import MAX_VARIANCE
-from .protocol import keyrate_report
+from .protocol import _check_regime, keyrate_report
 from .security import (ONEWAY_MU_A, _class_variations, _grid_minimizer, oneway_report,
                        oneway_threshold_curve, optimal_attack_scan, scan_grid, threshold_curve)
 
@@ -267,6 +267,8 @@ def _cmd_appendix(parser, args):
     header += [f"I_AB_{c}" for c in _APPENDIX_CLASSES]
     header += [f"chi_EA_{c}" for c in _APPENDIX_CLASSES]
     header += ["dI_AB", "dchi_EA"]
+    for T in args.T:  # every T before the first block is evaluated
+        _check_regime(T)
     blocks = []
     for T in args.T:
         _, i_ab, chi, d_i, d_chi = _class_variations(T, mu, omegas, _APPENDIX_CLASSES)

@@ -17,6 +17,7 @@ on (T, omega, g, g'), plus mu for the quantities that keep a log(mu) term.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -180,59 +181,56 @@ def _clamped_sqrt(radicand, scale):
     return np.sqrt(np.maximum(radicand, 1.0))
 
 
-def _total_spectrum_arrays(omega, g, g_prime):
-    nu1 = _clamped_sqrt((omega - g) * (omega - g_prime), omega)
-    nu2 = _clamped_sqrt((omega + g) * (omega + g_prime), omega)
-    return nu1, nu2
+_TwoWay = namedtuple("_TwoWay", "nu1 nu2 nubar1 sigma sigma_prime Delta S S_cond")
 
 
-def _conditional_nu_arrays(T, omega, g, g_prime):
-    r = 2.0 * np.sqrt(T) / (1.0 + T)
-    return _clamped_sqrt((omega + g * r) * (omega + g_prime * r), omega)
+def _two_way_arrays(T, omega, g, g_prime):
+    """The modulation-free two-way closed form, broadcast over (T, omega, g, g').
 
-
-def _sigma_arrays(T, omega, g, g_prime):
+    A _TwoWay of the finite spectra nu1, nu2 (total state) and nubar1 (Bob's
+    conditional state), sigma, sigma', Delta, and S = h(nu1) + h(nu2) and
+    S_cond = h(nubar1), so that Eve's entropy term is S - S_cond.  At
+    g = g' = 0 the spectra are omega and sigma = sigma' = Delta exactly, so
+    that term is (h + h) - h = h(omega), with no rounding.
+    """
     st = np.sqrt(T)
     Delta = 1.0 + T * T + (1.0 - T * T) * omega
-    sigma = Delta + 2.0 * g * (1.0 - T) * st
-    sigma_p = Delta + 2.0 * g_prime * (1.0 - T) * st
-    return sigma, sigma_p, Delta
+    r = 2.0 * st / (1.0 + T)
+    nu1 = _clamped_sqrt((omega - g) * (omega - g_prime), omega)
+    nu2 = _clamped_sqrt((omega + g) * (omega + g_prime), omega)
+    nubar1 = _clamped_sqrt((omega + g * r) * (omega + g_prime * r), omega)
+    return _TwoWay(nu1, nu2, nubar1, Delta + 2.0 * g * (1.0 - T) * st,
+                   Delta + 2.0 * g_prime * (1.0 - T) * st, Delta,
+                   entropic_h(nu1) + entropic_h(nu2), entropic_h(nubar1))
+
+
+def _rate(T, c):
+    """Key rate R = log2(2T(1+T) / (e (1-T) sqrt(sigma sigma'))) - (S - S_cond) of a _TwoWay."""
+    return (np.log2(2.0 * T * (1.0 + T) / (np.e * (1.0 - T) * np.sqrt(c.sigma * c.sigma_prime)))
+            - (c.S - c.S_cond))
+
+
+def _information(T, c, mu):
+    """(I_AB, chi_EA) in bits of a _TwoWay at modulation mu.
+
+    I_AB = (1/2) log2(T^2 mu^2 / (sigma sigma')) and
+    chi_EA = S - S_cond + log2((e/2) (1-T)/(1+T) mu).
+    """
+    if np.any(c.sigma <= 0.0) or np.any(c.sigma_prime <= 0.0):
+        raise UnphysicalStateError(f"conditional variances sigma={np.min(c.sigma)}, "
+                                   f"sigma'={np.min(c.sigma_prime)} not positive")
+    return (0.5 * np.log2(T * T * mu * mu / (c.sigma * c.sigma_prime)),
+            c.S - c.S_cond + np.log2(0.5 * np.e * (1.0 - T) / (1.0 + T) * mu))
 
 
 def _keyrate_arrays(T, omega, g, g_prime):
-    """Asymptotic key rate, broadcast over all four arguments.
-
-    Lanes with g = g' = 0 take the collective reduction nu1 = nu2 = nubar1 =
-    omega, so R = log2(...) - h(omega) there, one rounding closer than the
-    general form.  (Their sqrt(sigma sigma') = sqrt(Delta^2) is Delta
-    exactly: a correctly rounded square root of a correctly rounded square
-    returns the operand in binary floating point.)
-    """
-    nu1, nu2 = _total_spectrum_arrays(omega, g, g_prime)
-    nubar1 = _conditional_nu_arrays(T, omega, g, g_prime)
-    sigma, sigma_p, _ = _sigma_arrays(T, omega, g, g_prime)
-    log_term = np.log2(2.0 * T * (1.0 + T) / (np.e * (1.0 - T) * np.sqrt(sigma * sigma_p)))
-    rate = np.asarray(log_term - entropic_h(nu1) - entropic_h(nu2) + entropic_h(nubar1))
-    np.subtract(log_term, entropic_h(omega), out=rate, where=(g == 0.0) & (g_prime == 0.0))
-    return rate
+    """Asymptotic key rate, broadcast over all four arguments."""
+    return _rate(T, _two_way_arrays(T, omega, g, g_prime))
 
 
 def _information_arrays(T, omega, g, g_prime, mu):
-    """(I_AB, chi_EA) in bits, broadcast over all five arguments.
-
-    I_AB = (1/2) log2(T^2 mu^2 / (sigma sigma')) and
-    chi_EA = h(nu1) + h(nu2) - h(nubar1) + log2((e/2) (1-T)/(1+T) mu).
-    """
-    sigma, sigma_p, _ = _sigma_arrays(T, omega, g, g_prime)
-    if np.any(sigma <= 0.0) or np.any(sigma_p <= 0.0):
-        raise UnphysicalStateError(f"conditional variances sigma={np.min(sigma)}, "
-                                   f"sigma'={np.min(sigma_p)} not positive")
-    nu1, nu2 = _total_spectrum_arrays(omega, g, g_prime)
-    nubar1 = _conditional_nu_arrays(T, omega, g, g_prime)
-    iab = 0.5 * np.log2(T * T * mu * mu / (sigma * sigma_p))
-    chi = (entropic_h(nu1) + entropic_h(nu2) - entropic_h(nubar1)
-           + np.log2(0.5 * np.e * (1.0 - T) / (1.0 + T) * mu))
-    return iab, chi
+    """(I_AB, chi_EA) in bits, broadcast over all five arguments."""
+    return _information(T, _two_way_arrays(T, omega, g, g_prime), mu)
 
 
 def _check_regime(T, mu=None):
@@ -245,10 +243,12 @@ def _check_regime(T, mu=None):
         raise ValueError(f"modulation variance mu must be <= {gaussian.MAX_VARIANCE:g}, got {mu}")
 
 
-def _check_asymptotic_args(T, a, mu=None):
+def _two_way_at(T, a, mu=None):
+    """The closed form at one attack, after checking T, mu and the type of a."""
     _check_regime(T, mu)
     if not isinstance(a, AttackParams):
         raise TypeError(f"expected AttackParams, got {type(a).__name__}")
+    return _two_way_arrays(T, a.omega, a.g, a.g_prime)
 
 
 def asymptotic_total_spectrum(T, a, mu):
@@ -260,15 +260,14 @@ def asymptotic_total_spectrum(T, a, mu):
     ones, (1-T)^2 mu^2.  At the collective point g = g' = 0 both are omega
     exactly: sqrt(fl(w*w)) == w for every w in [1, MAX_VARIANCE].
     """
-    _check_asymptotic_args(T, a, mu)
-    nu1, nu2 = _total_spectrum_arrays(a.omega, a.g, a.g_prime)
-    return float(nu1), float(nu2), (1.0 - T) ** 2 * mu * mu
+    c = _two_way_at(T, a, mu)
+    return float(c.nu1), float(c.nu2), (1.0 - T) ** 2 * mu * mu
 
 
 def total_entropy_asymptotic(T, a, mu):
     """Large-modulation entropy of the total output state, in bits."""
-    nu1, nu2, product = asymptotic_total_spectrum(T, a, mu)
-    return entropic_h(nu1) + entropic_h(nu2) + math.log2(0.25 * np.e * np.e * product)
+    c = _two_way_at(T, a, mu)
+    return float(c.S) + math.log2(0.25 * np.e * np.e * ((1.0 - T) ** 2 * mu * mu))
 
 
 def conditional_spectrum_asymptotic(T, a, mu):
@@ -277,14 +276,13 @@ def conditional_spectrum_asymptotic(T, a, mu):
     nubar1 = sqrt((w + 2g sqrt(T)/(1+T)) (w + 2g' sqrt(T)/(1+T))) stays
     finite; nubar2 = (1 - T^2) mu diverges with the modulation.
     """
-    _check_asymptotic_args(T, a, mu)
-    return float(_conditional_nu_arrays(T, a.omega, a.g, a.g_prime)), (1.0 - T * T) * mu
+    return float(_two_way_at(T, a, mu).nubar1), (1.0 - T * T) * mu
 
 
 def conditional_entropy_asymptotic(T, a, mu):
     """Large-modulation entropy of Bob's conditional state, in bits."""
-    nubar1, nubar2 = conditional_spectrum_asymptotic(T, a, mu)
-    return entropic_h(nubar1) + math.log2(0.5 * np.e * nubar2)
+    c = _two_way_at(T, a, mu)
+    return float(c.S_cond) + math.log2(0.5 * np.e * ((1.0 - T * T) * mu))
 
 
 def holevo_asymptotic(T, a, mu):
@@ -292,8 +290,7 @@ def holevo_asymptotic(T, a, mu):
 
     chi = h(nu1) + h(nu2) - h(nubar1) + log2((e/2) (1-T)/(1+T) mu).
     """
-    _check_asymptotic_args(T, a, mu)
-    return float(_information_arrays(T, a.omega, a.g, a.g_prime, mu)[1])
+    return float(_information(T, _two_way_at(T, a, mu), mu)[1])
 
 
 def mutual_information_asymptotic(T, a, mu):
@@ -303,20 +300,19 @@ def mutual_information_asymptotic(T, a, mu):
     sigma = Delta + 2g(1-T)sqrt(T), sigma' likewise with g', and
     I_AB = (1/2) log2(T^2 mu^2 / (sigma sigma')).
     """
-    _check_asymptotic_args(T, a, mu)
-    iab, _ = _information_arrays(T, a.omega, a.g, a.g_prime, mu)
-    return (float(iab), *map(float, _sigma_arrays(T, a.omega, a.g, a.g_prime)))
+    c = _two_way_at(T, a, mu)
+    return (float(_information(T, c, mu)[0]), float(c.sigma), float(c.sigma_prime),
+            float(c.Delta))
 
 
 def keyrate_asymptotic(T, a):
     """Asymptotic secret-key rate in bits per protocol use (direct reconciliation).
 
-    R = log2( 2T(1+T) / (e (1-T) sqrt(sigma sigma')) ) - h(nu1) - h(nu2) + h(nubar1);
+    R = log2( 2T(1+T) / (e (1-T) sqrt(sigma sigma')) ) - (h(nu1) + h(nu2) - h(nubar1));
     the log(mu) terms of the mutual information and the Holevo bound cancel,
     so R carries no modulation dependence.
     """
-    _check_asymptotic_args(T, a)
-    return float(_keyrate_arrays(T, a.omega, a.g, a.g_prime))
+    return float(_rate(T, _two_way_at(T, a)))
 
 
 @dataclass(frozen=True)
@@ -347,21 +343,22 @@ class KeyRateReport:
 
 
 def keyrate_report(T, a, mu=1e6):
-    """Full report (spectra, entropies, I_AB, chi_EA, R) for one parameter point."""
+    """Full report (spectra, entropies, I_AB, chi_EA, R) for one parameter point.
+
+    One check of the arguments and one evaluation of the closed form; every
+    field equals the public function that returns it alone.
+    """
     require_physical(a)
-    nu1, nu2, product = asymptotic_total_spectrum(T, a, mu)
-    nubar1, nubar2 = conditional_spectrum_asymptotic(T, a, mu)
-    s_e = total_entropy_asymptotic(T, a, mu)
-    s_cond = conditional_entropy_asymptotic(T, a, mu)
-    iab, sigma, sigma_p, Delta = mutual_information_asymptotic(T, a, mu)
-    chi = holevo_asymptotic(T, a, mu)
-    rate = keyrate_asymptotic(T, a)
+    c = _two_way_at(T, a, mu)
+    iab, chi = map(float, _information(T, c, mu))
+    rate = float(_rate(T, c))
     if not (abs(rate - (iab - chi)) <= 1e-10 and chi >= -1e-9):
         raise UnphysicalStateError(
             f"inconsistent report: R={rate}, I_AB={iab}, chi_EA={chi} "
             "(need R = I_AB - chi_EA and chi_EA >= 0)")
+    product, nubar2 = (1.0 - T) ** 2 * mu * mu, (1.0 - T * T) * mu
     return KeyRateReport(
-        nu1=nu1, nu2=nu2, nu3nu4_product=product, nubar1=nubar1, nubar2=nubar2,
-        S_E=s_e, S_E_cond=s_cond, I_AB=iab, chi_EA=chi, R=rate,
-        sigma=sigma, sigma_prime=sigma_p, Delta=Delta,
-    )
+        nu1=float(c.nu1), nu2=float(c.nu2), nu3nu4_product=product, nubar1=float(c.nubar1),
+        nubar2=nubar2, S_E=float(c.S) + math.log2(0.25 * np.e * np.e * product),
+        S_E_cond=float(c.S_cond) + math.log2(0.5 * np.e * nubar2), I_AB=iab, chi_EA=chi, R=rate,
+        sigma=float(c.sigma), sigma_prime=float(c.sigma_prime), Delta=float(c.Delta))

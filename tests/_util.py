@@ -1,4 +1,5 @@
-"""Shared random-state generators and scalar, matrix-route or per-value oracles for the tests."""
+"""Shared random-state generators, call counters and scalar, matrix-route or per-value oracles
+for the tests."""
 
 import json
 import math
@@ -80,6 +81,18 @@ def spectrum_from_eig(V):
         raise DegenerateSpectrumError(
             f"expected {n} positive-imaginary eigenvalues, found {pos.size}")
     return np.abs(pos)
+
+
+def count_calls(monkeypatch, calls, targets):
+    """Patch each (module, name) in targets with a wrapper that counts into calls[name]."""
+    for module, name in targets:
+        fn = getattr(module, name)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        calls.setdefault(name, 0)
+        monkeypatch.setattr(module, name, wrapper)
 
 
 def oneway_quantities_circuit(T, omega, mu_a):

@@ -11,6 +11,8 @@ from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, holevo_a
 from twowayqkd.attacks import MAX_GRID_NODES, _grid_half_width
 from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
+from _util import count_calls
+
 
 def run_with_stderr(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -158,18 +160,6 @@ class TestScanCommand:
         assert (payload["R_min"], payload["best_g"], payload["best_g_prime"]) == best
 
 
-def count_calls(monkeypatch, calls, targets):
-    """Patch each (module, name) in targets with a wrapper that counts into calls[name]."""
-    for module, name in targets:
-        fn = getattr(module, name)
-
-        def wrapper(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        calls.setdefault(name, 0)
-        monkeypatch.setattr(module, name, wrapper)
-
-
 class TestThresholdBatching:
     def test_threshold_builds_no_attack_params(self, capsys, monkeypatch):
         calls = {}
@@ -242,6 +232,15 @@ class TestInvalidInput:
         assert "Traceback" not in err
         assert all(word in err for word in named)
         assert "must" in err and "unphysical" not in err
+
+    def test_appendix_checks_every_T_before_any_block(self, monkeypatch):
+        calls = {}
+        count_calls(monkeypatch, calls, [(cli, "_class_variations"),
+                                         (security, "_information_arrays")])
+        code, out, err = run_with_stderr("appendix", "--T", "0.5", "--T", "1.5")
+        assert (code, out) == (1, "")
+        assert "channel transmissivity T must lie in (0, 1), got 1.5" in err
+        assert calls == {"_class_variations": 0, "_information_arrays": 0}
 
     def test_grid_cap_is_inclusive(self, capsys):
         parser = _build_parser()

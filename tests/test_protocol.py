@@ -18,7 +18,7 @@ from twowayqkd import protocol
 from twowayqkd.attacks import _class_correlations, _physical_mask
 from twowayqkd.gaussian import MAX_VARIANCE
 
-from _util import random_physical_attack
+from _util import count_calls, random_physical_attack
 
 
 def random_protocol_params(rng):
@@ -268,7 +268,8 @@ class TestKeyRate:
         for t, a, r in zip(T.tolist(), attacks, lanes.tolist()):
             assert r == keyrate_asymptotic(t, a)
             if a.g == 0.0:
-                # collective reduction, one rounding closer than -h(nu1) - h(nu2) + h(nubar1)
+                # collective lanes: nu1 = nu2 = nubar1 = omega and sigma = sigma' = Delta
+                # exactly, so the entropy term (h + h) - h is h(omega) with no rounding
                 delta = 1.0 + t * t + (1.0 - t * t) * a.omega
                 assert r == float(np.log2(2.0 * t * (1.0 + t) / (np.e * (1.0 - t) * delta))
                                   - entropic_h(a.omega))
@@ -340,19 +341,50 @@ class TestKeyRate:
         assert rep.nu1 == pytest.approx(3.0, rel=1e-12)
         assert rep.nu2 == pytest.approx(1.0, abs=1e-12)
 
+    def test_report_fields_equal_public_functions(self):
+        # the one-pass report, field by field and bit for bit, against each function alone
+        rng = np.random.default_rng(61)
+        attacks = [attack_from_class(c, w) for c in ATTACK_CLASSES for w in (1.0, 1.7, 4.0)]
+        attacks += [random_physical_attack(rng) for _ in range(30)]
+        bits = lambda fields: {k: struct.pack("<d", v) for k, v in fields.items()}
+        for a in attacks:
+            T, mu = float(rng.uniform(0.05, 0.99)), float(10.0 ** rng.uniform(3.0, 9.0))
+            nu1, nu2, product = asymptotic_total_spectrum(T, a, mu)
+            nubar1, nubar2 = conditional_spectrum_asymptotic(T, a, mu)
+            iab, sigma, sigma_p, delta = mutual_information_asymptotic(T, a, mu)
+            alone = dict(nu1=nu1, nu2=nu2, nu3nu4_product=product, nubar1=nubar1, nubar2=nubar2,
+                         S_E=total_entropy_asymptotic(T, a, mu),
+                         S_E_cond=conditional_entropy_asymptotic(T, a, mu), I_AB=iab,
+                         chi_EA=holevo_asymptotic(T, a, mu), R=keyrate_asymptotic(T, a),
+                         sigma=sigma, sigma_prime=sigma_p, Delta=delta)
+            assert bits(keyrate_report(T, a, mu).to_dict()) == bits(alone), (T, a, mu)
+
+    def test_three_entropy_calls_per_evaluation(self, monkeypatch):
+        calls = {}
+        count_calls(monkeypatch, calls, [(protocol, "entropic_h")])
+        keyrate_report(0.65, attack_from_class("sep-sym-", 2.0), mu=1e6)
+        assert calls["entropic_h"] <= 3
+        calls["entropic_h"] = 0
+        # collective and correlated lanes in one kernel call
+        protocol._keyrate_arrays(np.array([0.5, 0.8, 0.9]), 2.0, np.array([0.0, -1.0, 0.5]),
+                                 np.array([0.0, -1.0, -0.5]))
+        assert calls["entropic_h"] <= 3
+
     def test_report_rejects_inconsistent_rate(self, monkeypatch):
         # raised errors, not asserts, so the check survives python -O
+        # the one-pass report takes I_AB and chi_EA from protocol._information
         a = attack_from_class("sep-sym-", 2.0)
-        chi = holevo_asymptotic(0.65, a, 1e6)
-        monkeypatch.setattr(protocol, "holevo_asymptotic", lambda T, a, mu: chi + 1e-6)
+        iab, chi = mutual_information_asymptotic(0.65, a, 1e6)[0], holevo_asymptotic(0.65, a, 1e6)
+        monkeypatch.setattr(protocol, "_information", lambda T, c, mu: (iab, chi + 1e-6))
         with pytest.raises(UnphysicalStateError, match="inconsistent"):
             keyrate_report(0.65, a, mu=1e6)
 
     def test_report_rejects_negative_holevo_bound(self, monkeypatch):
+        # and R from protocol._rate
         a = attack_from_class("sep-sym-", 2.0)
         iab = mutual_information_asymptotic(0.65, a, 1e6)[0]
-        monkeypatch.setattr(protocol, "holevo_asymptotic", lambda T, a, mu: -1.0)
-        monkeypatch.setattr(protocol, "keyrate_asymptotic", lambda T, a: iab + 1.0)
+        monkeypatch.setattr(protocol, "_information", lambda T, c, mu: (iab, -1.0))
+        monkeypatch.setattr(protocol, "_rate", lambda T, c: iab + 1.0)
         with pytest.raises(UnphysicalStateError, match="inconsistent"):
             keyrate_report(0.65, a, mu=1e6)
 
