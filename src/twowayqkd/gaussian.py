@@ -239,19 +239,25 @@ def entropic_h(nu):
     arr = np.asarray(nu, dtype=float)
     if np.any(arr < 1.0 - BONA_FIDE_ATOL):
         raise ValueError(f"symplectic eigenvalue below 1: {arr.min()}")
-    arr = np.maximum(arr, 1.0)
-    # lanes from the switch on (inf among them) take the series, so the log1p
-    # form sees at most the switch; its b = 0 lane divides by 1 and adds 0
-    b = 0.5 * (np.minimum(arr, _NU_SERIES) - 1.0)
-    near = (np.log1p(b) + b * np.log1p(1.0 / np.where(b > 0.0, b, 1.0))) / _LN2
-    u = 1.0 / arr
-    u = u * u
+    out = np.maximum(arr, 1.0, out=np.empty_like(arr))
+    # the log1p form sees only the lanes below the switch, where its b = 0
+    # lane divides by 1 and adds 0; the rest (inf and NaN among them) take
+    # the series.  Each form reads a copy of its lanes and writes them back
+    near = out < _NU_SERIES
+    far = ~near
+    b = 0.5 * (out[near] - 1.0)
+    x = out[far]
+    out[near] = (np.log1p(b) + b * np.log1p(1.0 / np.where(b > 0.0, b, 1.0))) / _LN2
+    u = 1.0 / x
+    u *= u
     series = _SERIES[0] * u + _SERIES[1]
     for c in _SERIES[2:]:
         series *= u
         series += c
     series *= u
-    out = np.where(arr < _NU_SERIES, near, np.log2(arr) + (_LOG2_HALF_E - series))
+    np.log2(x, out=x)
+    x += _LOG2_HALF_E - series
+    out[far] = x
     return float(out) if np.ndim(nu) == 0 else out
 
 

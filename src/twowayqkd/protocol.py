@@ -164,21 +164,25 @@ def conditioning_deviation(p, a):
 # asymptotic spectra, entropies and rates
 # ---------------------------------------------------------------------------
 
-def _clamped_sqrt(radicand, scale):
-    """sqrt of a squared symplectic eigenvalue with a rounding-floor clamp.
+def _clamped_sqrt(radicands, scale):
+    """sqrt of a stack of squared symplectic eigenvalues, with a rounding-floor clamp.
 
-    Physical attacks keep all radicands >= 1, and attacks that pass
-    attacks.is_physical (eigenvalues >= 1 - BONA_FIDE_ATOL) keep them >=
-    (1 - BONA_FIDE_ATOL)^2; floating-point cancellation can leave them a few
-    ulps of scale^2 below.  Values inside that band clamp to 1, anything
-    lower is an unphysical regime.
+    radicands is a float array with one spectrum per row of its first axis;
+    it is clamped and rooted in place.  Physical attacks keep all radicands
+    >= 1, and attacks that pass attacks.is_physical (eigenvalues >= 1 -
+    BONA_FIDE_ATOL) keep them >= (1 - BONA_FIDE_ATOL)^2; floating-point
+    cancellation can leave them a few ulps of scale^2 below.  Values inside
+    that band clamp to 1, anything lower is an unphysical regime, reported
+    with the minimum of the first spectrum that falls below.
     """
-    radicand = np.asarray(radicand, dtype=float)
     floor = (1.0 - gaussian.BONA_FIDE_ATOL) ** 2 - 64.0 * _EPS * scale * scale
-    if np.any(radicand < floor):
+    low = radicands < floor
+    if low.any():
+        first = next(row for row, bad in zip(radicands, low) if bad.any())
         raise UnphysicalStateError(
-            f"squared symplectic eigenvalue {radicand.min()} below 1: unphysical attack regime")
-    return np.sqrt(np.maximum(radicand, 1.0))
+            f"squared symplectic eigenvalue {first.min()} below 1: unphysical attack regime")
+    np.maximum(radicands, 1.0, out=radicands)
+    return np.sqrt(radicands, out=radicands)
 
 
 _TwoWay = namedtuple("_TwoWay", "nu1 nu2 nubar1 sigma sigma_prime Delta S S_cond")
@@ -189,19 +193,21 @@ def _two_way_arrays(T, omega, g, g_prime):
 
     A _TwoWay of the finite spectra nu1, nu2 (total state) and nubar1 (Bob's
     conditional state), sigma, sigma', Delta, and S = h(nu1) + h(nu2) and
-    S_cond = h(nubar1), so that Eve's entropy term is S - S_cond.  At
-    g = g' = 0 the spectra are omega and sigma = sigma' = Delta exactly, so
-    that term is (h + h) - h = h(omega), with no rounding.
+    S_cond = h(nubar1), so that Eve's entropy term is S - S_cond.  The three
+    spectra go through one entropic_h call.  At g = g' = 0 the spectra are
+    omega and sigma = sigma' = Delta exactly, so that term is
+    (h + h) - h = h(omega), with no rounding.
     """
+    omega = np.asarray(omega, dtype=float)  # float radicands even for integer attacks
     st = np.sqrt(T)
     Delta = 1.0 + T * T + (1.0 - T * T) * omega
     r = 2.0 * st / (1.0 + T)
-    nu1 = _clamped_sqrt((omega - g) * (omega - g_prime), omega)
-    nu2 = _clamped_sqrt((omega + g) * (omega + g_prime), omega)
-    nubar1 = _clamped_sqrt((omega + g * r) * (omega + g_prime * r), omega)
-    return _TwoWay(nu1, nu2, nubar1, Delta + 2.0 * g * (1.0 - T) * st,
-                   Delta + 2.0 * g_prime * (1.0 - T) * st, Delta,
-                   entropic_h(nu1) + entropic_h(nu2), entropic_h(nubar1))
+    nu = _clamped_sqrt(np.stack(np.broadcast_arrays(
+        (omega - g) * (omega - g_prime), (omega + g) * (omega + g_prime),
+        (omega + g * r) * (omega + g_prime * r))), omega)
+    h = entropic_h(nu)
+    return _TwoWay(nu[0], nu[1], nu[2], Delta + 2.0 * g * (1.0 - T) * st,
+                   Delta + 2.0 * g_prime * (1.0 - T) * st, Delta, h[0] + h[1], h[2])
 
 
 def _rate(T, c):
@@ -216,9 +222,6 @@ def _information(T, c, mu):
     I_AB = (1/2) log2(T^2 mu^2 / (sigma sigma')) and
     chi_EA = S - S_cond + log2((e/2) (1-T)/(1+T) mu).
     """
-    if np.any(c.sigma <= 0.0) or np.any(c.sigma_prime <= 0.0):
-        raise UnphysicalStateError(f"conditional variances sigma={np.min(c.sigma)}, "
-                                   f"sigma'={np.min(c.sigma_prime)} not positive")
     return (0.5 * np.log2(T * T * mu * mu / (c.sigma * c.sigma_prime)),
             c.S - c.S_cond + np.log2(0.5 * np.e * (1.0 - T) / (1.0 + T) * mu))
 
@@ -244,11 +247,20 @@ def _check_regime(T, mu=None):
 
 
 def _two_way_at(T, a, mu=None):
-    """The closed form at one attack, after checking T, mu and the type of a."""
+    """The closed form at one attack, after checking T, mu and the type of a.
+
+    Raises UnphysicalStateError where a spectrum is unphysical, or else where
+    sigma or sigma' is not positive.  The broadcasting kernels need no such
+    check: sigma > 0 wherever |g| < omega.
+    """
     _check_regime(T, mu)
     if not isinstance(a, AttackParams):
         raise TypeError(f"expected AttackParams, got {type(a).__name__}")
-    return _two_way_arrays(T, a.omega, a.g, a.g_prime)
+    c = _two_way_arrays(T, a.omega, a.g, a.g_prime)
+    if not (c.sigma > 0.0 and c.sigma_prime > 0.0):
+        raise UnphysicalStateError(f"conditional variances sigma={c.sigma}, "
+                                   f"sigma'={c.sigma_prime} not positive")
+    return c
 
 
 def asymptotic_total_spectrum(T, a, mu):

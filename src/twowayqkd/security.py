@@ -259,9 +259,16 @@ def scan_grid(T, omega, resolution):
 
 
 def _grid_minimizer(T, omega, resolution, rows):
-    """ScanResult of the lowest-rate row of scan_grid output; ties go to the smallest g, then g'."""
+    """ScanResult of the lowest-rate row of (g, g', R) rows; ties go to the smallest g, then g'.
+
+    The rows must be in row-major order (g varying slowest, then g'), as
+    physical_region_grid returns them, so that the first minimum is the
+    tie-break winner.  A NaN rate raises rather than wins.
+    """
     g, gp, rates = rows.T
-    best = np.lexsort((gp, g, rates))[0]
+    best = np.argmin(rates)
+    if np.isnan(rates[best]):
+        raise ValueError(f"key rate is NaN at (g, g') = ({g[best]}, {gp[best]})")
     return ScanResult(T=float(T), omega=float(omega),
                       best_g=float(g[best]), best_g_prime=float(gp[best]),
                       R_min=float(rates[best]), grid_resolution=float(resolution))
@@ -270,9 +277,18 @@ def _grid_minimizer(T, omega, resolution, rows):
 def optimal_attack_scan(T, omega, resolution):
     """Grid minimizer of the asymptotic key rate over the physical region.
 
-    Ties are broken towards the smallest g, then the smallest g'.
+    Ties are broken towards the smallest g, then the smallest g'.  The rate
+    and the region are symmetric under swapping g and g', bit for bit, so
+    the set of minimizers is too, and its first element in that order has
+    g <= g'.  So only the nodes with g <= g' are evaluated; the result is
+    the one a scan of the whole grid gives.
     """
-    return _grid_minimizer(T, omega, resolution, scan_grid(T, omega, resolution))
+    _check_regime(T)
+    grid = physical_region_grid(omega, resolution)
+    half = grid[grid[:, 0] <= grid[:, 1]]
+    g, gp = half.T
+    return _grid_minimizer(T, omega, resolution,
+                           np.column_stack((half, _keyrate_arrays(T, omega, g, gp))))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +312,8 @@ def _oneway_arrays(T, omega, mu_a):
     nu_minus = root_det / nu_plus
     # heterodyne read-out of both quadratures, one vacuum unit added
     i_ab = np.log2((b + 1.0) / (b_cond + 1.0))
-    chi = entropic_h(nu_plus) + entropic_h(nu_minus) - entropic_h(b_cond)
-    return i_ab, chi
+    h = entropic_h(np.stack(np.broadcast_arrays(nu_plus, nu_minus, b_cond)))
+    return i_ab, h[0] + h[1] - h[2]
 
 
 def _oneway_quantities(T, omega, mu_a):

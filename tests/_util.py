@@ -117,6 +117,17 @@ def oneway_quantities_circuit(T, omega, mu_a):
     return i_ab, chi
 
 
+def lexsort_minimizer(rows):
+    """(g, g', R) of the lowest-rate row of (g, g', R) rows, ties to the smallest g, then g'.
+
+    Oracle for security._grid_minimizer and the half-grid optimal_attack_scan:
+    a full sort of the whole grid, in any row order.
+    """
+    g, gp, rates = rows.T
+    best = np.lexsort((gp, g, rates))[0]
+    return float(g[best]), float(gp[best]), float(rates[best])
+
+
 def bisect_threshold(rate):
     """Zero of a scalar rate function of omega on [1, inf), by doubling plus bisection.
 

@@ -126,6 +126,22 @@ class TestEntropicH:
         # no inf - inf or 0 * inf on the way (RuntimeWarnings are errors here)
         assert entropic_h(np.inf) == np.inf
 
+    @pytest.mark.parametrize("case", ["near", "far", "mixed", "inf"])
+    def test_stack_equals_rows_and_points(self, case):
+        # each form runs on its own lanes only; a (3, n) stack, its rows and
+        # the 0-d calls give the same bits
+        rng = np.random.default_rng(5)
+        near = 1.0 + rng.uniform(0.0, 0.5, (3, 40))
+        near[0, 0], near[1, 0] = 1.0, np.nextafter(_NU_SERIES, 0.0)
+        far = _NU_SERIES * np.geomspace(1.0, 1e8, 120).reshape(3, 40)
+        stack = {"near": near, "far": far,
+                 "mixed": np.where(rng.random((3, 40)) < 0.5, near, far),
+                 "inf": np.where(rng.random((3, 40)) < 0.2, np.inf, far)}[case]
+        out = entropic_h(stack)
+        assert out.shape == stack.shape
+        assert out.tobytes() == np.stack([entropic_h(row) for row in stack]).tobytes()
+        assert out.tolist() == [[entropic_h(float(x)) for x in row] for row in stack]
+
     def test_never_steps_down_across_the_switch(self):
         # 10^4 adjacent floats on each side of the switch from the log1p form to the series
         nus = _NU_SERIES + np.arange(-10 ** 4, 10 ** 4 + 1) * np.spacing(_NU_SERIES)

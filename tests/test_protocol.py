@@ -14,8 +14,8 @@ from twowayqkd import (ATTACK_CLASSES, AttackParams, ProtocolParams, UnphysicalS
                        mutual_information_asymptotic, partial_trace, symplectic_spectrum,
                        total_cm, total_cm_circuit, total_entropy_asymptotic,
                        von_neumann_entropy)
-from twowayqkd import protocol
-from twowayqkd.attacks import _class_correlations, _physical_mask
+from twowayqkd import protocol, security
+from twowayqkd.attacks import _class_correlations, _physical_mask, physical_region_grid
 from twowayqkd.gaussian import MAX_VARIANCE
 
 from _util import count_calls, random_physical_attack
@@ -192,6 +192,28 @@ class TestAsymptoticSpectra:
         with pytest.raises(UnphysicalStateError):
             asymptotic_total_spectrum(0.5, AttackParams(2.0, 1.9, 1.9), 1e6)
 
+    @pytest.mark.parametrize("g, g_prime, message", [
+        # nu2's radicand, the first that fails; nubar1's (-60.9) fails too
+        (5.0, -15.0, "-75.0"),
+        # nu1's minimum, although lane 2 has nu2 at -75.0
+        ([9.95, -15.0], [9.99, 5.0], "0.0004999999999999964"),
+        ([0.0, -15.0], [0.0, 5.0], "-75.0"),
+    ])
+    def test_unphysical_radicand_message(self, g, g_prime, message):
+        # the stacked spectra still name the minimum of the first spectrum that fails
+        with pytest.raises(UnphysicalStateError) as err:
+            protocol._keyrate_arrays(0.5, 10.0, np.asarray(g), np.asarray(g_prime))
+        assert str(err.value) == (f"squared symplectic eigenvalue {message} below 1: "
+                                  "unphysical attack regime")
+
+    def test_clamped_sqrt_is_in_place_and_reports_the_first_failing_row(self):
+        stack = np.array([[4.0, 1.0 - 1e-12], [9.0, 0.25], [16.0, -50.0]])
+        with pytest.raises(UnphysicalStateError, match="eigenvalue 0.25 below 1"):
+            protocol._clamped_sqrt(stack, 1.0)
+        stack = np.array([[4.0, 1.0 - 1e-12], [9.0, 25.0]])
+        assert protocol._clamped_sqrt(stack, 1.0) is stack
+        assert stack.tolist() == [[2.0, 1.0], [3.0, 5.0]]
+
 
 class TestInformationQuantities:
     def test_holevo_pure_loss(self):
@@ -246,6 +268,17 @@ class TestInformationQuantities:
             with pytest.raises(UnphysicalStateError, match="sigma=.* not positive"):
                 fn(0.5, a, 1e6)
 
+    def test_every_scalar_function_rejects_nonpositive_sigma(self):
+        # the spectra are physical here (40, 20 and 18.28...), only sigma and sigma' are not
+        a = AttackParams(10, -30, -30)
+        for fn in (asymptotic_total_spectrum, total_entropy_asymptotic,
+                   conditional_spectrum_asymptotic, conditional_entropy_asymptotic,
+                   holevo_asymptotic, mutual_information_asymptotic):
+            with pytest.raises(UnphysicalStateError, match="sigma=.* not positive"):
+                fn(0.5, a, 1e6)
+        with pytest.raises(UnphysicalStateError, match="sigma=-12.46.* not positive"):
+            keyrate_asymptotic(0.5, a)
+
     def test_mutual_information_decreases_with_noise(self):
         vals = [mutual_information_asymptotic(0.65, attack_from_class("sep-sym-", w), 1e6)[0]
                 for w in (1.0, 1.5, 2.0, 3.0, 5.0)]
@@ -283,6 +316,15 @@ class TestKeyRate:
         assume(_physical_mask(omega, g, gp))
         bits = lambda a, b: struct.pack("<d", protocol._keyrate_arrays(T, omega, a, b))
         assert bits(g, gp) == bits(gp, g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(T=st.floats(0.01, 0.999), omega=st.floats(1.0, 8.0), nodes=st.integers(1, 40))
+    @example(T=0.5, omega=1.0, nodes=1)
+    def test_grid_rates_symmetric_in_the_correlations(self, T, omega, nodes):
+        # bit for bit on whole grids, as optimal_attack_scan's half grid relies on
+        g, gp = physical_region_grid(omega, omega / nodes).T
+        assert (protocol._keyrate_arrays(T, omega, g, gp).tobytes()
+                == protocol._keyrate_arrays(T, omega, gp, g).tobytes())
 
     @settings(max_examples=300, deadline=None)
     @given(label=st.sampled_from(["collective", "sep-sym+", "sep-sym-", "sep-anti+",
@@ -359,16 +401,19 @@ class TestKeyRate:
                          sigma=sigma, sigma_prime=sigma_p, Delta=delta)
             assert bits(keyrate_report(T, a, mu).to_dict()) == bits(alone), (T, a, mu)
 
-    def test_three_entropy_calls_per_evaluation(self, monkeypatch):
+    def test_one_entropy_call_per_evaluation(self, monkeypatch):
         calls = {}
-        count_calls(monkeypatch, calls, [(protocol, "entropic_h")])
+        count_calls(monkeypatch, calls, [(protocol, "entropic_h"), (security, "entropic_h")])
         keyrate_report(0.65, attack_from_class("sep-sym-", 2.0), mu=1e6)
-        assert calls["entropic_h"] <= 3
+        assert calls["entropic_h"] == 1
         calls["entropic_h"] = 0
         # collective and correlated lanes in one kernel call
         protocol._keyrate_arrays(np.array([0.5, 0.8, 0.9]), 2.0, np.array([0.0, -1.0, 0.5]),
                                  np.array([0.0, -1.0, -0.5]))
-        assert calls["entropic_h"] <= 3
+        assert calls["entropic_h"] == 1
+        calls["entropic_h"] = 0
+        security._oneway_arrays(np.array([0.5, 0.9]), np.array([1.0, 3.0]), security.ONEWAY_MU_A)
+        assert calls["entropic_h"] == 1
 
     def test_report_rejects_inconsistent_rate(self, monkeypatch):
         # raised errors, not asserts, so the check survives python -O

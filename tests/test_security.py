@@ -1,5 +1,7 @@
 import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +13,16 @@ from twowayqkd import (ATTACK_CLASSES, AttackParams, DivergentThresholdError, Mo
                        keyrate_asymptotic, mutual_information_asymptotic, omega_from_excess,
                        oneway_keyrate, oneway_report, oneway_threshold_curve,
                        oneway_threshold_omega, optimal_attack_scan, physical_region_grid,
-                       relative_variations, scan_grid, threshold_curve, threshold_omega)
+                       relative_variations, scan_grid, security, threshold_curve,
+                       threshold_omega)
 from twowayqkd._serialize import Table, csv_table, json_text
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
 from twowayqkd.security import (INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE, OK, ONEWAY_MU_A,
-                                _bisect_lanes, _oneway_arrays, _oneway_quantities)
+                                _bisect_lanes, _grid_minimizer, _oneway_arrays,
+                                _oneway_quantities)
 
 from _hiprec import mp_oneway_rate, with_dps
-from _util import bisect_threshold, oneway_quantities_circuit
+from _util import bisect_threshold, lexsort_minimizer, oneway_quantities_circuit
 
 
 class TestExcessNoise:
@@ -249,6 +253,59 @@ class TestOptimalAttackScan:
     def test_full_grid_matches_region(self):
         rows = scan_grid(0.7, 1.5, 0.25)
         assert len(rows) == len(physical_region_grid(1.5, 0.25))
+
+    def test_half_grid_equals_full_grid_lexsort(self):
+        # random (T, omega, step) grids, omega = 1 among them; every grid ties each
+        # node (g, g') with (g', g), and the rate takes the same bits on both
+        rng = np.random.default_rng(67)
+        cases = [(float(rng.uniform(0.02, 0.99)), w, w / float(rng.uniform(1.0, 25.0)))
+                 for w in [1.0] * 10 + rng.uniform(1.0, 6.0, 180).tolist()]
+        cases += [(T, w, 0.1) for T in (0.5, 0.65, 0.8, 0.95) for w in (1.0, 1.5, 2.0, 3.0, 1.05)]
+        for T, w, step in cases:
+            result = optimal_attack_scan(T, w, step)
+            got = (result.best_g, result.best_g_prime, result.R_min)
+            assert struct.pack("<3d", *got) == struct.pack(
+                "<3d", *lexsort_minimizer(scan_grid(T, w, step))), (T, w, step)
+            assert result.best_g <= result.best_g_prime
+
+    def test_minimizer_breaks_ties_in_row_order(self):
+        # equal rates: the first row in row-major order wins, as with the full sort
+        g, gp = physical_region_grid(2.0, 0.5).T
+        for rates in (np.zeros_like(g), np.where(np.abs(g) + np.abs(gp) > 1.0, -1.0, 0.0),
+                      np.round(np.cos(3.0 * g) * np.cos(3.0 * gp), 1)):
+            rows = np.column_stack((g, gp, rates))
+            result = _grid_minimizer(0.5, 2.0, 0.5, rows)
+            assert (result.best_g, result.best_g_prime, result.R_min) == lexsort_minimizer(rows)
+
+    def test_minimizer_rejects_nan_rate(self):
+        rows = np.array([[-0.5, 0.0, 1.0], [0.0, 0.0, math.nan], [0.5, 0.0, -1.0]])
+        with pytest.raises(ValueError, match="NaN"):
+            _grid_minimizer(0.5, 2.0, 0.5, rows)
+
+    def test_rate_kernel_sees_half_the_grid(self, monkeypatch):
+        lanes = []
+        kernel = security._keyrate_arrays
+
+        def counted(T, omega, g, g_prime):
+            lanes.append(np.broadcast(g, g_prime).size)
+            return kernel(T, omega, g, g_prime)
+
+        monkeypatch.setattr(security, "_keyrate_arrays", counted)
+        for w, step in ((1.0, 0.1), (1.5, 0.05), (3.0, 0.1)):
+            g, gp = physical_region_grid(w, step).T
+            optimal_attack_scan(0.8, w, step)
+            assert lanes and sum(lanes) <= (g.size + np.count_nonzero(g == gp)) // 2, (w, step)
+            lanes.clear()
+
+    def test_memory_peak(self):
+        # 32.5 MB before the half grid and the single entropy call, 25.3 MB after
+        tracemalloc.start()
+        try:
+            optimal_attack_scan(0.8, 3.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_serialization(self):
         result = optimal_attack_scan(0.7, 1.5, 0.5)
