@@ -268,7 +268,7 @@ def _cmd_appendix(parser, args):
     header += [f"chi_EA_{c}" for c in _APPENDIX_CLASSES]
     header += ["dI_AB", "dchi_EA"]
     for T in args.T:  # every T before the first block is evaluated
-        _check_regime(T)
+        _check_regime(T, mu)
     blocks = []
     for T in args.T:
         _, i_ab, chi, d_i, d_chi = _class_variations(T, mu, omegas, _APPENDIX_CLASSES)

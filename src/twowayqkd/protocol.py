@@ -28,6 +28,7 @@ from .errors import UnphysicalStateError
 from .gaussian import entropic_h
 
 _EPS = np.finfo(float).eps
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # T and T*mu below it: T^2 mu^2 underflows
 
 
 @dataclass(frozen=True)
@@ -237,13 +238,17 @@ def _information_arrays(T, omega, g, g_prime, mu):
 
 
 def _check_regime(T, mu=None):
-    """Reject T outside (0, 1) and a modulation variance outside (0, MAX_VARIANCE]."""
+    """Reject T outside (0, 1), a modulation variance outside (0, MAX_VARIANCE], and a
+    (T, mu) pair whose T^2 mu^2 (in I_AB) leaves the normal doubles."""
     if not 0.0 < T < 1.0:
         raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
     if mu is not None and not 0.0 < mu < math.inf:
         raise ValueError(f"modulation variance mu must be positive and finite, got {mu}")
     if mu is not None and mu > gaussian.MAX_VARIANCE:
         raise ValueError(f"modulation variance mu must be <= {gaussian.MAX_VARIANCE:g}, got {mu}")
+    if mu is not None and not min(T, T * mu) >= _SQRT_TINY:
+        raise ValueError(f"T and T*mu must both be at least {_SQRT_TINY:.3g}, or T^2 mu^2 "
+                         f"underflows; got T={T}, mu={mu}")
 
 
 def _two_way_at(T, a, mu=None):

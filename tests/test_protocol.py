@@ -279,6 +279,21 @@ class TestInformationQuantities:
         with pytest.raises(UnphysicalStateError, match="sigma=-12.46.* not positive"):
             keyrate_asymptotic(0.5, a)
 
+    @pytest.mark.parametrize("T, mu", [(1e-300, 1e6), (0.5, 1e-300), (1e-155, 1e9),
+                                       (0.5, 2.9e-154)])
+    def test_rejects_underflowing_T_mu(self, T, mu):
+        # T^2 mu^2 in I_AB leaves the normal doubles: it read -inf, or lost digits
+        a = AttackParams(1.0, 0.0, 0.0)
+        for fn in (mutual_information_asymptotic, holevo_asymptotic, keyrate_report):
+            with pytest.raises(ValueError, match="T and T\\*mu must both be at least 1.49e-154"):
+                fn(T, a, mu)
+
+    def test_smallest_accepted_T_mu_is_exact(self):
+        # T = T*mu = sqrt(tiny): T^2 mu^2 = tiny, still normal, so I_AB = log2(T mu) - 1
+        T = protocol._SQRT_TINY
+        iab = mutual_information_asymptotic(T, AttackParams(1.0, 0.0, 0.0), 1.0)[0]
+        assert iab == pytest.approx(math.log2(T) - 1.0, rel=1e-15)
+
     def test_mutual_information_decreases_with_noise(self):
         vals = [mutual_information_asymptotic(0.65, attack_from_class("sep-sym-", w), 1e6)[0]
                 for w in (1.0, 1.5, 2.0, 3.0, 5.0)]

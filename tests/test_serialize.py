@@ -2,16 +2,18 @@ import contextlib
 import io
 import json
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, attack_from_class, holevo_asymptotic, keyrate_report,
                        mutual_information_asymptotic, oneway_report, oneway_threshold_curve,
                        optimal_attack_scan, relative_variations, scan_grid, threshold_curve)
+from twowayqkd import _serialize
 from twowayqkd._serialize import Table
 from twowayqkd._serialize import csv_table as column_csv
 from twowayqkd._serialize import json_text as column_json
@@ -139,3 +141,75 @@ class TestRoundTrip:
             assert list(row) == ["x", "flag"]
             assert row["x"] is None if not math.isfinite(x) else bits(row["x"]) == bits(x)
             assert row["flag"] is flag
+
+
+def float_from_bits(pattern):
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+# both zeros, NaNs of four payloads, both infinities, subnormals and the smallest normal
+SPECIAL = [0.0, -0.0, math.nan, float_from_bits(0xFFF8000000000000),
+           float_from_bits(0x7FF8000000000001), float_from_bits(0x7FF0000000000001), math.inf,
+           -math.inf, 5e-324, -5e-324, 1.5e-310, 2.2250738585072014e-308]
+HEADERS = st.text(st.sampled_from('a%"\\{}, é∞ '), max_size=5) | st.text(max_size=5)
+LABELS = ["sep-sym-", "one-way", 'q"uote', "per%cent", "ünïcode", ""]
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): repeat-heavy float columns drawn from a small pool, bools, labels."""
+    n = draw(st.integers(0, 30))
+    header = draw(st.lists(HEADERS, min_size=1, max_size=4, unique=True))
+    pool = draw(st.lists(floats, min_size=1, max_size=3)) + SPECIAL
+    cells = {"f": st.sampled_from(pool), "b": st.booleans(), "s": st.sampled_from(LABELS)}
+    columns = [draw(st.lists(cells[draw(st.sampled_from("ffbs"))], min_size=n, max_size=n))
+               for _ in header]
+    return header, columns
+
+
+class TestColumnEmitter:
+    """The column emitter prints the bytes of the per-value oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    @example((["x", "y"], [[0.0, -0.0, -0.0, 0.0, *SPECIAL[2:6], 0.0], [-0.0] * 9]))
+    @example((['%s "\\{', "ñ"], [[], []]))
+    def test_bytes_equal_per_value_oracle(self, drawn):
+        header, columns = drawn
+        table = Table(tuple(header), tuple(np.asarray(c) for c in columns))
+        rows = list(zip(*columns))
+        assert column_csv(table) == csv_table(header, rows)
+        assert column_json(table) == json_text([dict(zip(header, row)) for row in rows])
+
+    def test_strided_columns_match_contiguous(self):
+        rows = np.array([[0.5, -0.0, math.inf], [0.5, 0.0, math.nan], [1e-320, -0.0, 0.5]])
+        header = ("g", "g_prime", "R")
+        assert column_json(Table(header, tuple(rows.T))) == json_text(
+            [dict(zip(header, row)) for row in rows.tolist()])
+
+    @pytest.mark.parametrize("columns", [([1.0, 2.0], [3.0]), ([1.0], [], [2.0])])
+    def test_unequal_column_lengths_raise(self, columns):
+        table = Table(("a", "b", "c")[:len(columns)], columns)
+        lengths = str([len(c) for c in columns])
+        for emit in (column_csv, column_json):
+            with pytest.raises(ValueError, match=re.escape(lengths)):
+                emit(table)
+
+    def test_header_and_column_counts_must_agree(self):
+        with pytest.raises(ValueError, match="2 header entries"):
+            column_csv(Table(("a", "b"), ([1.0],)))
+
+    def test_full_grid_export_formats_each_distinct_float_once(self, monkeypatch):
+        # the step-0.02 grid at (0.8, 3) holds 283 distinct g, 283 distinct g' and 33,714
+        # distinct R in 67,227 rows; the summary record adds its six fields
+        formatted = []
+        fmt = _serialize._format_floats
+        monkeypatch.setattr(_serialize, "_format_floats",
+                            lambda values: formatted.append(len(values)) or fmt(values))
+        text = cli_text("scan", "--T", "0.8", "--omega", "3", "--step", "0.02", "--full-grid",
+                        "--format", "json")
+        rows = scan_grid(0.8, 3.0, 0.02)
+        distinct = [len(np.unique(c.view(np.int64))) for c in rows.T]
+        assert (len(rows), distinct) == (67227, [283, 283, 33714])
+        summary = len(json.loads(text)) - 1
+        assert sum(formatted) <= sum(distinct) + summary == 34280 + 6
