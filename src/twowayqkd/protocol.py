@@ -28,7 +28,7 @@ from .errors import UnphysicalStateError
 from .gaussian import entropic_h
 
 _EPS = np.finfo(float).eps
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # T and T*mu below it: T^2 mu^2 underflows
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # T, T*mu or (1-T)*mu below it: a square underflows
 
 
 @dataclass(frozen=True)
@@ -232,6 +232,30 @@ def _keyrate_arrays(T, omega, g, g_prime):
     return _rate(T, _two_way_arrays(T, omega, g, g_prime))
 
 
+def _rate_lower_bound(T, omega, g_lo, g_hi, gp_lo, gp_hi):
+    """Lower bound of _keyrate_arrays over the boxes [g_lo, g_hi] x [gp_lo, gp_hi] of
+    attacks with |g|, |g'| <= omega, broadcast over all six arguments.
+
+    There every term of the rate is monotone in g and in g': sigma, sigma',
+    nu2 and nubar1 rise (r > 0), nu1 falls, and entropic_h never steps down.
+    So the rate with sigma, sigma' and nu2 at the upper corner and nu1 and
+    nubar1 at the lower one is at most the rate anywhere in the box.  The
+    radicands are floored at 1, as the kernel floors them, so an unphysical
+    corner bounds the physical attacks of its box all the same.
+    """
+    omega = np.asarray(omega, dtype=float)
+    st = np.sqrt(T)
+    Delta = 1.0 + T * T + (1.0 - T * T) * omega
+    r = 2.0 * st / (1.0 + T)
+    nu = np.stack(np.broadcast_arrays(
+        (omega - g_lo) * (omega - gp_lo), (omega + g_hi) * (omega + gp_hi),
+        (omega + g_lo * r) * (omega + gp_lo * r)))
+    nu = np.sqrt(np.maximum(nu, 1.0, out=nu), out=nu)
+    h = entropic_h(nu)
+    return _rate(T, _TwoWay(nu[0], nu[1], nu[2], Delta + 2.0 * g_hi * (1.0 - T) * st,
+                            Delta + 2.0 * gp_hi * (1.0 - T) * st, Delta, h[0] + h[1], h[2]))
+
+
 def _information_arrays(T, omega, g, g_prime, mu):
     """(I_AB, chi_EA) in bits, broadcast over all five arguments."""
     return _information(T, _two_way_arrays(T, omega, g, g_prime), mu)
@@ -239,7 +263,8 @@ def _information_arrays(T, omega, g, g_prime, mu):
 
 def _check_regime(T, mu=None):
     """Reject T outside (0, 1), a modulation variance outside (0, MAX_VARIANCE], and a
-    (T, mu) pair whose T^2 mu^2 (in I_AB) leaves the normal doubles."""
+    (T, mu) pair whose T^2 mu^2 (in I_AB) or (1-T)^2 mu^2 (in S_E) leaves the
+    normal doubles."""
     if not 0.0 < T < 1.0:
         raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
     if mu is not None and not 0.0 < mu < math.inf:
@@ -248,6 +273,9 @@ def _check_regime(T, mu=None):
         raise ValueError(f"modulation variance mu must be <= {gaussian.MAX_VARIANCE:g}, got {mu}")
     if mu is not None and not min(T, T * mu) >= _SQRT_TINY:
         raise ValueError(f"T and T*mu must both be at least {_SQRT_TINY:.3g}, or T^2 mu^2 "
+                         f"underflows; got T={T}, mu={mu}")
+    if mu is not None and not (1.0 - T) * mu >= _SQRT_TINY:
+        raise ValueError(f"(1-T)*mu must be at least {_SQRT_TINY:.3g}, or (1-T)^2 mu^2 "
                          f"underflows; got T={T}, mu={mu}")
 
 

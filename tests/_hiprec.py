@@ -120,19 +120,34 @@ def mp_entropic_h(nu):
     return a * mp.log(a, 2) - (b * mp.log(b, 2) if b > 0 else 0)
 
 
-def mp_oneway_rate(T, omega, mu_a):
-    """One-way baseline rate I_AB - chi_EA from the A-B covariance matrix in mp numbers.
-
-    Builds V_AB = [[a I, c Z], [c Z, b I]] with b = T a + (1-T) omega and
-    c = sqrt(T (a^2 - 1)), takes its symplectic spectrum with
-    mp_symplectic_spectrum and conditions on Alice's heterodyne by the Schur
-    complement b - c^2/(a+1).
-    """
-    T, w, a = map(_mpf, (T, omega, mu_a))
+def _mp_oneway_state(T, w, a):
+    """(V_AB, b, b_cond) of the one-way baseline from mp numbers: V_AB = [[a I, c Z], [c Z, b I]]
+    with b = T a + (1-T) w and c = sqrt(T (a^2 - 1)), and Alice's heterodyne as the Schur
+    complement b_cond = b - c^2/(a+1)."""
     b = T * a + (1 - T) * w
     c = mp.sqrt(T * (a * a - 1))
     V = mp.matrix([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
-    b_cond = b - c * c / (a + 1)
+    return V, b, b - c * c / (a + 1)
+
+
+def mp_oneway_information(T, omega, mu_a):
+    """One-way I_AB = log2((b+1)/(b_cond+1)) at the exact binary values of the arguments.
+
+    b - b_cond = T (mu_a - 1), so the ratio lies within about T mu_a of 1:
+    at T = 1e-300 the caller needs some 330 digits of precision.
+    """
+    _, b, b_cond = _mp_oneway_state(*(mp.mpf(float(x)) for x in (T, omega, mu_a)))
+    return mp.log((b + 1) / (b_cond + 1), 2)
+
+
+def mp_oneway_rate(T, omega, mu_a):
+    """One-way baseline rate I_AB - chi_EA from the A-B covariance matrix in mp numbers.
+
+    Takes the symplectic spectrum of V_AB (see _mp_oneway_state) with
+    mp_symplectic_spectrum and conditions on Alice's heterodyne by the Schur
+    complement.
+    """
+    V, b, b_cond = _mp_oneway_state(*map(_mpf, (T, omega, mu_a)))
     i_ab = mp.log((b + 1) / (b_cond + 1), 2)
     chi = sum(mp_entropic_h(nu) for nu in mp_symplectic_spectrum(V)) - mp_entropic_h(b_cond)
     return i_ab - chi

@@ -223,6 +223,8 @@ class TestInvalidInput:
         (("keyrate", "--T", "0.5", "--omega", "1", "--attack", "collective", "--mu", "1e-300"),
          ("T*mu", "mu=1e-300", "1.49e-154")),
         (("appendix", "--T", "0.5", "--T", "1e-300"), ("T*mu", "T=1e-300", "1.49e-154")),
+        (("keyrate", "--T", "0.999999999", "--omega", "1", "--attack", "collective",
+          "--mu", "1.6e-154"), ("(1-T)*mu", "mu=1.6e-154", "1.49e-154")),
     ], ids=["scan-omega-inf", "scan-T-above-one", "scan-T-nan", "scan-T-zero",
             "scan-step-inf", "keyrate-omega-inf", "oneway-omega-inf", "oneway-omega-nan",
             "oneway-mu-inf", "keyrate-mu-inf", "appendix-mu-inf", "appendix-omega-max-inf",
@@ -230,7 +232,8 @@ class TestInvalidInput:
             "oneway-mu-negative", "oneway-mu-nan", "oneway-mu-over-bound",
             "appendix-mu-over-bound", "scan-omega-over-bound", "oneway-mu-far-over-bound",
             "keyrate-mu-over-bound", "keyrate-omega-over-bound", "appendix-omega-over-bound",
-            "keyrate-T-mu-underflow", "keyrate-mu-underflow", "appendix-T-mu-underflow"])
+            "keyrate-T-mu-underflow", "keyrate-mu-underflow", "appendix-T-mu-underflow",
+            "keyrate-one-minus-T-mu-underflow"])
     def test_rejected_with_message(self, argv, named):
         code, out, err = run_with_stderr(*argv)
         assert code == 1

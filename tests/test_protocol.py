@@ -288,6 +288,19 @@ class TestInformationQuantities:
             with pytest.raises(ValueError, match="T and T\\*mu must both be at least 1.49e-154"):
                 fn(T, a, mu)
 
+    def test_rejects_underflowing_one_minus_T_mu(self):
+        # (1-T)^2 mu^2 in S_E underflowed to 0: total_entropy_asymptotic raised a bare
+        # "math domain error" and keyrate_report an inconsistent-report verdict
+        a = AttackParams(1.0, 0.0, 0.0)
+        for fn in (total_entropy_asymptotic, asymptotic_total_spectrum, holevo_asymptotic,
+                   keyrate_report):
+            with pytest.raises(ValueError, match="\\(1-T\\)\\*mu must be at least 1.49e-154"):
+                fn(0.999999999, a, 1.6e-154)
+        # (1-T) mu = sqrt(tiny) exactly: the square is still normal
+        mu = 2.0 * protocol._SQRT_TINY
+        assert math.isfinite(total_entropy_asymptotic(0.5, a, mu))
+        assert asymptotic_total_spectrum(0.5, a, mu)[2] == protocol._SQRT_TINY ** 2 > 0.0
+
     def test_smallest_accepted_T_mu_is_exact(self):
         # T = T*mu = sqrt(tiny): T^2 mu^2 = tiny, still normal, so I_AB = log2(T mu) - 1
         T = protocol._SQRT_TINY

@@ -3,9 +3,10 @@ import math
 import struct
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, AttackParams, DivergentThresholdError, MonotonicityError,
@@ -16,12 +17,14 @@ from twowayqkd import (ATTACK_CLASSES, AttackParams, DivergentThresholdError, Mo
                        relative_variations, scan_grid, security, threshold_curve,
                        threshold_omega)
 from twowayqkd._serialize import Table, csv_table, json_text
+from twowayqkd.attacks import _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
+from twowayqkd.protocol import _keyrate_arrays, _rate_lower_bound
 from twowayqkd.security import (INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE, OK, ONEWAY_MU_A,
-                                _bisect_lanes, _grid_minimizer, _oneway_arrays,
+                                SCAN_BLOCK, _bisect_lanes, _grid_minimizer, _oneway_arrays,
                                 _oneway_quantities)
 
-from _hiprec import mp_oneway_rate, with_dps
+from _hiprec import mp_oneway_information, mp_oneway_rate, with_dps
 from _util import bisect_threshold, lexsort_minimizer, oneway_quantities_circuit
 
 
@@ -268,6 +271,68 @@ class TestOptimalAttackScan:
                 "<3d", *lexsort_minimizer(scan_grid(T, w, step))), (T, w, step)
             assert result.best_g <= result.best_g_prime
 
+    def test_pruned_scan_equals_full_grid_lexsort_on_fine_grids(self):
+        # the criterion-5 points at step 0.01 (up to 38 blocks a half axis), and random
+        # grids of 150 to 300 steps a half axis, omega just above 1 among them
+        cases = [(T, w, 0.01) for T in (0.5, 0.65, 0.8, 0.95) for w in (1.5, 2.0, 3.0)]
+        rng = np.random.default_rng(14)
+        for w in rng.uniform(1.0, 6.0, 4).tolist() + [1.0 + 1e-3, 1.0 + 1e-7]:
+            cases.append((float(rng.uniform(0.02, 0.99)), w, w / float(rng.uniform(150.0, 300.0))))
+        for T, w, step in cases:
+            result = optimal_attack_scan(T, w, step)
+            got = (result.best_g, result.best_g_prime, result.R_min)
+            assert struct.pack("<3d", *got) == struct.pack(
+                "<3d", *lexsort_minimizer(scan_grid(T, w, step))), (T, w, step)
+
+    @settings(max_examples=300, deadline=None)
+    @given(T=st.floats(1e-9, 1.0 - 1e-9), omega=st.floats(1.0, 30.0),
+           kmax=st.integers(1, 300), shift=st.floats(0.0, 1.0, exclude_max=True),
+           start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           size=st.tuples(st.integers(1, SCAN_BLOCK), st.integers(1, SCAN_BLOCK)))
+    def test_block_bound_is_below_every_physical_rate(self, T, omega, kmax, shift, start, size):
+        # a block of grid nodes anywhere on the square, its corners physical or not
+        vals = np.arange(-kmax, kmax + 1) * (omega / (kmax + shift))
+        i, j = (min(int(f * vals.size), vals.size - 1) for f in start)
+        g, gp = vals[i:i + size[0]], vals[j:j + size[1]]
+        G, GP = np.meshgrid(g, gp, indexing="ij")
+        physical = _physical_mask(omega, G, GP)
+        assume(physical.any())
+        rates = _keyrate_arrays(T, omega, G[physical], GP[physical])
+        bound = _rate_lower_bound(T, omega, g[0], g[-1], gp[0], gp[-1])
+        assert bound <= rates.min()
+
+    @pytest.mark.parametrize("diagonal, off, off_bound, winner", [
+        (-1.0 + 1e-6, -1.0, -1.0, "off"),     # found only in its block's last row and column
+        (-1.0, -1.0, -1.0, "diagonal"),       # a tie: the diagonal node is first in row order
+        (-1.0 + 1e-6, -1.0, math.nan, "off"),  # a NaN bound keeps its block
+    ], ids=["pruning", "tie", "nan-bound"])
+    def test_pruning_keeps_the_minimizer_and_its_ties(self, monkeypatch, diagonal, off,
+                                                      off_bound, winner):
+        # a rate that is 0 but at (c, c) and at (a, b), (b, a), a tight block bound; omega = 2,
+        # step 0.1: rows 12 < 15 = 8 + 7 < 23 = 16 + 7 of the 41, in blocks of 8
+        vals = np.arange(-20, 21) * 0.1
+        c, a, b = vals[12], vals[15], vals[23]
+        nodes = [(c, c, diagonal, diagonal), (a, b, off, off_bound), (b, a, off, off_bound)]
+
+        def rate(T, omega, g, g_prime):
+            out = np.zeros(np.broadcast(g, g_prime).shape)
+            for x, y, r, _ in nodes:
+                out[(g == x) & (g_prime == y)] = r
+            return out
+
+        def lower_bound(T, omega, g_lo, g_hi, gp_lo, gp_hi):
+            out = np.zeros(np.broadcast(g_lo, gp_lo).shape)
+            for x, y, _, r in nodes:
+                inside = (g_lo <= x) & (x <= g_hi) & (gp_lo <= y) & (y <= gp_hi)
+                out[inside] = np.minimum(out[inside], r)
+            return out
+
+        monkeypatch.setattr(security, "_keyrate_arrays", rate)
+        monkeypatch.setattr(security, "_rate_lower_bound", lower_bound)
+        result = optimal_attack_scan(0.8, 2.0, 0.1)
+        expected = (c, c, diagonal) if winner == "diagonal" else (a, b, off)
+        assert (result.best_g, result.best_g_prime, result.R_min) == expected
+
     def test_minimizer_breaks_ties_in_row_order(self):
         # equal rates: the first row in row-major order wins, as with the full sort
         g, gp = physical_region_grid(2.0, 0.5).T
@@ -296,6 +361,20 @@ class TestOptimalAttackScan:
             optimal_attack_scan(0.8, w, step)
             assert lanes and sum(lanes) <= (g.size + np.count_nonzero(g == gp)) // 2, (w, step)
             lanes.clear()
+
+    def test_rate_kernel_sees_a_quarter_of_the_half_grid(self, monkeypatch):
+        # the block bounds leave 19,151 of the 134,651 half-grid nodes to the kernel
+        lanes = []
+        kernel = security._keyrate_arrays
+
+        def counted(T, omega, g, g_prime):
+            lanes.append(np.broadcast(g, g_prime).size)
+            return kernel(T, omega, g, g_prime)
+
+        monkeypatch.setattr(security, "_keyrate_arrays", counted)
+        optimal_attack_scan(0.8, 3.0, 0.01)
+        g, gp = physical_region_grid(3.0, 0.01).T
+        assert sum(lanes) <= 0.25 * (g.size + np.count_nonzero(g == gp)) // 2
 
     def test_memory_peak(self):
         # 32.5 MB before the half grid and the single entropy call, 25.3 MB after
@@ -393,6 +472,17 @@ class TestOneWayBaseline:
             for w in (1.0, 1.5, 3.0, 6.0):
                 exact = with_dps(mp_oneway_rate, T, w, ONEWAY_MU_A)
                 assert abs(oneway_keyrate(T, w) - float(exact)) <= 1e-7
+
+    @pytest.mark.parametrize("T", [1e-10, 1e-300])
+    def test_mutual_information_at_small_T(self, T):
+        # the log of the ratio (b+1)/(b_cond+1), next to 1 here, kept 7 to 12 digits
+        # at T = 1e-10 and read 0 at T = 1e-300
+        for w in (1.0, 1.2, 3.0):
+            for mu_a in (ONEWAY_MU_A, 6.0):
+                with mp.workdps(350):
+                    exact = float(mp_oneway_information(T, w, mu_a))
+                i_ab = _oneway_quantities(T, w, mu_a)[0]
+                assert abs(i_ab - exact) <= 1e-14 * exact, (w, mu_a)
 
     def test_zero_modulation_has_zero_rate(self):
         for T in np.linspace(0.01, 0.99, 99):
