@@ -27,7 +27,6 @@ from .attacks import AttackParams, eve_cm, require_physical
 from .errors import UnphysicalStateError
 from .gaussian import entropic_h
 
-_EPS = np.finfo(float).eps
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # T, T*mu or (1-T)*mu below it: a square underflows
 
 
@@ -165,50 +164,37 @@ def conditioning_deviation(p, a):
 # asymptotic spectra, entropies and rates
 # ---------------------------------------------------------------------------
 
-def _clamped_sqrt(radicands, scale):
-    """sqrt of a stack of squared symplectic eigenvalues, with a rounding-floor clamp.
-
-    radicands is a float array with one spectrum per row of its first axis;
-    it is clamped and rooted in place.  Physical attacks keep all radicands
-    >= 1, and attacks that pass attacks.is_physical (eigenvalues >= 1 -
-    BONA_FIDE_ATOL) keep them >= (1 - BONA_FIDE_ATOL)^2; floating-point
-    cancellation can leave them a few ulps of scale^2 below.  Values inside
-    that band clamp to 1, anything lower is an unphysical regime, reported
-    with the minimum of the first spectrum that falls below.
-    """
-    floor = (1.0 - gaussian.BONA_FIDE_ATOL) ** 2 - 64.0 * _EPS * scale * scale
-    low = radicands < floor
-    if low.any():
-        first = next(row for row, bad in zip(radicands, low) if bad.any())
-        raise UnphysicalStateError(
-            f"squared symplectic eigenvalue {first.min()} below 1: unphysical attack regime")
-    np.maximum(radicands, 1.0, out=radicands)
-    return np.sqrt(radicands, out=radicands)
-
-
 _TwoWay = namedtuple("_TwoWay", "nu1 nu2 nubar1 sigma sigma_prime Delta S S_cond")
 
 
-def _two_way_arrays(T, omega, g, g_prime):
-    """The modulation-free two-way closed form, broadcast over (T, omega, g, g').
+def _two_way_arrays(T, omega, g, g_hi, g_prime, gp_hi):
+    """The modulation-free two-way closed form over the box [g, g_hi] x [g', gp_hi],
+    broadcast over all six arguments; a point is the box with g_hi = g, gp_hi = g'.
 
     A _TwoWay of the finite spectra nu1, nu2 (total state) and nubar1 (Bob's
     conditional state), sigma, sigma', Delta, and S = h(nu1) + h(nu2) and
     S_cond = h(nubar1), so that Eve's entropy term is S - S_cond.  The three
-    spectra go through one entropic_h call.  At g = g' = 0 the spectra are
-    omega and sigma = sigma' = Delta exactly, so that term is
-    (h + h) - h = h(omega), with no rounding.
+    spectra go through one entropic_h call, their squares floored at 1.
+    Where |g|, |g'| <= omega every term of the rate is monotone in g and in
+    g': sigma, sigma', nu2 and nubar1 rise (r > 0), nu1 falls, and entropic_h
+    never steps down.  So nu1 and nubar1 come from the lower corner and nu2,
+    sigma and sigma' from the upper one, and the rate of a box is at most the
+    rate at any of its points.  At g = g' = 0 the spectra are omega and
+    sigma = sigma' = Delta exactly, so that term is (h + h) - h = h(omega),
+    with no rounding.  Which attacks are physical is decided by the callers
+    (attacks.require_physical or attacks._physical_mask), not here.
     """
     omega = np.asarray(omega, dtype=float)  # float radicands even for integer attacks
     st = np.sqrt(T)
     Delta = 1.0 + T * T + (1.0 - T * T) * omega
     r = 2.0 * st / (1.0 + T)
-    nu = _clamped_sqrt(np.stack(np.broadcast_arrays(
-        (omega - g) * (omega - g_prime), (omega + g) * (omega + g_prime),
-        (omega + g * r) * (omega + g_prime * r))), omega)
+    nu = np.stack(np.broadcast_arrays(
+        (omega - g) * (omega - g_prime), (omega + g_hi) * (omega + gp_hi),
+        (omega + g * r) * (omega + g_prime * r)))
+    nu = np.sqrt(np.maximum(nu, 1.0, out=nu), out=nu)
     h = entropic_h(nu)
-    return _TwoWay(nu[0], nu[1], nu[2], Delta + 2.0 * g * (1.0 - T) * st,
-                   Delta + 2.0 * g_prime * (1.0 - T) * st, Delta, h[0] + h[1], h[2])
+    return _TwoWay(nu[0], nu[1], nu[2], Delta + 2.0 * g_hi * (1.0 - T) * st,
+                   Delta + 2.0 * gp_hi * (1.0 - T) * st, Delta, h[0] + h[1], h[2])
 
 
 def _rate(T, c):
@@ -229,44 +215,30 @@ def _information(T, c, mu):
 
 def _keyrate_arrays(T, omega, g, g_prime):
     """Asymptotic key rate, broadcast over all four arguments."""
-    return _rate(T, _two_way_arrays(T, omega, g, g_prime))
+    return _rate(T, _two_way_arrays(T, omega, g, g, g_prime, g_prime))
 
 
 def _rate_lower_bound(T, omega, g_lo, g_hi, gp_lo, gp_hi):
     """Lower bound of _keyrate_arrays over the boxes [g_lo, g_hi] x [gp_lo, gp_hi] of
-    attacks with |g|, |g'| <= omega, broadcast over all six arguments.
-
-    There every term of the rate is monotone in g and in g': sigma, sigma',
-    nu2 and nubar1 rise (r > 0), nu1 falls, and entropic_h never steps down.
-    So the rate with sigma, sigma' and nu2 at the upper corner and nu1 and
-    nubar1 at the lower one is at most the rate anywhere in the box.  The
-    radicands are floored at 1, as the kernel floors them, so an unphysical
-    corner bounds the physical attacks of its box all the same.
-    """
-    omega = np.asarray(omega, dtype=float)
-    st = np.sqrt(T)
-    Delta = 1.0 + T * T + (1.0 - T * T) * omega
-    r = 2.0 * st / (1.0 + T)
-    nu = np.stack(np.broadcast_arrays(
-        (omega - g_lo) * (omega - gp_lo), (omega + g_hi) * (omega + gp_hi),
-        (omega + g_lo * r) * (omega + gp_lo * r)))
-    nu = np.sqrt(np.maximum(nu, 1.0, out=nu), out=nu)
-    h = entropic_h(nu)
-    return _rate(T, _TwoWay(nu[0], nu[1], nu[2], Delta + 2.0 * g_hi * (1.0 - T) * st,
-                            Delta + 2.0 * gp_hi * (1.0 - T) * st, Delta, h[0] + h[1], h[2]))
+    attacks with |g|, |g'| <= omega, broadcast over all six arguments."""
+    return _rate(T, _two_way_arrays(T, omega, g_lo, g_hi, gp_lo, gp_hi))
 
 
 def _information_arrays(T, omega, g, g_prime, mu):
     """(I_AB, chi_EA) in bits, broadcast over all five arguments."""
-    return _information(T, _two_way_arrays(T, omega, g, g_prime), mu)
+    return _information(T, _two_way_arrays(T, omega, g, g, g_prime, g_prime), mu)
 
 
 def _check_regime(T, mu=None):
-    """Reject T outside (0, 1), a modulation variance outside (0, MAX_VARIANCE], and a
+    """Reject T outside (0, 1) or below the smallest normal double (where the rate's
+    log2 term underflows), a modulation variance outside (0, MAX_VARIANCE], and a
     (T, mu) pair whose T^2 mu^2 (in I_AB) or (1-T)^2 mu^2 (in S_E) leaves the
     normal doubles."""
     if not 0.0 < T < 1.0:
         raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
+    if T < np.finfo(float).tiny:
+        raise ValueError(f"channel transmissivity T must be at least the smallest normal "
+                         f"double {np.finfo(float).tiny:.3g}, got {T}")
     if mu is not None and not 0.0 < mu < math.inf:
         raise ValueError(f"modulation variance mu must be positive and finite, got {mu}")
     if mu is not None and mu > gaussian.MAX_VARIANCE:
@@ -280,20 +252,13 @@ def _check_regime(T, mu=None):
 
 
 def _two_way_at(T, a, mu=None):
-    """The closed form at one attack, after checking T, mu and the type of a.
-
-    Raises UnphysicalStateError where a spectrum is unphysical, or else where
-    sigma or sigma' is not positive.  The broadcasting kernels need no such
-    check: sigma > 0 wherever |g| < omega.
-    """
+    """The closed form at one attack, after checking T, mu, the type of a and, through
+    attacks.require_physical, that a is physical (UnphysicalAttackError if not)."""
     _check_regime(T, mu)
     if not isinstance(a, AttackParams):
         raise TypeError(f"expected AttackParams, got {type(a).__name__}")
-    c = _two_way_arrays(T, a.omega, a.g, a.g_prime)
-    if not (c.sigma > 0.0 and c.sigma_prime > 0.0):
-        raise UnphysicalStateError(f"conditional variances sigma={c.sigma}, "
-                                   f"sigma'={c.sigma_prime} not positive")
-    return c
+    require_physical(a)
+    return _two_way_arrays(T, a.omega, a.g, a.g, a.g_prime, a.g_prime)
 
 
 def asymptotic_total_spectrum(T, a, mu):
@@ -393,7 +358,6 @@ def keyrate_report(T, a, mu=1e6):
     One check of the arguments and one evaluation of the closed form; every
     field equals the public function that returns it alone.
     """
-    require_physical(a)
     c = _two_way_at(T, a, mu)
     iab, chi = map(float, _information(T, c, mu))
     rate = float(_rate(T, c))

@@ -215,9 +215,8 @@ def _check_t_grid(t_grid):
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("empty transmissivity grid")
-    outside = [t for t in t_grid if not 0.0 < t < 1.0]
-    if outside:
-        raise ValueError(f"transmissivities must lie strictly inside (0, 1), got {outside[0]}")
+    for t in t_grid:
+        _check_regime(t)
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("transmissivity grid must be strictly increasing")
     return t_grid

@@ -16,7 +16,8 @@ DPS = 40
 
 
 def _mpf(x):
-    return mp.mpf(repr(float(x)))
+    """The exact binary value of float(x), not the decimal of its shortest repr."""
+    return mp.mpf(float(x))
 
 
 def mp_attack(label, omega):
@@ -136,7 +137,7 @@ def mp_oneway_information(T, omega, mu_a):
     b - b_cond = T (mu_a - 1), so the ratio lies within about T mu_a of 1:
     at T = 1e-300 the caller needs some 330 digits of precision.
     """
-    _, b, b_cond = _mp_oneway_state(*(mp.mpf(float(x)) for x in (T, omega, mu_a)))
+    _, b, b_cond = _mp_oneway_state(*map(_mpf, (T, omega, mu_a)))
     return mp.log((b + 1) / (b_cond + 1), 2)
 
 

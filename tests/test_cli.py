@@ -225,6 +225,10 @@ class TestInvalidInput:
         (("appendix", "--T", "0.5", "--T", "1e-300"), ("T*mu", "T=1e-300", "1.49e-154")),
         (("keyrate", "--T", "0.999999999", "--omega", "1", "--attack", "collective",
           "--mu", "1.6e-154"), ("(1-T)*mu", "mu=1.6e-154", "1.49e-154")),
+        (("scan", "--T", "5e-324", "--omega", "2", "--step", "0.5"),
+         ("T", "5e-324", "smallest normal double 2.23e-308")),
+        (("threshold", "--attack", "collective", "--t-min", "5e-324", "--t-max", "0.5",
+          "--t-step", "0.25"), ("T", "5e-324", "smallest normal double 2.23e-308")),
     ], ids=["scan-omega-inf", "scan-T-above-one", "scan-T-nan", "scan-T-zero",
             "scan-step-inf", "keyrate-omega-inf", "oneway-omega-inf", "oneway-omega-nan",
             "oneway-mu-inf", "keyrate-mu-inf", "appendix-mu-inf", "appendix-omega-max-inf",
@@ -233,7 +237,7 @@ class TestInvalidInput:
             "appendix-mu-over-bound", "scan-omega-over-bound", "oneway-mu-far-over-bound",
             "keyrate-mu-over-bound", "keyrate-omega-over-bound", "appendix-omega-over-bound",
             "keyrate-T-mu-underflow", "keyrate-mu-underflow", "appendix-T-mu-underflow",
-            "keyrate-one-minus-T-mu-underflow"])
+            "keyrate-one-minus-T-mu-underflow", "scan-T-subnormal", "threshold-t-min-subnormal"])
     def test_rejected_with_message(self, argv, named):
         code, out, err = run_with_stderr(*argv)
         assert code == 1

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -6,19 +7,39 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twowayqkd import (ATTACK_CLASSES, AttackParams, ProtocolParams, UnphysicalStateError,
-                       attack_from_class, asymptotic_total_spectrum, bob_cm, conditional_cm,
-                       conditional_entropy_asymptotic, conditional_spectrum_asymptotic,
-                       conditioning_deviation, entropic_h, heterodyne_condition,
-                       holevo_asymptotic, keyrate_asymptotic, keyrate_report,
-                       mutual_information_asymptotic, partial_trace, symplectic_spectrum,
-                       total_cm, total_cm_circuit, total_entropy_asymptotic,
+from twowayqkd import (ATTACK_CLASSES, AttackParams, ProtocolParams, UnphysicalAttackError,
+                       UnphysicalStateError, attack_from_class, asymptotic_total_spectrum,
+                       bob_cm, conditional_cm, conditional_entropy_asymptotic,
+                       conditional_spectrum_asymptotic, conditioning_deviation, entropic_h,
+                       heterodyne_condition, holevo_asymptotic, is_physical, keyrate_asymptotic,
+                       keyrate_report, mutual_information_asymptotic, partial_trace,
+                       symplectic_spectrum, total_cm, total_cm_circuit, total_entropy_asymptotic,
                        von_neumann_entropy)
 from twowayqkd import protocol, security
 from twowayqkd.attacks import _class_correlations, _physical_mask, physical_region_grid
 from twowayqkd.gaussian import MAX_VARIANCE
 
 from _util import count_calls, random_physical_attack
+
+#: the seven checked 0-d two-way functions and keyrate_report, each called as fn(T, a, mu)
+POINT_FUNCTIONS = (asymptotic_total_spectrum, total_entropy_asymptotic,
+                   conditional_spectrum_asymptotic, conditional_entropy_asymptotic,
+                   holevo_asymptotic, mutual_information_asymptotic,
+                   lambda T, a, mu: keyrate_asymptotic(T, a), keyrate_report)
+
+
+@st.composite
+def attacks_around_the_boundary(draw):
+    """Attacks with |g|, |g'| up to 1.25 omega, half of them within a relative 1e-8 of
+    the bona fide boundary (omega - s g)(omega - s g') = 1, s = +-1."""
+    omega = draw(st.floats(1.0, 1e6))
+    g = omega * draw(st.floats(-1.25, 1.25))
+    if draw(st.booleans()):
+        return AttackParams(omega, g, omega * draw(st.floats(-1.25, 1.25)))
+    s = draw(st.sampled_from([1.0, -1.0]))
+    assume(omega - s * g >= 1e-6)
+    g_prime = s * (omega - 1.0 / (omega - s * g)) * (1.0 + draw(st.floats(-1e-8, 1e-8)))
+    return AttackParams(omega, g, g_prime)
 
 
 def random_protocol_params(rng):
@@ -192,27 +213,43 @@ class TestAsymptoticSpectra:
         with pytest.raises(UnphysicalStateError):
             asymptotic_total_spectrum(0.5, AttackParams(2.0, 1.9, 1.9), 1e6)
 
-    @pytest.mark.parametrize("g, g_prime, message", [
-        # nu2's radicand, the first that fails; nubar1's (-60.9) fails too
-        (5.0, -15.0, "-75.0"),
-        # nu1's minimum, although lane 2 has nu2 at -75.0
-        ([9.95, -15.0], [9.99, 5.0], "0.0004999999999999964"),
-        ([0.0, -15.0], [0.0, 5.0], "-75.0"),
-    ])
-    def test_unphysical_radicand_message(self, g, g_prime, message):
-        # the stacked spectra still name the minimum of the first spectrum that fails
-        with pytest.raises(UnphysicalStateError) as err:
-            protocol._keyrate_arrays(0.5, 10.0, np.asarray(g), np.asarray(g_prime))
-        assert str(err.value) == (f"squared symplectic eigenvalue {message} below 1: "
-                                  "unphysical attack regime")
+    @pytest.mark.parametrize("g, g_prime, check", [
+        # |g'| >= omega, although (omega - g)(omega - g') = 125 is a bona fide radicand
+        (5.0, -15.0, "positive definiteness"),
+        # |g|, |g'| < omega, but (omega - g)(omega - g') = 0.0005
+        (9.95, 9.99, "the bona fide condition"),
+        (-15.0, 5.0, "positive definiteness"),
+    ], ids=["g-prime-outside", "bona-fide", "g-outside"])
+    def test_unphysical_attack_message(self, g, g_prime, check):
+        # every 0-d function names the condition the attack violates, through require_physical
+        a = AttackParams(10.0, g, g_prime)
+        for fn in POINT_FUNCTIONS:
+            with pytest.raises(UnphysicalAttackError, match=f"^attack {re.escape(str(a))} "
+                                                            f"violates {check}"):
+                fn(0.5, a, 1e6)
 
-    def test_clamped_sqrt_is_in_place_and_reports_the_first_failing_row(self):
-        stack = np.array([[4.0, 1.0 - 1e-12], [9.0, 0.25], [16.0, -50.0]])
-        with pytest.raises(UnphysicalStateError, match="eigenvalue 0.25 below 1"):
-            protocol._clamped_sqrt(stack, 1.0)
-        stack = np.array([[4.0, 1.0 - 1e-12], [9.0, 25.0]])
-        assert protocol._clamped_sqrt(stack, 1.0) is stack
-        assert stack.tolist() == [[2.0, 1.0], [3.0, 5.0]]
+    def test_kernel_leaves_physicality_to_its_callers(self):
+        # on |g|, |g'| <= omega the broadcasting kernel floors squared spectra at 1 and
+        # raises nothing; its physical lanes equal the 0-d function bit for bit
+        rates = protocol._keyrate_arrays(0.5, 10.0, np.array([0.0, 9.95]), np.array([0.0, 9.99]))
+        assert np.isfinite(rates).all()
+        assert rates[0] == keyrate_asymptotic(0.5, AttackParams(10.0, 0.0, 0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(T=st.floats(0.01, 0.99), a=attacks_around_the_boundary(), mu=st.floats(1e3, 1e9))
+    @example(T=0.5, a=AttackParams(2.0, 5.0, 5.0), mu=1e6)
+    @example(T=0.8, a=attack_from_class("epr+", 3e4), mu=1e6)
+    @example(T=0.5, a=AttackParams(10.0, -30.0, -30.0), mu=1e6)
+    def test_point_functions_raise_exactly_for_unphysical_attacks(self, T, a, mu):
+        # the examples: |g| >= omega with sigma > 0; the epr+ float rounding past the
+        # pure state; |g| >= omega with sigma < 0
+        if is_physical(a):
+            for fn in POINT_FUNCTIONS:
+                fn(T, a, mu)
+        else:
+            for fn in POINT_FUNCTIONS:
+                with pytest.raises(UnphysicalAttackError):
+                    fn(T, a, mu)
 
 
 class TestInformationQuantities:
@@ -262,22 +299,19 @@ class TestInformationQuantities:
                 assert chi[i, j] == holevo_asymptotic(t, a, mu)
 
     def test_information_rejects_nonpositive_sigma(self):
-        # |g| >= omega is unphysical, but a custom g reaches sigma < 0 this way
+        # |g| >= omega, where a custom g reaches sigma < 0: rejected before the closed form
         a = AttackParams(10.0, -30.0, -30.0)
         for fn in (mutual_information_asymptotic, holevo_asymptotic):
-            with pytest.raises(UnphysicalStateError, match="sigma=.* not positive"):
+            with pytest.raises(UnphysicalAttackError, match="positive definiteness"):
                 fn(0.5, a, 1e6)
 
     def test_every_scalar_function_rejects_nonpositive_sigma(self):
-        # the spectra are physical here (40, 20 and 18.28...), only sigma and sigma' are not
+        # the squared spectra are >= 1 here (1600, 400 and 334.2...) and sigma = sigma' =
+        # -12.46...; |g|, |g'| >= omega is what every function names
         a = AttackParams(10, -30, -30)
-        for fn in (asymptotic_total_spectrum, total_entropy_asymptotic,
-                   conditional_spectrum_asymptotic, conditional_entropy_asymptotic,
-                   holevo_asymptotic, mutual_information_asymptotic):
-            with pytest.raises(UnphysicalStateError, match="sigma=.* not positive"):
+        for fn in POINT_FUNCTIONS:
+            with pytest.raises(UnphysicalAttackError, match="positive definiteness"):
                 fn(0.5, a, 1e6)
-        with pytest.raises(UnphysicalStateError, match="sigma=-12.46.* not positive"):
-            keyrate_asymptotic(0.5, a)
 
     @pytest.mark.parametrize("T, mu", [(1e-300, 1e6), (0.5, 1e-300), (1e-155, 1e9),
                                        (0.5, 2.9e-154)])
