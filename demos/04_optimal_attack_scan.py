@@ -1,13 +1,15 @@
-"""Brute-force scan for the rate-minimizing two-mode attack.
+"""Grid scan for the rate-minimizing two-mode attack.
 
-Sweeps Eve's correlation pair (g, g') over the physical region and locates
-the grid minimizer of the key rate.  The minimizer has symmetric, separable,
-anticorrelated correlations (g = g' < 0), but it is not the corner
-(1 - omega, 1 - omega) of that class: one symplectic eigenvalue equals 1 at
-the corner, where the entropy h has a log-singular slope, so stepping inward
-along the diagonal lowers the rate.  Deep inside the insecure region the
-minimizer moves far from the corner; even at the threshold of the corner
-class the scan finds a strictly negative rate just inside it.
+Locates the grid minimizer of the key rate over Eve's physical correlation
+region.  At fixed g + g' the rate rises with |g - g'|, so the scan rates
+only the node nearest the diagonal on each antidiagonal of the grid.  The
+minimizer has symmetric, separable, anticorrelated correlations
+(g = g' < 0), but it is not the corner (1 - omega, 1 - omega) of that
+class: one symplectic eigenvalue equals 1 at the corner, where the entropy h
+has a log-singular slope, so stepping inward along the diagonal lowers the
+rate.  Deep inside the insecure region the minimizer moves far from the
+corner; even at the threshold of the corner class the scan finds a strictly
+negative rate just inside it.
 """
 
 from twowayqkd import AttackParams, keyrate_asymptotic, optimal_attack_scan, threshold_omega

@@ -31,9 +31,10 @@ ATTACK_CLASSES = (
     COLLECTIVE, EPR_POS, EPR_NEG, SEP_SYM_POS, SEP_SYM_NEG, SEP_ANTI_POS, SEP_ANTI_NEG,
 )
 
-#: most nodes a physical_region_grid (and so a scan) may span.  A scan peaks
-#: near 90 bytes per node and `scan --full-grid --format json` near 550
-#: (omega = 3, step 0.01), so the cap bounds a scan near 0.1 GB, or 0.55 GB
+#: most nodes a physical_region_grid (and so a scan) may span.  scan_grid, and so
+#: `scan --full-grid`, peaks near 120 bytes per node and `scan --full-grid --format
+#: json` near 550 (omega = 3, step 0.01), so the cap bounds them near 0.12 GB and
+#: 0.55 GB.  optimal_attack_scan rates one node per antidiagonal, and needs far less
 MAX_GRID_NODES = 10 ** 6
 
 

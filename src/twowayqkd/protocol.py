@@ -167,34 +167,29 @@ def conditioning_deviation(p, a):
 _TwoWay = namedtuple("_TwoWay", "nu1 nu2 nubar1 sigma sigma_prime Delta S S_cond")
 
 
-def _two_way_arrays(T, omega, g, g_hi, g_prime, gp_hi):
-    """The modulation-free two-way closed form over the box [g, g_hi] x [g', gp_hi],
-    broadcast over all six arguments; a point is the box with g_hi = g, gp_hi = g'.
+def _two_way_arrays(T, omega, g, g_prime):
+    """The modulation-free two-way closed form, broadcast over all four arguments.
 
     A _TwoWay of the finite spectra nu1, nu2 (total state) and nubar1 (Bob's
     conditional state), sigma, sigma', Delta, and S = h(nu1) + h(nu2) and
     S_cond = h(nubar1), so that Eve's entropy term is S - S_cond.  The three
-    spectra go through one entropic_h call, their squares floored at 1.
-    Where |g|, |g'| <= omega every term of the rate is monotone in g and in
-    g': sigma, sigma', nu2 and nubar1 rise (r > 0), nu1 falls, and entropic_h
-    never steps down.  So nu1 and nubar1 come from the lower corner and nu2,
-    sigma and sigma' from the upper one, and the rate of a box is at most the
-    rate at any of its points.  At g = g' = 0 the spectra are omega and
-    sigma = sigma' = Delta exactly, so that term is (h + h) - h = h(omega),
-    with no rounding.  Which attacks are physical is decided by the callers
-    (attacks.require_physical or attacks._physical_mask), not here.
+    spectra go through one entropic_h call, their squares floored at 1.  At
+    g = g' = 0 the spectra are omega and sigma = sigma' = Delta exactly, so
+    that term is (h + h) - h = h(omega), with no rounding.  Which attacks are
+    physical is decided by the callers (attacks.require_physical or
+    attacks._physical_mask), not here.
     """
     omega = np.asarray(omega, dtype=float)  # float radicands even for integer attacks
     st = np.sqrt(T)
     Delta = 1.0 + T * T + (1.0 - T * T) * omega
     r = 2.0 * st / (1.0 + T)
     nu = np.stack(np.broadcast_arrays(
-        (omega - g) * (omega - g_prime), (omega + g_hi) * (omega + gp_hi),
+        (omega - g) * (omega - g_prime), (omega + g) * (omega + g_prime),
         (omega + g * r) * (omega + g_prime * r)))
     nu = np.sqrt(np.maximum(nu, 1.0, out=nu), out=nu)
     h = entropic_h(nu)
-    return _TwoWay(nu[0], nu[1], nu[2], Delta + 2.0 * g_hi * (1.0 - T) * st,
-                   Delta + 2.0 * gp_hi * (1.0 - T) * st, Delta, h[0] + h[1], h[2])
+    return _TwoWay(nu[0], nu[1], nu[2], Delta + 2.0 * g * (1.0 - T) * st,
+                   Delta + 2.0 * g_prime * (1.0 - T) * st, Delta, h[0] + h[1], h[2])
 
 
 def _rate(T, c):
@@ -215,18 +210,12 @@ def _information(T, c, mu):
 
 def _keyrate_arrays(T, omega, g, g_prime):
     """Asymptotic key rate, broadcast over all four arguments."""
-    return _rate(T, _two_way_arrays(T, omega, g, g, g_prime, g_prime))
-
-
-def _rate_lower_bound(T, omega, g_lo, g_hi, gp_lo, gp_hi):
-    """Lower bound of _keyrate_arrays over the boxes [g_lo, g_hi] x [gp_lo, gp_hi] of
-    attacks with |g|, |g'| <= omega, broadcast over all six arguments."""
-    return _rate(T, _two_way_arrays(T, omega, g_lo, g_hi, gp_lo, gp_hi))
+    return _rate(T, _two_way_arrays(T, omega, g, g_prime))
 
 
 def _information_arrays(T, omega, g, g_prime, mu):
     """(I_AB, chi_EA) in bits, broadcast over all five arguments."""
-    return _information(T, _two_way_arrays(T, omega, g, g, g_prime, g_prime), mu)
+    return _information(T, _two_way_arrays(T, omega, g, g_prime), mu)
 
 
 def _check_regime(T, mu=None):
@@ -258,7 +247,7 @@ def _two_way_at(T, a, mu=None):
     if not isinstance(a, AttackParams):
         raise TypeError(f"expected AttackParams, got {type(a).__name__}")
     require_physical(a)
-    return _two_way_arrays(T, a.omega, a.g, a.g, a.g_prime, a.g_prime)
+    return _two_way_arrays(T, a.omega, a.g, a.g_prime)
 
 
 def asymptotic_total_spectrum(T, a, mu):

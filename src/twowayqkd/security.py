@@ -14,7 +14,7 @@ from .attacks import (COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_correlations
                       _physical_mask, normalize_class, physical_region_grid)
 from .errors import DivergentThresholdError, MonotonicityError, UnphysicalStateError
 from .gaussian import _LN2, MAX_VARIANCE, entropic_h
-from .protocol import _check_regime, _information_arrays, _keyrate_arrays, _rate_lower_bound
+from .protocol import _check_regime, _information_arrays, _keyrate_arrays
 
 #: doubling cap for the threshold bracket search
 BRACKET_CAP = 2.0 ** 16
@@ -22,14 +22,6 @@ BRACKET_CAP = 2.0 ** 16
 #: bisection bracket width and residual tolerances
 BRACKET_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
-
-#: side, in grid nodes, of the square blocks that optimal_attack_scan bounds
-#: before it evaluates their nodes
-SCAN_BLOCK = 8
-
-#: relative margin over the best diagonal rate within which a block's lower
-#: bound keeps it: far above the rounding of the rate and of its bound
-SCAN_MARGIN = 1e-9
 
 #: Alice's source variance at which the one-way rate is modulation-independent
 ONEWAY_MU_A = 1e7 + 1.0
@@ -284,43 +276,24 @@ def _grid_minimizer(T, omega, resolution, rows):
 def optimal_attack_scan(T, omega, resolution):
     """Grid minimizer of the asymptotic key rate over the physical region.
 
-    Ties are broken towards the smallest g, then the smallest g'.  The rate
-    and the region are symmetric under swapping g and g', bit for bit, so
-    the set of minimizers is too, and its first element in that order has
-    g <= g'.  Of those nodes the diagonal is evaluated first: its least rate
-    U bounds the minimum from above.  The nodes g < g' are evaluated only in
-    the SCAN_BLOCK-square blocks whose _rate_lower_bound is at most
-    U + SCAN_MARGIN (1 + |U|); every node of any other block rates above U,
-    so no minimizer, and no tie of one, is left out.  The rows reach
-    _grid_minimizer in row-major order, and the result is the one a scan of
-    the whole grid gives, bit for bit.
+    Ties are broken towards the smallest g, then the smallest g'.  On each
+    antidiagonal i + j = k of the grid, u = (g + g')/2 is fixed, and the rate
+    does not fall as |g - g'| grows (Lemma A of the README).  The node
+    (floor(k/2), ceil(k/2)), nearest the diagonal, thus rates lowest, and it
+    is physical whenever any node of its antidiagonal is.  So only those
+    2n - 1 nodes are evaluated.  They reach _grid_minimizer in row-major
+    order, and the result is the one a scan of the whole grid gives, bit
+    for bit.
     """
     _check_regime(T)
     kmax = _grid_half_width(omega, resolution)
     vals = np.arange(-kmax, kmax + 1) * resolution
-    n = vals.size
-    diag = np.flatnonzero(_physical_mask(omega, vals, vals))
-    rate_diag = _keyrate_arrays(T, omega, vals[diag], vals[diag])
-    # U + SCAN_MARGIN (1 + |U|), in a form that keeps an infinite U as it is
-    upper = rate_diag.min()
-    upper = max(upper * (1.0 - SCAN_MARGIN), upper * (1.0 + SCAN_MARGIN)) + SCAN_MARGIN
-    # blocks (p, q), p <= q, by the values of their first and last nodes; a
-    # NaN bound keeps its block
-    first = np.arange(0, n, SCAN_BLOCK)
-    lo, hi = vals[first], vals[np.minimum(first + SCAN_BLOCK, n) - 1]
-    p, q = np.triu_indices(first.size)
-    keep = np.zeros((first.size, first.size), dtype=bool)
-    keep[p, q] = ~(_rate_lower_bound(T, omega, lo[p], hi[p], lo[q], hi[q]) > upper)
-    near = np.repeat(np.repeat(keep, SCAN_BLOCK, 0), SCAN_BLOCK, 1)[:n, :n]
-    i, j = np.nonzero(np.triu(near, 1))
-    physical = _physical_mask(omega, vals[i], vals[j])
-    i, j = i[physical], j[physical]
-    g, gp = vals[i], vals[j]
-    rows = np.column_stack((g, gp, _keyrate_arrays(T, omega, g, gp)))
-    # a diagonal node (k, k) follows every node of the rows above row k, in row-major order
-    rows = np.insert(rows, np.searchsorted(i, diag),
-                     np.column_stack((vals[diag], vals[diag], rate_diag)), axis=0)
-    return _grid_minimizer(T, omega, resolution, rows)
+    k = np.arange(4 * kmax + 1)
+    g, gp = vals[k // 2], vals[(k + 1) // 2]
+    physical = _physical_mask(omega, g, gp)
+    g, gp = g[physical], gp[physical]
+    return _grid_minimizer(T, omega, resolution,
+                           np.column_stack((g, gp, _keyrate_arrays(T, omega, g, gp))))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,9 @@ from twowayqkd import (ATTACK_CLASSES, AttackParams, DivergentThresholdError, Mo
 from twowayqkd._serialize import Table, csv_table, json_text
 from twowayqkd.attacks import _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
-from twowayqkd.protocol import _keyrate_arrays, _rate_lower_bound
+from twowayqkd.protocol import _keyrate_arrays
 from twowayqkd.security import (INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE, OK, ONEWAY_MU_A,
-                                SCAN_BLOCK, _bisect_lanes, _grid_minimizer, _oneway_arrays,
-                                _oneway_quantities)
+                                _bisect_lanes, _grid_minimizer, _oneway_arrays, _oneway_quantities)
 
 from _hiprec import mp_oneway_information, mp_oneway_rate, with_dps
 from _util import bisect_threshold, lexsort_minimizer, oneway_quantities_circuit
@@ -271,67 +270,41 @@ class TestOptimalAttackScan:
                 "<3d", *lexsort_minimizer(scan_grid(T, w, step))), (T, w, step)
             assert result.best_g <= result.best_g_prime
 
-    def test_pruned_scan_equals_full_grid_lexsort_on_fine_grids(self):
-        # the criterion-5 points at step 0.01 (up to 38 blocks a half axis), and random
-        # grids of 150 to 300 steps a half axis, omega just above 1 among them
+    def test_scan_equals_full_grid_lexsort_on_fine_grids(self):
+        # the criterion-5 points at step 0.01, random grids of 150 to 300 steps a half
+        # axis, omega just above 1 among them, and T at the extremes, where the rise of
+        # the rate off the diagonal is least and a tie there would pick the wrong node
         cases = [(T, w, 0.01) for T in (0.5, 0.65, 0.8, 0.95) for w in (1.5, 2.0, 3.0)]
         rng = np.random.default_rng(14)
         for w in rng.uniform(1.0, 6.0, 4).tolist() + [1.0 + 1e-3, 1.0 + 1e-7]:
             cases.append((float(rng.uniform(0.02, 0.99)), w, w / float(rng.uniform(150.0, 300.0))))
+        cases += [(T, w, w / 100.0) for T in (1e-300, 1e-12, 1.0 - 1e-12, 1.0 - 2.2e-16)
+                  for w in (1.0 + 1e-9, 1.5, 20.0)]
         for T, w, step in cases:
             result = optimal_attack_scan(T, w, step)
             got = (result.best_g, result.best_g_prime, result.R_min)
             assert struct.pack("<3d", *got) == struct.pack(
                 "<3d", *lexsort_minimizer(scan_grid(T, w, step))), (T, w, step)
 
-    @settings(max_examples=300, deadline=None)
-    @given(T=st.floats(1e-9, 1.0 - 1e-9), omega=st.floats(1.0, 30.0),
-           kmax=st.integers(1, 300), shift=st.floats(0.0, 1.0, exclude_max=True),
-           start=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-           size=st.tuples(st.integers(1, SCAN_BLOCK), st.integers(1, SCAN_BLOCK)))
-    def test_block_bound_is_below_every_physical_rate(self, T, omega, kmax, shift, start, size):
-        # a block of grid nodes anywhere on the square, its corners physical or not
-        vals = np.arange(-kmax, kmax + 1) * (omega / (kmax + shift))
-        i, j = (min(int(f * vals.size), vals.size - 1) for f in start)
-        g, gp = vals[i:i + size[0]], vals[j:j + size[1]]
-        G, GP = np.meshgrid(g, gp, indexing="ij")
-        physical = _physical_mask(omega, G, GP)
-        assume(physical.any())
-        rates = _keyrate_arrays(T, omega, G[physical], GP[physical])
-        bound = _rate_lower_bound(T, omega, g[0], g[-1], gp[0], gp[-1])
-        assert bound <= rates.min()
-
-    @pytest.mark.parametrize("diagonal, off, off_bound, winner", [
-        (-1.0 + 1e-6, -1.0, -1.0, "off"),     # found only in its block's last row and column
-        (-1.0, -1.0, -1.0, "diagonal"),       # a tie: the diagonal node is first in row order
-        (-1.0 + 1e-6, -1.0, math.nan, "off"),  # a NaN bound keeps its block
-    ], ids=["pruning", "tie", "nan-bound"])
-    def test_pruning_keeps_the_minimizer_and_its_ties(self, monkeypatch, diagonal, off,
-                                                      off_bound, winner):
-        # a rate that is 0 but at (c, c) and at (a, b), (b, a), a tight block bound; omega = 2,
-        # step 0.1: rows 12 < 15 = 8 + 7 < 23 = 16 + 7 of the 41, in blocks of 8
-        vals = np.arange(-20, 21) * 0.1
-        c, a, b = vals[12], vals[15], vals[23]
-        nodes = [(c, c, diagonal, diagonal), (a, b, off, off_bound), (b, a, off, off_bound)]
-
-        def rate(T, omega, g, g_prime):
-            out = np.zeros(np.broadcast(g, g_prime).shape)
-            for x, y, r, _ in nodes:
-                out[(g == x) & (g_prime == y)] = r
-            return out
-
-        def lower_bound(T, omega, g_lo, g_hi, gp_lo, gp_hi):
-            out = np.zeros(np.broadcast(g_lo, gp_lo).shape)
-            for x, y, _, r in nodes:
-                inside = (g_lo <= x) & (x <= g_hi) & (gp_lo <= y) & (y <= gp_hi)
-                out[inside] = np.minimum(out[inside], r)
-            return out
-
-        monkeypatch.setattr(security, "_keyrate_arrays", rate)
-        monkeypatch.setattr(security, "_rate_lower_bound", lower_bound)
-        result = optimal_attack_scan(0.8, 2.0, 0.1)
-        expected = (c, c, diagonal) if winner == "diagonal" else (a, b, off)
-        assert (result.best_g, result.best_g_prime, result.R_min) == expected
+    @settings(max_examples=500, deadline=None)
+    @given(T=st.floats(1e-300, 1.0 - 2.2e-16), log_excess=st.floats(-7.0, 1.5),
+           fu=st.floats(-1.0, 1.0), fb=st.floats(0.0, 1.0), fa=st.floats(0.0, 1.0))
+    def test_rate_does_not_fall_off_the_diagonal(self, T, log_excess, fu, fb, fa):
+        # Lemma A of the README: at fixed u = (g + g')/2 the rate does not fall as
+        # |v| = |g - g'|/2 grows, which is what lets the scan rate one node per
+        # antidiagonal.  u, a and b are multiples of 2^-40, so each pair sums to 2u
+        # exactly.  Tolerance 1e-12 (1 + |R|), for the kernel's rounding; 800,000
+        # sampled pairs (T from 1e-300 to 1 - 1e-16) showed no decrease at all
+        omega = 1.0 + 10.0 ** log_excess
+        q = 2.0 ** -40
+        u = math.floor(fu * (omega - 1.0) / q) * q
+        b = math.floor(fb * math.sqrt(max((omega - abs(u)) ** 2 - 1.0, 0.0)) / q) * q
+        a = math.floor(fa * b / q) * q
+        g, gp = np.array([u + a, u + b, u - b]), np.array([u - a, u - b, u + b])
+        assume(_physical_mask(omega, g, gp).all())
+        r_a, r_b, r_b_swapped = _keyrate_arrays(T, omega, g, gp)
+        tol = 1e-12 * (1.0 + abs(r_a))
+        assert r_b >= r_a - tol and r_b_swapped >= r_a - tol, (r_a, r_b, r_b_swapped)
 
     def test_minimizer_breaks_ties_in_row_order(self):
         # equal rates: the first row in row-major order wins, as with the full sort
@@ -362,8 +335,8 @@ class TestOptimalAttackScan:
             assert lanes and sum(lanes) <= (g.size + np.count_nonzero(g == gp)) // 2, (w, step)
             lanes.clear()
 
-    def test_rate_kernel_sees_a_quarter_of_the_half_grid(self, monkeypatch):
-        # the block bounds leave 19,151 of the 134,651 half-grid nodes to the kernel
+    def test_rate_kernel_sees_one_node_per_antidiagonal(self, monkeypatch):
+        # at most 2n - 1 = 1,201 of the 134,651 half-grid nodes
         lanes = []
         kernel = security._keyrate_arrays
 
@@ -373,18 +346,17 @@ class TestOptimalAttackScan:
 
         monkeypatch.setattr(security, "_keyrate_arrays", counted)
         optimal_attack_scan(0.8, 3.0, 0.01)
-        g, gp = physical_region_grid(3.0, 0.01).T
-        assert sum(lanes) <= 0.25 * (g.size + np.count_nonzero(g == gp)) // 2
+        assert lanes and sum(lanes) <= 2 * 601 - 1
 
     def test_memory_peak(self):
-        # 32.5 MB before the half grid and the single entropy call, 25.3 MB after
+        # 0.14 MB: one node per antidiagonal, 1,201 nodes at most
         tracemalloc.start()
         try:
             optimal_attack_scan(0.8, 3.0, 0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 30e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+        assert peak <= 1e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
     def test_serialization(self):
         result = optimal_attack_scan(0.7, 1.5, 0.5)
