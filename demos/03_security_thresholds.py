@@ -10,13 +10,12 @@ reported as undefined rather than silently dropped.
 
 import numpy as np
 
-from twowayqkd import oneway_threshold_curve, threshold_curve
+from twowayqkd import threshold_curves
 
 GRID = list(np.round(np.arange(0.64, 0.99, 0.02), 10))
 
-curves = {label: threshold_curve(label, GRID)
-          for label in ("epr+", "sep-sym+", "sep-anti+", "sep-sym-", "collective")}
-curves["oneway"] = oneway_threshold_curve(GRID)
+curves = {c.attack_class: c for c in threshold_curves(
+    ("epr+", "sep-sym+", "sep-anti+", "sep-sym-", "collective"), GRID, with_oneway=True)}
 
 labels = list(curves)
 print("tolerable excess noise N* (SNU); '-' = no zero crossing found")

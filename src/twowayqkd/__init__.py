@@ -25,7 +25,7 @@ from .protocol import (KeyRateReport, ProtocolParams, asymptotic_total_spectrum,
 from .security import (ScanResult, ThresholdCurve, ThresholdPoint, excess_noise,
                        omega_from_excess, oneway_keyrate, oneway_report, oneway_threshold_curve,
                        oneway_threshold_omega, optimal_attack_scan, relative_variations,
-                       scan_grid, threshold_curve, threshold_omega)
+                       scan_grid, threshold_curve, threshold_curves, threshold_omega)
 
 __version__ = "0.1.0"
 
@@ -44,7 +44,7 @@ __all__ = [
     "oneway_keyrate", "oneway_report", "oneway_threshold_curve", "oneway_threshold_omega",
     "optimal_attack_scan", "partial_trace", "physical_region_grid", "ppt_separable",
     "relative_variations", "require_physical", "scan_grid", "symplectic_form",
-    "symplectic_spectrum", "tensor", "thermal_cm", "threshold_curve", "threshold_omega",
-    "total_cm", "total_cm_circuit", "total_entropy_asymptotic", "vacuum_cm",
+    "symplectic_spectrum", "tensor", "thermal_cm", "threshold_curve", "threshold_curves",
+    "threshold_omega", "total_cm", "total_cm_circuit", "total_entropy_asymptotic", "vacuum_cm",
     "von_neumann_entropy",
 ]

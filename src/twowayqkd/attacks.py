@@ -98,10 +98,11 @@ def normalize_class(label):
     raise ValueError(f"unknown attack class {label!r}; expected one of {', '.join(ATTACK_CLASSES)}")
 
 
-def _class_correlations(name, omega):
-    """Correlations (g, g') of the canonical class `name`, as arrays shaped like omega.
+def _class_correlations(index, omega):
+    """Correlations (g, g') of the classes ATTACK_CLASSES[index], broadcast over index and omega.
 
-    The table behind attack_from_class; batch paths call it once per array of omega.
+    The one class table: attack_from_class, the threshold solver and the
+    appendix read it, the batch paths once per array of omega and indices.
     """
     omega = np.asarray(omega, dtype=float)
     c = np.sqrt(omega * omega - 1.0)
@@ -116,7 +117,8 @@ def _class_correlations(name, omega):
         SEP_ANTI_POS: (s, -s),
         SEP_ANTI_NEG: (-s, s),
     }
-    return table[name]
+    g, g_prime = zip(*(table[name] for name in ATTACK_CLASSES))
+    return np.choose(index, g), np.choose(index, g_prime)
 
 
 def attack_from_class(label, omega):
@@ -128,7 +130,7 @@ def attack_from_class(label, omega):
     sep-anti+/- -> (+-(w-1), -+(w-1))               separable, antisymmetric correlations
     """
     _check_omega(omega)
-    g, gp = _class_correlations(normalize_class(label), omega)
+    g, gp = _class_correlations(ATTACK_CLASSES.index(normalize_class(label)), omega)
     return AttackParams(float(omega), float(g), float(gp))
 
 

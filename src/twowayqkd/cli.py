@@ -18,7 +18,7 @@ from .errors import UnphysicalStateError
 from .gaussian import MAX_VARIANCE
 from .protocol import _check_regime, keyrate_report
 from .security import (ONEWAY_MU_A, _class_variations, _grid_minimizer, oneway_report,
-                       oneway_threshold_curve, optimal_attack_scan, scan_grid, threshold_curve)
+                       optimal_attack_scan, scan_grid, threshold_curves)
 
 _APPENDIX_CLASSES = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
 
@@ -212,9 +212,7 @@ def _cmd_threshold(parser, args):
     _require(parser, args, ("t_min", "t_max", "t_step"))
     classes = [normalize_class(c) for c in args.attack]
     grid = _t_grid(parser, args)
-    curves = [threshold_curve(c, grid) for c in classes]
-    if args.with_oneway:
-        curves.append(oneway_threshold_curve(grid))
+    curves = threshold_curves(classes, grid, with_oneway=args.with_oneway)
     header = ("T", "omega_star", "N_star", "secure")
     payload = [{"attack_class": c.attack_class, "points": Table(header, tuple(zip(*c.to_rows())))}
                for c in curves]

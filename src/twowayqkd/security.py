@@ -10,8 +10,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attacks import (COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_correlations, _grid_half_width,
-                      _physical_mask, normalize_class, physical_region_grid)
+from .attacks import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_correlations,
+                      _grid_half_width, _physical_mask, normalize_class, physical_region_grid)
 from .errors import DivergentThresholdError, MonotonicityError, UnphysicalStateError
 from .gaussian import _LN2, MAX_VARIANCE, entropic_h
 from .protocol import _check_regime, _information_arrays, _keyrate_arrays
@@ -109,19 +109,6 @@ def _bisect_lanes(rate, n):
     return roots, status
 
 
-def _class_rate(label, t):
-    """Lane rate of the canonical class `label` over the transmissivities t, for _bisect_lanes."""
-    t = np.asarray(t, dtype=float)
-    return lambda lanes, omega: _keyrate_arrays(t[lanes], omega,
-                                                *_class_correlations(label, omega))
-
-
-def _oneway_rate(t):
-    """Lane rate of the one-way baseline over the transmissivities t, for _bisect_lanes."""
-    t = np.asarray(t, dtype=float)
-    return lambda lanes, omega: np.subtract(*_oneway_arrays(t[lanes], omega, ONEWAY_MU_A))
-
-
 # ---------------------------------------------------------------------------
 # threshold curves
 # ---------------------------------------------------------------------------
@@ -164,16 +151,6 @@ _FAILED_POINT = {INSECURE_AT_VACUUM: (1.0, 0.0, False), NO_CROSSING: (math.inf, 
                  NON_MONOTONE: (math.nan, math.nan, True)}
 
 
-def _curve(attack_class, t_grid, rate):
-    """ThresholdCurve of one lane rate over the checked grid, all lanes solved at once."""
-    roots, status = _bisect_lanes(rate, len(t_grid))
-    points = tuple(
-        ThresholdPoint(T, w, excess_noise(T, w), True, OK) if s == OK
-        else ThresholdPoint(T, *_FAILED_POINT[s], s)
-        for T, w, s in zip(t_grid, roots.tolist(), status.tolist()))
-    return ThresholdCurve(attack_class=attack_class, points=points)
-
-
 def _root_of(point):
     """omega* of a one-point curve: None if insecure at omega = 1, else the root or an exception."""
     if point.status == INSECURE_AT_VACUUM:
@@ -214,21 +191,51 @@ def _check_t_grid(t_grid):
     return t_grid
 
 
-def threshold_curve(attack_class, t_grid):
-    """Security-threshold curve of one attack class over a strictly increasing T grid.
+def threshold_curves(attack_classes, t_grid, with_oneway=False):
+    """Security-threshold curves of attack classes over a strictly increasing T grid.
 
-    Every T is bisected at once; per-point failures are flagged in the point's
-    status rather than aborting the curve.
+    One curve per class, in the order given (repeats included), then the
+    one-way baseline curve if with_oneway.  Every T of every curve is
+    bisected at once: the lanes are curve-major, and each solver step makes
+    one two-way and one one-way kernel call for the lanes still open.
+    Per-point failures are flagged in the point's status rather than
+    aborting the curve.
     """
-    label = normalize_class(attack_class)
+    labels = [normalize_class(c) for c in attack_classes]
     t_grid = _check_t_grid(t_grid)
-    return _curve(label, t_grid, _class_rate(label, t_grid))
+    names = labels + ["oneway"] if with_oneway else labels
+    n = len(t_grid)
+    t = np.tile(t_grid, len(names))
+    index = np.repeat([ATTACK_CLASSES.index(c) for c in labels], n)
+    two_way = index.size  # lanes below are two-way, the rest one-way
+
+    def rate(lanes, omega):
+        out = np.empty(lanes.size)
+        two = lanes < two_way
+        one = ~two
+        if two.any():
+            lane, w = lanes[two], omega[two]
+            out[two] = _keyrate_arrays(t[lane], w, *_class_correlations(index[lane], w))
+        if one.any():
+            out[one] = np.subtract(*_oneway_arrays(t[lanes[one]], omega[one], ONEWAY_MU_A))
+        return out
+
+    roots, status = _bisect_lanes(rate, t.size)
+    points = [ThresholdPoint(T, w, excess_noise(T, w), True, OK) if s == OK
+              else ThresholdPoint(T, *_FAILED_POINT[s], s)
+              for T, w, s in zip(t.tolist(), roots.tolist(), status.tolist())]
+    return [ThresholdCurve(attack_class=name, points=tuple(points[j * n:(j + 1) * n]))
+            for j, name in enumerate(names)]
+
+
+def threshold_curve(attack_class, t_grid):
+    """Security-threshold curve of one attack class: threshold_curves([attack_class], t_grid)[0]."""
+    return threshold_curves([attack_class], t_grid)[0]
 
 
 def oneway_threshold_curve(t_grid):
     """Threshold curve of the one-way baseline over a strictly increasing T grid."""
-    t_grid = _check_t_grid(t_grid)
-    return _curve("oneway", t_grid, _oneway_rate(t_grid))
+    return threshold_curves([], t_grid, with_oneway=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +388,8 @@ def _class_variations(T, mu, omega_grid, classes):
     bad = ~((omega >= 1.0) & (omega <= MAX_VARIANCE))
     if bad.any():
         _check_omega(float(omega[bad][0]))
-    g, g_prime = np.stack([_class_correlations(c, omega) for c in classes], 1)
+    index = np.array([ATTACK_CLASSES.index(c) for c in classes])
+    g, g_prime = _class_correlations(index[:, None], omega)
     i_ab, chi = _information_arrays(T, omega, g, g_prime, mu)
     ref, corner = classes.index(COLLECTIVE), classes.index(SEP_SYM_NEG)
     d_i, d_chi = (np.divide(x[corner] - x[ref], x[ref], out=np.full_like(x[ref], math.nan),

@@ -289,7 +289,7 @@ class TestInformationQuantities:
     def test_broadcast_information_equals_point_calls(self, label, T, omega, mu):
         # a (T column x omega row) grid in one call, against the 0-d public functions
         w = np.array(omega)
-        g, g_prime = _class_correlations(label, w)
+        g, g_prime = _class_correlations(ATTACK_CLASSES.index(label), w)
         iab, chi = protocol._information_arrays(np.array(T)[:, None], w, g, g_prime, mu)
         assert iab.shape == chi.shape == (len(T), len(omega))
         for i, t in enumerate(T):
@@ -396,7 +396,8 @@ class TestKeyRate:
         # the EPR classes rebound near T = 1 and are left out
         w2 = w1 + step
         assume(w2 <= 50.0)
-        rates = [protocol._keyrate_arrays(T, w, *_class_correlations(label, w)) for w in (w1, w2)]
+        index = ATTACK_CLASSES.index(label)
+        rates = [protocol._keyrate_arrays(T, w, *_class_correlations(index, w)) for w in (w1, w2)]
         assert rates[1] < rates[0]
 
     def test_epr_signs_equivalent(self):

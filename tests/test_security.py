@@ -10,12 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, AttackParams, DivergentThresholdError, MonotonicityError,
-                       UnphysicalStateError, attack_from_class, excess_noise, holevo_asymptotic,
-                       keyrate_asymptotic, mutual_information_asymptotic, omega_from_excess,
-                       oneway_keyrate, oneway_report, oneway_threshold_curve,
-                       oneway_threshold_omega, optimal_attack_scan, physical_region_grid,
+                       UnphysicalStateError, attack_from_class, eve_cm, excess_noise,
+                       holevo_asymptotic, is_physical, keyrate_asymptotic,
+                       mutual_information_asymptotic, omega_from_excess, oneway_keyrate,
+                       oneway_report, oneway_threshold_curve, oneway_threshold_omega,
+                       optimal_attack_scan, physical_region_grid, ppt_separable,
                        relative_variations, scan_grid, security, threshold_curve,
-                       threshold_omega)
+                       threshold_curves, threshold_omega)
 from twowayqkd._serialize import Table, csv_table, json_text
 from twowayqkd.attacks import _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
@@ -209,6 +210,34 @@ class TestBatchedSolver:
         with pytest.raises(MonotonicityError, match="T=0.9"):
             threshold_omega(0.9, "epr-")
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batched_curves_equal_one_curve_calls(self, seed):
+        # one solve for every curve of a run: each point, struct-packed, equals the
+        # one-curve call's, whatever the class order, repeats and one-way curve beside it
+        rng = np.random.default_rng(seed)
+        classes = [*ATTACK_CLASSES, *rng.choice(ATTACK_CLASSES, 3).tolist()]
+        rng.shuffle(classes)
+        grid = sorted(set(self.T_GRID + rng.uniform(0.0, 1.0, 8).tolist()))
+        batch = threshold_curves(classes, grid, with_oneway=True)
+        single = [threshold_curve(c, grid) for c in classes] + [oneway_threshold_curve(grid)]
+
+        def packed(curve):
+            return [(curve.attack_class, p.status,
+                     struct.pack("<3d?", p.T, p.omega_star, p.N_star, p.secure))
+                    for p in curve.points]
+
+        assert [packed(c) for c in batch] == [packed(c) for c in single]
+        assert [c.attack_class for c in batch] == [*classes, "oneway"]
+        assert {p.status for c in batch for p in c.points} == {
+            OK, INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE}
+
+    def test_batched_curves_check_classes_then_grid(self):
+        with pytest.raises(ValueError, match="unknown attack class 'bogus'"):
+            threshold_curves(["collective", "bogus"], [])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            threshold_curves(["collective"], [0.5, 0.4], with_oneway=True)
+        assert threshold_curves([], [0.5]) == []
+
     def test_curve_points_carry_status(self):
         curve = threshold_curve("epr+", [0.5, 0.9])
         assert [p.status for p in curve.points] == [INSECURE_AT_VACUUM, NON_MONOTONE]
@@ -305,6 +334,39 @@ class TestOptimalAttackScan:
         r_a, r_b, r_b_swapped = _keyrate_arrays(T, omega, g, gp)
         tol = 1e-12 * (1.0 + abs(r_a))
         assert r_b >= r_a - tol and r_b_swapped >= r_a - tol, (r_a, r_b, r_b_swapped)
+
+    @settings(max_examples=500, deadline=None)
+    @given(T=st.floats(1e-300, 1.0 - 2.2e-16), log_excess=st.floats(-7.0, 1.5),
+           fs=st.floats(-1.0, 1.0), fh=st.floats(0.0, 1.0))
+    def test_rate_is_convex_on_the_diagonal(self, T, log_excess, fs, fh):
+        # Lemma B of the README: on the diagonal g = g' = -s, |s| < omega - 1, the
+        # rate is strictly convex in s, so its second differences are >= 0.  s and h
+        # are multiples of 2^-40, so s - h, s, s + h are equally spaced exactly.
+        # Tolerance 1e-12 (1 + |R|), for the kernel's rounding; on 2,000,000 sampled
+        # triples (T from 1e-300 to 1 - 1e-16) the least second difference was
+        # -9.6e-16 (1 + |R|), rounding at the smallest steps h
+        omega = 1.0 + 10.0 ** log_excess
+        q = 2.0 ** -40
+        s = math.floor(fs * (omega - 1.0) / q) * q
+        h = math.floor(fh * (omega - 1.0 - abs(s)) / q) * q
+        assume(h > 0.0 and abs(s) + h < omega - 1.0)
+        g = -np.array([s - h, s, s + h])
+        r_lo, r_mid, r_hi = _keyrate_arrays(T, omega, g, g)
+        assert r_lo - 2.0 * r_mid + r_hi >= -1e-12 * (1.0 + abs(r_mid)), (r_lo, r_mid, r_hi)
+
+    @settings(max_examples=500, deadline=None)
+    @given(log_excess=st.floats(-7.0, 3.0), f=st.floats(-1.0, 1.0))
+    @example(log_excess=0.0, f=1.0 - 1e-12)  # at the mask's edge omega - g = 1 - 1e-9
+    @example(log_excess=-7.0, f=-1.0)        # at the edge omega + g = 1 - 1e-9
+    def test_symmetric_physical_attacks_are_separable(self, log_excess, f):
+        # the separability step of the README: a symmetric physical attack g = g'
+        # has |g| <= omega - 1 <= sqrt(omega^2 - 1), the PPT condition, which is
+        # separability for two modes (Simon 2000); g spans the mask's tolerance too
+        omega = 1.0 + 10.0 ** log_excess
+        g = f * (omega - 1.0 + BONA_FIDE_ATOL)
+        attack = AttackParams(omega, g, g)
+        assume(is_physical(attack))
+        assert ppt_separable(eve_cm(attack))
 
     def test_minimizer_breaks_ties_in_row_order(self):
         # equal rates: the first row in row-major order wins, as with the full sort
