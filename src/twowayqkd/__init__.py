@@ -8,24 +8,35 @@ covariance-matrix toolbox (symplectic spectra, Gaussian entropies,
 measurement conditioning) that is usable on its own.
 """
 
-from .attacks import (ATTACK_CLASSES, COLLECTIVE, EPR_NEG, EPR_POS, SEP_ANTI_NEG, SEP_ANTI_POS,
-                      SEP_SYM_NEG, SEP_SYM_POS, AttackParams, attack_from_class, classify, eve_cm,
-                      is_physical, normalize_class, physical_region_grid, require_physical)
-from .errors import (DegenerateSpectrumError, DivergentThresholdError, MonotonicityError,
-                     UnphysicalAttackError, UnphysicalStateError)
-from .gaussian import (apply_symplectic, beam_splitter, entropic_h, entropic_h_asymptotic, epr_cm,
-                       heterodyne_condition, is_bona_fide, is_symplectic, partial_trace,
-                       ppt_separable, symplectic_form, symplectic_spectrum, tensor, thermal_cm,
-                       vacuum_cm, von_neumann_entropy)
-from .protocol import (KeyRateReport, ProtocolParams, asymptotic_total_spectrum, bob_cm,
-                       conditional_cm, conditional_entropy_asymptotic,
-                       conditional_spectrum_asymptotic, conditioning_deviation, holevo_asymptotic,
-                       keyrate_asymptotic, keyrate_report, mutual_information_asymptotic,
-                       total_cm, total_cm_circuit, total_entropy_asymptotic)
-from .security import (ScanResult, ThresholdCurve, ThresholdPoint, excess_noise,
-                       omega_from_excess, oneway_keyrate, oneway_report, oneway_threshold_curve,
-                       oneway_threshold_omega, optimal_attack_scan, relative_variations,
-                       scan_grid, threshold_curve, threshold_curves, threshold_omega)
+import importlib
+
+#: public names by the submodule that defines them; `__getattr__` imports a
+#: submodule on first use of one of its names, so `import twowayqkd` loads no
+#: submodule and no numpy
+_EXPORTS = {
+    "attacks": ("ATTACK_CLASSES", "COLLECTIVE", "EPR_NEG", "EPR_POS", "SEP_ANTI_NEG",
+                "SEP_ANTI_POS", "SEP_SYM_NEG", "SEP_SYM_POS", "AttackParams",
+                "attack_from_class", "classify", "eve_cm", "is_physical", "normalize_class",
+                "physical_region_grid", "require_physical"),
+    "errors": ("DegenerateSpectrumError", "DivergentThresholdError", "MonotonicityError",
+               "UnphysicalAttackError", "UnphysicalStateError"),
+    "gaussian": ("apply_symplectic", "beam_splitter", "entropic_h", "entropic_h_asymptotic",
+                 "epr_cm", "heterodyne_condition", "is_bona_fide", "is_symplectic",
+                 "partial_trace", "ppt_separable", "symplectic_form", "symplectic_spectrum",
+                 "tensor", "thermal_cm", "vacuum_cm", "von_neumann_entropy"),
+    "protocol": ("KeyRateReport", "ProtocolParams", "asymptotic_total_spectrum", "bob_cm",
+                 "conditional_cm", "conditional_entropy_asymptotic",
+                 "conditional_spectrum_asymptotic", "conditioning_deviation",
+                 "holevo_asymptotic", "keyrate_asymptotic", "keyrate_report",
+                 "mutual_information_asymptotic", "total_cm", "total_cm_circuit",
+                 "total_entropy_asymptotic"),
+    "security": ("ScanResult", "ThresholdCurve", "ThresholdPoint", "excess_noise",
+                 "omega_from_excess", "oneway_keyrate", "oneway_report",
+                 "oneway_threshold_curve", "oneway_threshold_omega", "optimal_attack_scan",
+                 "relative_variations", "scan_grid", "threshold_curve", "threshold_curves",
+                 "threshold_omega"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -48,3 +59,16 @@ __all__ = [
     "threshold_omega", "total_cm", "total_cm_circuit", "total_entropy_asymptotic", "vacuum_cm",
     "von_neumann_entropy",
 ]
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -8,9 +8,16 @@ Commands: keyrate | threshold | scan | oneway | appendix.  Exit codes:
 import argparse
 import json
 import math
+import os
 import sys
 
-import numpy as np
+# No command makes a BLAS call, so OpenBLAS gets one thread instead of a pool
+# that would idle and burn CPU at start-up.  The variable is read once, when
+# numpy loads: set it only before that, and never over the user's value.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from ._serialize import Table, csv_table, json_text
 from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class, normalize_class

@@ -1,13 +1,17 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, holevo_asymptotic,
-                       keyrate_report, mutual_information_asymptotic, physical_region_grid,
-                       protocol, security)
+from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, gaussian,
+                       holevo_asymptotic, keyrate_report, mutual_information_asymptotic,
+                       physical_region_grid, protocol, security)
 from twowayqkd.attacks import MAX_GRID_NODES, _grid_half_width
 from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
@@ -178,6 +182,66 @@ class TestThresholdBatching:
         # per curve or per lane
         assert 0 < calls["_keyrate_arrays"] <= 60
         assert 0 < calls["_oneway_arrays"] <= 60
+
+
+# the README's examples with their exit codes, plus a scan without --full-grid
+README_RUNS = [
+    (("keyrate", "--T", "0.9", "--omega", "1", "--attack", "collective"), 0),
+    (("keyrate", "--T", "0.8", "--omega", "1.6", "--attack", "custom",
+      "--g", "0.2", "--g-prime", "-0.3"), 0),
+    (("threshold", "--attack", "sep-sym-", "--attack", "collective", "--t-min", "0.65",
+      "--t-max", "0.98", "--t-step", "0.01", "--with-oneway", "--output", "curves.csv"), 0),
+    (("scan", "--T", "0.8", "--omega", "2", "--step", "0.02", "--full-grid",
+      "--format", "json"), 2),
+    (("oneway", "--T", "0.9", "--omega", "1.2"), 0),
+    (("appendix", "--T", "0.65", "--T", "0.95", "--mu", "1e6", "--omega-max", "5",
+      "--omega-step", "0.5"), 0),
+    (("scan", "--T", "0.8", "--omega", "2", "--step", "0.02"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, expected", README_RUNS, ids=[a[0] for a, _ in README_RUNS])
+def test_commands_make_no_blas_call(argv, expected, monkeypatch, tmp_path, capsys):
+    """The CLI starts BLAS with one thread because no command reaches it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a CLI command called linear algebra")
+    for name in ("cholesky", "svd", "solve", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for name in ("symplectic_spectrum", "heterodyne_condition", "apply_symplectic",
+                 "is_symplectic", "ppt_separable"):
+        monkeypatch.setattr(gaussian, name, forbidden)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv)[0] == expected
+
+
+def _cli_process(*argv, flags=(), **env_overrides):
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    return subprocess.run([sys.executable, *flags, "-m", "twowayqkd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestEntryPoint:
+    def test_module_run_raises_no_warning(self):
+        # runpy warns when the package's __init__ has already imported the cli module
+        done = _cli_process("scan", "--T", "0.8", "--omega", "2", "--step", "0.05",
+                            flags=("-W", "error"))
+        assert (done.returncode, done.stderr) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ("keyrate", "--T", "0.9", "--omega", "1", "--attack", "collective"),
+        ("threshold", "--attack", "sep-sym-", "--attack", "collective", "--t-min", "0.65",
+         "--t-max", "0.98", "--t-step", "0.01", "--with-oneway"),
+        ("scan", "--T", "0.8", "--omega", "2", "--step", "0.05", "--full-grid", "--format", "json"),
+        ("oneway", "--T", "0.9", "--omega", "1.2"),
+        ("appendix", "--T", "0.65", "--T", "0.95", "--omega-step", "0.5"),
+    ], ids=lambda v: v[0])
+    def test_output_does_not_depend_on_blas_threads(self, argv):
+        one, two = (_cli_process(*argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert one.stdout and one.stderr == ""
+        assert (one.returncode, one.stdout) == (two.returncode, two.stdout)
 
 
 class TestInvalidInput:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -35,10 +36,60 @@ def test_imports_match_declared_dependencies():
     assert _third_party_imports() == _declared_dependencies() == {"numpy"}
 
 
-def test_cli_import_loads_no_scipy():
-    env = dict(os.environ)
+def _fresh(code, **env_overrides):
+    """Standard output of `code` run in a fresh interpreter with the package on its path."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    code = "import sys, twowayqkd.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True).stdout
-    assert out.strip() == "[]"
+    env.update(env_overrides)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, twowayqkd.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh(code) == "[]"
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    code = ("import sys, twowayqkd; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'twowayqkd')))")
+    assert _fresh(code) == "['twowayqkd']"
+
+
+class TestLazyNamespace:
+    def test_every_public_name_is_its_module_object(self):
+        assert sorted(twowayqkd._ORIGIN) == sorted(twowayqkd.__all__)
+        for name in twowayqkd.__all__:
+            module = importlib.import_module(f"twowayqkd.{twowayqkd._ORIGIN[name]}")
+            assert getattr(twowayqkd, name) is getattr(module, name), name
+
+    def test_dir_covers_all(self):
+        assert set(twowayqkd.__all__) <= set(dir(twowayqkd))
+
+    def test_star_import_binds_every_name(self):
+        ns = {}
+        exec("from twowayqkd import *", ns)
+        assert {name: ns[name] for name in twowayqkd.__all__} == \
+            {name: getattr(twowayqkd, name) for name in twowayqkd.__all__}
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            twowayqkd.no_such_name
+
+
+_THREADS = ("import os; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "len(os.listdir('/proc/self/task')))")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc")
+class TestBlasThreads:
+    def test_cli_import_starts_one_blas_thread(self):
+        assert _fresh("import twowayqkd.cli; " + _THREADS) == "1 1"
+
+    def test_user_value_wins(self):
+        assert _fresh("import twowayqkd.cli; " + _THREADS,
+                      OPENBLAS_NUM_THREADS="2").split()[0] == "2"
+
+    def test_numpy_loaded_first_leaves_environment_alone(self):
+        assert _fresh("import numpy, twowayqkd.cli; " + _THREADS).split()[0] == "None"
