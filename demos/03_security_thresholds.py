@@ -23,15 +23,14 @@ print(f"{'T':>6} " + " ".join(f"{l:>10}" for l in labels))
 for i, T in enumerate(GRID):
     cells = []
     for label in labels:
-        p = curves[label].points[i]
-        cells.append(f"{p.N_star:>10.4f}" if np.isfinite(p.N_star) else f"{'-':>10}")
+        n_star = curves[label].N_star[i]
+        cells.append(f"{n_star:>10.4f}" if np.isfinite(n_star) else f"{'-':>10}")
     print(f"{T:>6.2f} " + " ".join(cells))
 
 # locate the crossing between the sep-sym- corner class and the one-way baseline
-diff = [curves["sep-sym-"].points[i].N_star - curves["oneway"].points[i].N_star
-        for i in range(len(GRID))]
-sign_change = [i for i in range(len(diff) - 1) if diff[i] > 0 >= diff[i + 1]]
-if sign_change:
+diff = curves["sep-sym-"].N_star - curves["oneway"].N_star
+sign_change = np.flatnonzero((diff[:-1] > 0) & (diff[1:] <= 0))
+if sign_change.size:
     i = sign_change[0]
     print(f"\nthe sep-sym- corner class drops below the one-way baseline between "
           f"T = {GRID[i]} and T = {GRID[i + 1]}")

@@ -10,9 +10,9 @@ measurement conditioning) that is usable on its own.
 
 import importlib
 
-#: public names by the submodule that defines them; `__getattr__` imports a
-#: submodule on first use of one of its names, so `import twowayqkd` loads no
-#: submodule and no numpy
+#: public names (`__all__`) by the submodule that defines them; `__getattr__`
+#: imports a submodule on first use of one of its names, so `import twowayqkd`
+#: loads no submodule and no numpy
 _EXPORTS = {
     "attacks": ("ATTACK_CLASSES", "COLLECTIVE", "EPR_NEG", "EPR_POS", "SEP_ANTI_NEG",
                 "SEP_ANTI_POS", "SEP_SYM_NEG", "SEP_SYM_POS", "AttackParams",
@@ -30,35 +30,16 @@ _EXPORTS = {
                  "holevo_asymptotic", "keyrate_asymptotic", "keyrate_report",
                  "mutual_information_asymptotic", "total_cm", "total_cm_circuit",
                  "total_entropy_asymptotic"),
-    "security": ("ScanResult", "ThresholdCurve", "ThresholdPoint", "excess_noise",
-                 "omega_from_excess", "oneway_keyrate", "oneway_report",
-                 "oneway_threshold_curve", "oneway_threshold_omega", "optimal_attack_scan",
-                 "relative_variations", "scan_grid", "threshold_curve", "threshold_curves",
-                 "threshold_omega"),
+    "security": ("ScanResult", "ThresholdCurve", "excess_noise", "omega_from_excess",
+                 "oneway_keyrate", "oneway_report", "oneway_threshold_curve",
+                 "oneway_threshold_omega", "optimal_attack_scan", "relative_variations",
+                 "scan_grid", "threshold_curve", "threshold_curves", "threshold_omega"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ATTACK_CLASSES", "COLLECTIVE", "EPR_NEG", "EPR_POS", "SEP_ANTI_NEG", "SEP_ANTI_POS",
-    "SEP_SYM_NEG", "SEP_SYM_POS", "AttackParams", "KeyRateReport", "ProtocolParams",
-    "ScanResult", "ThresholdCurve", "ThresholdPoint",
-    "DegenerateSpectrumError", "DivergentThresholdError", "MonotonicityError",
-    "UnphysicalAttackError", "UnphysicalStateError",
-    "apply_symplectic", "asymptotic_total_spectrum", "attack_from_class", "beam_splitter",
-    "bob_cm", "classify", "conditional_cm", "conditional_entropy_asymptotic",
-    "conditional_spectrum_asymptotic", "conditioning_deviation", "entropic_h",
-    "entropic_h_asymptotic", "epr_cm", "eve_cm", "excess_noise", "heterodyne_condition",
-    "holevo_asymptotic", "is_bona_fide", "is_physical", "is_symplectic", "keyrate_asymptotic",
-    "keyrate_report", "mutual_information_asymptotic", "normalize_class", "omega_from_excess",
-    "oneway_keyrate", "oneway_report", "oneway_threshold_curve", "oneway_threshold_omega",
-    "optimal_attack_scan", "partial_trace", "physical_region_grid", "ppt_separable",
-    "relative_variations", "require_physical", "scan_grid", "symplectic_form",
-    "symplectic_spectrum", "tensor", "thermal_cm", "threshold_curve", "threshold_curves",
-    "threshold_omega", "total_cm", "total_cm_circuit", "total_entropy_asymptotic", "vacuum_cm",
-    "von_neumann_entropy",
-]
+__all__ = list(_ORIGIN)
 
 
 def __getattr__(name):

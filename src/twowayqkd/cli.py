@@ -221,10 +221,12 @@ def _cmd_threshold(parser, args):
     grid = _t_grid(parser, args)
     curves = threshold_curves(classes, grid, with_oneway=args.with_oneway)
     header = ("T", "omega_star", "N_star", "secure")
-    payload = [{"attack_class": c.attack_class, "points": Table(header, tuple(zip(*c.to_rows())))}
-               for c in curves]
-    rows = [(c.attack_class, *row) for c in curves for row in c.to_rows()]
-    _write(args, payload, [Table(("attack", *header), tuple(zip(*rows)))])
+    columns = [(c.T, c.omega_star, c.N_star, c.secure) for c in curves]
+    payload = [{"attack_class": c.attack_class, "points": Table(header, cols)}
+               for c, cols in zip(curves, columns)]
+    labels = np.concatenate([np.full(len(grid), c.attack_class) for c in curves])
+    table = Table(("attack", *header), (labels, *map(np.concatenate, zip(*columns))))
+    _write(args, payload, [table])
     return 0
 
 

@@ -52,7 +52,7 @@ def omega_from_excess(T, N):
 # threshold root finding
 # ---------------------------------------------------------------------------
 
-#: ThresholdPoint.status values: the solver's outcome for one lane (one T)
+#: ThresholdCurve.status values: the solver's outcome for one lane (one T)
 OK = "ok"
 INSECURE_AT_VACUUM = "insecure_at_vacuum"  # rate(1) <= 0: no secure region
 NO_CROSSING = "no_crossing"                # rate still positive past BRACKET_CAP
@@ -113,11 +113,11 @@ def _bisect_lanes(rate, n):
 # threshold curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThresholdPoint:
-    """One point of a security-threshold curve.
+@dataclass(frozen=True, eq=False)
+class ThresholdCurve:
+    """Security-threshold curve of one attack class: one array entry per T.
 
-    status is the solver's outcome: OK (omega_star is the root), or
+    status holds the solver's outcome: OK (omega_star is the root), or
     INSECURE_AT_VACUUM (no positive rate even at omega = 1; omega_star,
     N_star = 1, 0 and secure is False), NO_CROSSING (rate still positive at
     the bracket cap; inf, inf) or NON_MONOTONE (rate rose while bracketing,
@@ -125,44 +125,27 @@ class ThresholdPoint:
     positive rate exists at omega = 1.
     """
 
-    T: float
-    omega_star: float
-    N_star: float
-    secure: bool
-    status: str
-
-
-@dataclass(frozen=True)
-class ThresholdCurve:
     attack_class: str
-    points: tuple
-
-    def to_rows(self):
-        return [(p.T, p.omega_star, p.N_star, p.secure) for p in self.points]
-
-    def to_dict(self):
-        return {"attack_class": self.attack_class,
-                "points": [{"T": p.T, "omega_star": p.omega_star,
-                            "N_star": p.N_star, "secure": p.secure} for p in self.points]}
+    T: np.ndarray
+    omega_star: np.ndarray
+    N_star: np.ndarray
+    secure: np.ndarray
+    status: np.ndarray
 
 
-#: (omega_star, N_star, secure) of the points whose threshold search found no root
-_FAILED_POINT = {INSECURE_AT_VACUUM: (1.0, 0.0, False), NO_CROSSING: (math.inf, math.inf, True),
-                 NON_MONOTONE: (math.nan, math.nan, True)}
-
-
-def _root_of(point):
+def _root_of(curve):
     """omega* of a one-point curve: None if insecure at omega = 1, else the root or an exception."""
-    if point.status == INSECURE_AT_VACUUM:
+    T, status = float(curve.T[0]), curve.status[0]
+    if status == INSECURE_AT_VACUUM:
         return None
-    if point.status == NO_CROSSING:
+    if status == NO_CROSSING:
         raise DivergentThresholdError(
-            f"rate at T={point.T} still positive at omega={BRACKET_CAP:g} (the bracket cap)")
-    if point.status == NON_MONOTONE:
+            f"rate at T={T} still positive at omega={BRACKET_CAP:g} (the bracket cap)")
+    if status == NON_MONOTONE:
         raise MonotonicityError(
-            f"rate at T={point.T} is not strictly decreasing in omega: it rose while "
+            f"rate at T={T} is not strictly decreasing in omega: it rose while "
             f"bracketing, or the root residual exceeds {RESIDUAL_TOL}")
-    return point.omega_star
+    return float(curve.omega_star[0])
 
 
 def threshold_omega(T, attack_class):
@@ -172,12 +155,12 @@ def threshold_omega(T, attack_class):
     Raises DivergentThresholdError or MonotonicityError where the curve
     point's status is NO_CROSSING or NON_MONOTONE.
     """
-    return _root_of(threshold_curve(attack_class, [T]).points[0])
+    return _root_of(threshold_curve(attack_class, [T]))
 
 
 def oneway_threshold_omega(T):
     """Threshold of the one-way baseline protocol at transmissivity T, or None."""
-    return _root_of(oneway_threshold_curve([T]).points[0])
+    return _root_of(oneway_threshold_curve([T]))
 
 
 def _check_t_grid(t_grid):
@@ -198,8 +181,8 @@ def threshold_curves(attack_classes, t_grid, with_oneway=False):
     one-way baseline curve if with_oneway.  Every T of every curve is
     bisected at once: the lanes are curve-major, and each solver step makes
     one two-way and one one-way kernel call for the lanes still open.
-    Per-point failures are flagged in the point's status rather than
-    aborting the curve.
+    Per-point failures are flagged in the curve's status column rather
+    than aborting the curve.
     """
     labels = [normalize_class(c) for c in attack_classes]
     t_grid = _check_t_grid(t_grid)
@@ -221,10 +204,12 @@ def threshold_curves(attack_classes, t_grid, with_oneway=False):
         return out
 
     roots, status = _bisect_lanes(rate, t.size)
-    points = [ThresholdPoint(T, w, excess_noise(T, w), True, OK) if s == OK
-              else ThresholdPoint(T, *_FAILED_POINT[s], s)
-              for T, w, s in zip(t.tolist(), roots.tolist(), status.tolist())]
-    return [ThresholdCurve(attack_class=name, points=tuple(points[j * n:(j + 1) * n]))
+    omega_star = np.select([status == INSECURE_AT_VACUUM, status == NO_CROSSING,
+                            status == NON_MONOTONE], [1.0, math.inf, math.nan], roots)
+    # N* is excess_noise(T, omega*) in the same IEEE operations, so 0, inf and NaN carry over
+    columns = (t, omega_star, (1.0 - t) * (omega_star - 1.0) / t, status != INSECURE_AT_VACUUM,
+               status)
+    return [ThresholdCurve(name, *(c[j * n:(j + 1) * n] for c in columns))
             for j, name in enumerate(names)]
 
 

@@ -64,7 +64,8 @@ def test_oneway_rate_is_a_float():
 def test_curve_has_one_point_per_transmissivity(label):
     grid = [0.6, 0.73, 0.86, 0.99]
     curve = oneway_threshold_curve(grid) if label == "one-way" else threshold_curve(label, grid)
-    assert len(curve.points) == len(grid)
+    for column in (curve.T, curve.omega_star, curve.N_star, curve.secure, curve.status):
+        assert column.shape == (len(grid),)
 
 
 def test_traced_functions_are_public_module_functions():

@@ -171,13 +171,27 @@ class TestThresholdBatching:
             (attacks, "attack_from_class"), (cli, "attack_from_class"),
             (protocol, "keyrate_asymptotic"), (security, "_keyrate_arrays"),
             (security, "oneway_keyrate"), (security, "_oneway_quantities"),
-            (security, "_oneway_arrays")])
+            (security, "_oneway_arrays"), (security, "excess_noise")])
+        results = []
+
+        def threshold_curves(*args, **kwargs):
+            results.append(security.threshold_curves(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "threshold_curves", threshold_curves)
         classes = [x for c in ATTACK_CLASSES for x in ("--attack", c)]
         code, out = run(capsys, "threshold", *classes, "--t-min", "0.3", "--t-max", "0.99",
                         "--t-step", "0.01", "--with-oneway")
         assert code == 0 and len(out.splitlines()) == 1 + 8 * 70
         assert calls["attack_from_class"] == 0 and calls["keyrate_asymptotic"] == 0
         assert calls["oneway_keyrate"] == 0 and calls["_oneway_quantities"] == 0
+        # the curves reach the emitter as arrays, with no per-point work in between
+        assert calls["excess_noise"] == 0
+        (curves,) = results
+        for c in curves:
+            for column in (c.T, c.omega_star, c.N_star):
+                assert isinstance(column, np.ndarray) and column.dtype == np.float64
+            assert isinstance(c.secure, np.ndarray) and c.secure.dtype == np.bool_
         # one kernel call per solver step for the open lanes of all seven curves, not one
         # per curve or per lane
         assert 0 < calls["_keyrate_arrays"] <= 60

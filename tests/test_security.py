@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -92,44 +93,43 @@ class TestThresholdCurve:
         grid = [0.4, 0.55, 0.7, 0.85]
         pos = threshold_curve("epr+", grid)
         neg = threshold_curve("epr-", grid)
-        for p, q in zip(pos.points, neg.points):
-            assert p.secure == q.secure
-            if math.isfinite(p.omega_star) and math.isfinite(q.omega_star):
-                assert abs(p.omega_star - q.omega_star) <= 1e-8
+        assert pos.secure.tolist() == neg.secure.tolist()
+        for p, q in zip(pos.omega_star.tolist(), neg.omega_star.tolist()):
+            if math.isfinite(p) and math.isfinite(q):
+                assert abs(p - q) <= 1e-8
             else:
-                assert repr(p.omega_star) == repr(q.omega_star)
+                assert repr(p) == repr(q)
 
     def test_epr_serializations_byte_identical(self):
         grid = [0.4, 0.55, 0.7, 0.85]
         pos, neg = threshold_curve("epr+", grid), threshold_curve("epr-", grid)
         header = ("T", "omega_star", "N_star", "secure")
-        csv = [csv_table(Table(header, tuple(zip(*c.to_rows())))) for c in (pos, neg)]
-        assert csv[0] == csv[1]
-        assert json_text(pos.to_dict()["points"]) == json_text(neg.to_dict()["points"])
+        tables = [Table(header, (c.T, c.omega_star, c.N_star, c.secure)) for c in (pos, neg)]
+        assert csv_table(tables[0]) == csv_table(tables[1])
+        assert json_text(tables[0]) == json_text(tables[1])
 
     def test_csv_header_contract(self):
         curve = threshold_curve("collective", [0.5, 0.7, 0.9])
-        points = curve.to_dict()["points"]
-        assert all(list(p) == ["T", "omega_star", "N_star", "secure"] for p in points)
-        assert curve.to_rows() == [tuple(p.values()) for p in points]
+        assert [f.name for f in dataclasses.fields(curve)] == [
+            "attack_class", "T", "omega_star", "N_star", "secure", "status"]
+        assert all(getattr(curve, f).shape == (3,) for f in ("T", "omega_star", "N_star", "secure"))
 
     def test_insecure_points_flagged_not_dropped(self):
         curve = threshold_curve("collective", [0.3, 0.5, 0.7, 0.9])
-        assert [p.secure for p in curve.points] == [False, False, True, True]
-        insecure = curve.points[0]
-        assert insecure.omega_star == 1.0 and insecure.N_star == 0.0
+        assert curve.secure.tolist() == [False, False, True, True]
+        assert curve.omega_star[0] == 1.0 and curve.N_star[0] == 0.0
 
     def test_points_satisfy_rate_residual(self):
         curve = threshold_curve("sep-anti+", [0.7, 0.8, 0.9])
-        for p in curve.points:
-            a = attack_from_class("sep-anti+", p.omega_star)
-            assert abs(keyrate_asymptotic(p.T, a)) <= 1e-8
+        for T, omega_star in zip(curve.T.tolist(), curve.omega_star.tolist()):
+            a = attack_from_class("sep-anti+", omega_star)
+            assert abs(keyrate_asymptotic(T, a)) <= 1e-8
 
     @pytest.mark.parametrize("label", ["collective", "sep-sym+", "sep-sym-", "sep-anti+"])
     def test_excess_noise_thresholds_nondecreasing(self, label):
         grid = list(np.round(np.arange(0.30, 0.99, 0.02), 10))
         curve = threshold_curve(label, grid)
-        n_stars = [p.N_star for p in curve.points]
+        n_stars = curve.N_star.tolist()
         assert all(b >= a - 1e-12 for a, b in zip(n_stars, n_stars[1:]))
 
     def test_rejects_bad_grid(self):
@@ -163,12 +163,13 @@ class TestBatchedSolver:
             rates = [lambda w, T=T: keyrate_asymptotic(T, attack_from_class(label, w))
                      for T in self.T_GRID]
         statuses = set()
-        for p, rate in zip(curve.points, rates):
+        for got_status, omega_star, rate in zip(curve.status.tolist(), curve.omega_star.tolist(),
+                                                rates):
             root, status = self._oracle(rate)
             if root is None:
                 root, status = 1.0, INSECURE_AT_VACUUM
-            assert p.status == status
-            assert repr(p.omega_star) == repr(root)
+            assert got_status == status
+            assert repr(omega_star) == repr(root)
             statuses.add(status)
         expected = {INSECURE_AT_VACUUM, NON_MONOTONE if label.startswith("epr") else OK}
         if label == "sep-sym+":
@@ -202,6 +203,7 @@ class TestBatchedSolver:
             return lambda w: keyrate_asymptotic(T, attack_from_class(label, w))
 
         assert threshold_omega(0.9, "sep-sym-") == bisect_threshold(rate(0.9, "sep-sym-"))
+        assert type(threshold_omega(0.9, "sep-sym-")) is type(oneway_threshold_omega(0.9)) is float
         assert oneway_threshold_omega(0.9) == bisect_threshold(lambda w: oneway_keyrate(0.9, w))
         assert threshold_omega(0.5, "collective") is None
         assert oneway_threshold_omega(0.7) is None
@@ -212,7 +214,7 @@ class TestBatchedSolver:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batched_curves_equal_one_curve_calls(self, seed):
-        # one solve for every curve of a run: each point, struct-packed, equals the
+        # one solve for every curve of a run: each column, packed to bytes, equals the
         # one-curve call's, whatever the class order, repeats and one-way curve beside it
         rng = np.random.default_rng(seed)
         classes = [*ATTACK_CLASSES, *rng.choice(ATTACK_CLASSES, 3).tolist()]
@@ -222,13 +224,12 @@ class TestBatchedSolver:
         single = [threshold_curve(c, grid) for c in classes] + [oneway_threshold_curve(grid)]
 
         def packed(curve):
-            return [(curve.attack_class, p.status,
-                     struct.pack("<3d?", p.T, p.omega_star, p.N_star, p.secure))
-                    for p in curve.points]
+            return (curve.attack_class, curve.status.tolist(),
+                    *(getattr(curve, f).tobytes() for f in ("T", "omega_star", "N_star", "secure")))
 
         assert [packed(c) for c in batch] == [packed(c) for c in single]
         assert [c.attack_class for c in batch] == [*classes, "oneway"]
-        assert {p.status for c in batch for p in c.points} == {
+        assert {s for c in batch for s in c.status.tolist()} == {
             OK, INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE}
 
     def test_batched_curves_check_classes_then_grid(self):
@@ -240,10 +241,10 @@ class TestBatchedSolver:
 
     def test_curve_points_carry_status(self):
         curve = threshold_curve("epr+", [0.5, 0.9])
-        assert [p.status for p in curve.points] == [INSECURE_AT_VACUUM, NON_MONOTONE]
-        T, omega_star, n_star, secure = curve.to_rows()[1]
-        assert math.isnan(omega_star) and math.isnan(n_star) and secure
-        assert list(curve.to_dict()["points"][0]) == ["T", "omega_star", "N_star", "secure"]
+        assert curve.status.tolist() == [INSECURE_AT_VACUUM, NON_MONOTONE]
+        assert math.isnan(curve.omega_star[1]) and math.isnan(curve.N_star[1]) and curve.secure[1]
+        assert [f.name for f in dataclasses.fields(curve)][1:5] == [
+            "T", "omega_star", "N_star", "secure"]
 
 
 class TestOptimalAttackScan:
@@ -463,7 +464,7 @@ class TestOneWayBaseline:
 
     def test_curve_insecure_below_edge(self):
         curve = oneway_threshold_curve([0.6, 0.7, 0.8, 0.9])
-        assert [p.secure for p in curve.points] == [False, False, True, True]
+        assert curve.secure.tolist() == [False, False, True, True]
         assert curve.attack_class == "oneway"
 
     def test_report_fields(self):

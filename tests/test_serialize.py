@@ -44,10 +44,14 @@ def oracle_threshold(fmt):
     # T up to 0.999 holds NaN rows (the EPR rebound) and an inf row (sep-sym+ at 0.999)
     grid = _even_grid(_build_parser(), "t", 0.90, 0.999, 0.003)
     curves = [threshold_curve(c, grid) for c in ATTACK_CLASSES] + [oneway_threshold_curve(grid)]
+    header = ("T", "omega_star", "N_star", "secure")
+    rows = [list(zip(*(getattr(c, h).tolist() for h in header))) for c in curves]
     if fmt == "json":
-        return json_text([c.to_dict() for c in curves])
-    rows = [[c.attack_class, *row] for c in curves for row in c.to_rows()]
-    return csv_table(("attack", "T", "omega_star", "N_star", "secure"), rows)
+        return json_text([{"attack_class": c.attack_class,
+                           "points": [dict(zip(header, row)) for row in points]}
+                          for c, points in zip(curves, rows)])
+    return csv_table(("attack", *header),
+                     [[c.attack_class, *row] for c, points in zip(curves, rows) for row in points])
 
 
 def oracle_scan(fmt):
