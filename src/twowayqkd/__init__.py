@@ -18,18 +18,17 @@ _EXPORTS = {
                 "SEP_ANTI_POS", "SEP_SYM_NEG", "SEP_SYM_POS", "AttackParams",
                 "attack_from_class", "classify", "eve_cm", "is_physical", "normalize_class",
                 "physical_region_grid", "require_physical"),
+    "circuit": ("ProtocolParams", "bob_cm", "conditional_cm", "conditioning_deviation",
+                "total_cm", "total_cm_circuit"),
     "errors": ("DegenerateSpectrumError", "DivergentThresholdError", "MonotonicityError",
                "UnphysicalAttackError", "UnphysicalStateError"),
     "gaussian": ("apply_symplectic", "beam_splitter", "entropic_h", "entropic_h_asymptotic",
                  "epr_cm", "heterodyne_condition", "is_bona_fide", "is_symplectic",
                  "partial_trace", "ppt_separable", "symplectic_form", "symplectic_spectrum",
                  "tensor", "thermal_cm", "vacuum_cm", "von_neumann_entropy"),
-    "protocol": ("KeyRateReport", "ProtocolParams", "asymptotic_total_spectrum", "bob_cm",
-                 "conditional_cm", "conditional_entropy_asymptotic",
-                 "conditional_spectrum_asymptotic", "conditioning_deviation",
-                 "holevo_asymptotic", "keyrate_asymptotic", "keyrate_report",
-                 "mutual_information_asymptotic", "total_cm", "total_cm_circuit",
-                 "total_entropy_asymptotic"),
+    "protocol": ("KeyRateReport", "asymptotic_total_spectrum", "conditional_entropy_asymptotic",
+                 "conditional_spectrum_asymptotic", "holevo_asymptotic", "keyrate_asymptotic",
+                 "keyrate_report", "mutual_information_asymptotic", "total_entropy_asymptotic"),
     "security": ("ScanResult", "ThresholdCurve", "excess_noise", "omega_from_excess",
                  "oneway_keyrate", "oneway_report", "oneway_threshold_curve",
                  "oneway_threshold_omega", "optimal_attack_scan", "relative_variations",

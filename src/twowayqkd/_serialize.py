@@ -17,7 +17,6 @@ JSON has no inf/nan).  Either way the rows of a table are one "".join over a
 flat list of literals and cells.
 """
 
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +55,10 @@ def _cells(column, null):
     if kind == "b":
         return ["true" if v else "false" for v in values]
     if kind == "U":
-        return list(map(json.dumps if null else str, values))
+        if not null:
+            return list(map(str, values))
+        import json  # JSON output only, so that CSV runs never load it
+        return list(map(json.dumps, values))
     raise TypeError(f"cannot serialize a column of dtype {values.dtype}")
 
 
@@ -85,6 +87,7 @@ def csv_table(*tables):
 
 
 def _json(value):
+    import json  # JSON output only, so that CSV runs never load it
     if isinstance(value, Table):
         keys = [json.dumps(str(h)) + ": " for h in value.header]
         literals = ["{" + k if j == 0 else ", " + k for j, k in enumerate(keys)] + ["}, "]

@@ -11,7 +11,7 @@ two passes a memory channel.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,23 +59,32 @@ def _check_omega(omega):
                          f"got {omega}")
 
 
-@dataclass(frozen=True)
-class AttackParams:
-    """Eve's triple (omega, g, g') in SNU.
-
-    Finite values and omega >= 1 are enforced on construction; whether the triple
-    describes a physical two-mode state is checked separately by is_physical().
-    """
-
+class _AttackFields(NamedTuple):
     omega: float
     g: float
     g_prime: float
 
-    def __post_init__(self):
-        _check_omega(self.omega)
-        for name, value in (("g", self.g), ("g_prime", self.g_prime)):
+
+class AttackParams(_AttackFields):
+    """Eve's triple (omega, g, g') in SNU.
+
+    Finite values and omega >= 1 are enforced on construction, also through
+    _make and _replace; whether the triple describes a physical two-mode
+    state is checked separately by is_physical().
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, omega, g, g_prime):
+        _check_omega(omega)
+        for name, value in (("g", g), ("g_prime", g_prime)):
             if not math.isfinite(value):
                 raise ValueError(f"correlation {name} must be finite, got {value}")
+        return super().__new__(cls, omega, g, g_prime)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def eve_cm(params):
@@ -185,7 +194,8 @@ def _grid_half_width(omega, resolution):
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"grid resolution must be finite and positive, got {resolution}")
     span = omega / resolution + 1e-9
-    nodes = (2 * math.floor(span) + 1) ** 2 if math.isfinite(span) else span
+    side = 2.0 * math.floor(span) + 1.0 if math.isfinite(span) else span
+    nodes = side * side  # a float: inf past the doubles, never an int too large to print
     if nodes > MAX_GRID_NODES:
         raise ValueError(f"grid resolution {resolution} at omega {omega} gives {nodes:.6g} "
                          f"grid nodes; a scan grid must hold at most {MAX_GRID_NODES}")

@@ -1,0 +1,167 @@
+"""Two-way coherent-state protocol in the entanglement-based picture.
+
+One protocol use: Bob heterodynes one arm of an EPR pair (variance mu_B) and
+sends the other arm to Alice; Alice implements her Gaussian displacement by
+mixing the incoming mode with one arm of her own EPR pair (variance mu_A) on
+a beam splitter of transmissivity eta, keeping the reflected port; the
+travelling mode returns to Bob, who heterodynes it.  Eve taps both channel
+passes (each a beam splitter of transmissivity T) with correlated ancillas.
+
+Total output modes are ordered (B1, A, A'', B2): Bob's kept arm, Alice's kept
+arm, Alice's reflected port, and the returned mode.  The ideal displacement
+is recovered in the limit eta -> 1 with mu_A = mu/(1-eta) + 1 diverging,
+where mu = mu_B - 1 is the classical modulation variance.
+
+The closed forms of twowayqkd.protocol take that limit analytically; the
+covariance matrices here are their oracle and part of the public toolbox.
+No command of the CLI imports this module.
+"""
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from . import gaussian
+from .attacks import eve_cm
+
+
+class _ProtocolFields(NamedTuple):
+    T: float
+    eta: float
+    mu_B: float
+    mu_A: float
+
+
+class ProtocolParams(_ProtocolFields):
+    """One two-way protocol instance: (T, eta, mu_B, mu_A).
+
+    The ranges are enforced on construction, also through _make and _replace.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, T, eta, mu_B, mu_A):
+        if not 0.0 < T < 1.0:
+            raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
+        if not 0.0 < eta < 1.0:
+            raise ValueError(f"beam-splitter transmissivity eta must lie in (0, 1), got {eta}")
+        if not mu_B >= 1.0:
+            raise ValueError(f"mu_B must be >= 1 SNU, got {mu_B}")
+        if not mu_A >= 1.0:
+            raise ValueError(f"mu_A must be >= 1 SNU, got {mu_A}")
+        return super().__new__(cls, T, eta, mu_B, mu_A)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    @classmethod
+    def displacement_limit(cls, T, mu, eta=1.0 - 1e-6):
+        """Parameters coupled for the ideal-displacement limit.
+
+        Sets mu_B = mu + 1 and mu_A = mu/(1-eta) + 1, so that Alice's source
+        variance diverges as eta -> 1 while her effective displacement keeps
+        modulation variance mu.
+        """
+        if not 0.0 < mu < math.inf:
+            raise ValueError(f"modulation variance mu must be positive and finite, got {mu}")
+        return cls(T=T, eta=eta, mu_B=mu + 1.0, mu_A=mu / (1.0 - eta) + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# covariance matrices
+# ---------------------------------------------------------------------------
+
+def _coefficients(p, a):
+    """Scalar coefficients of the total covariance matrix."""
+    T, eta, muB, muA = p.T, p.eta, p.mu_B, p.mu_A
+    w = a.omega
+    phi = -math.sqrt(T * (1.0 - eta) * (muB * muB - 1.0))
+    theta = T * math.sqrt(eta * (muB * muB - 1.0))
+    k = eta * muA + (1.0 - eta) * (T * muB + (1.0 - T) * w)
+    xi = math.sqrt(eta * (muA * muA - 1.0))
+    tau = math.sqrt(T * (1.0 - eta) * (muA * muA - 1.0))
+    eps = T * T * eta * muB + T * (1.0 - eta) * muA + (T * eta + 1.0) * (1.0 - T) * w
+    g_eps = 2.0 * (1.0 - T) * math.sqrt(eta * T)
+    delta = math.sqrt(T * eta * (1.0 - eta)) * (muA - T * muB - (1.0 - T) * w)
+    g_delta = -(1.0 - T) * math.sqrt(1.0 - eta)
+    return phi, theta, k, xi, tau, eps, g_eps, delta, g_delta
+
+
+def total_cm(p, a):
+    """Closed-form 8x8 covariance matrix of the output modes (B1, A, A'', B2)."""
+    phi, theta, k, xi, tau, eps, g_eps, delta, g_delta = _coefficients(p, a)
+    I = np.eye(2)
+    Z = np.diag([1.0, -1.0])
+    G = np.diag([a.g, a.g_prime])
+    V = np.zeros((8, 8))
+
+    def put(i, j, block):
+        V[2 * i:2 * i + 2, 2 * j:2 * j + 2] = block
+        if i != j:
+            V[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block.T
+
+    put(0, 0, p.mu_B * I)
+    put(1, 1, p.mu_A * I)
+    put(2, 2, k * I)
+    put(3, 3, eps * I + g_eps * G)
+    put(0, 2, phi * Z)
+    put(0, 3, theta * Z)
+    put(1, 2, xi * Z)
+    put(1, 3, tau * Z)
+    put(2, 3, delta * I + g_delta * G)
+    return V
+
+
+def total_cm_circuit(p, a):
+    """Same state built by simulating the entanglement-based circuit.
+
+    Starts from EPR(mu_B) x EPR(mu_A) x Eve's two-mode state, applies the
+    forward-pass beam splitter (T), Alice's beam splitter (eta) and the
+    backward-pass beam splitter (T), then traces out Eve's modes.  Serves as
+    an independent oracle for every coefficient of total_cm.
+    """
+    # initial mode order: B1, B1', A, A', E1, E2
+    V = gaussian.tensor(gaussian.epr_cm(p.mu_B), gaussian.epr_cm(p.mu_A), eve_cm(a))
+    V = gaussian.apply_symplectic(gaussian.beam_splitter(p.T, (1, 4), 6), V)    # forward pass
+    V = gaussian.apply_symplectic(gaussian.beam_splitter(p.eta, (1, 3), 6), V)  # Alice's displacement
+    V = gaussian.apply_symplectic(gaussian.beam_splitter(p.T, (1, 5), 6), V)    # backward pass
+    return gaussian.partial_trace(V, keep=(0, 2, 3, 1))  # -> B1, A, A'', B2
+
+
+def bob_cm(p, a):
+    """4x4 covariance matrix of Bob's modes (B1, B2), Alice's modes traced out."""
+    _, theta, _, _, _, eps, g_eps, _, _ = _coefficients(p, a)
+    Z = np.diag([1.0, -1.0])
+    G = np.diag([a.g, a.g_prime])
+    V = np.zeros((4, 4))
+    V[:2, :2] = p.mu_B * np.eye(2)
+    V[2:, 2:] = eps * np.eye(2) + g_eps * G
+    V[:2, 2:] = theta * Z
+    V[2:, :2] = theta * Z
+    return V
+
+
+def conditional_cm(p, a):
+    """Bob's covariance matrix conditioned on Alice's detection.
+
+    Implemented as bob_cm evaluated at mu_A = 1 with all other parameters
+    unchanged, which removes Alice's modulation from the returned mode.
+    """
+    return bob_cm(p._replace(mu_A=1.0), a)
+
+
+def conditioning_deviation(p, a):
+    """Gap between the mu_A = 1 substitution and exact heterodyne conditioning.
+
+    Heterodynes mode A of the total state exactly, leaving (B1, A'', B2), and
+    compares the two largest symplectic eigenvalues with the spectrum of
+    conditional_cm.  Returns (max relative deviation, residual third
+    eigenvalue); the residual sits at 1 when mode A'' decouples, which happens
+    only in the eta -> 1 displacement limit.
+    """
+    exact = gaussian.symplectic_spectrum(gaussian.heterodyne_condition(total_cm(p, a), measured=1))
+    approx = gaussian.symplectic_spectrum(conditional_cm(p, a))
+    dev = float(np.max(np.abs(exact[:2] - approx) / approx))
+    return dev, float(exact[2])

@@ -6,7 +6,6 @@ Commands: keyrate | threshold | scan | oneway | appendix.  Exit codes:
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -134,6 +133,7 @@ def _config_value(parser, key, action, value):
 def _merge_config(parser, args):
     if args.config is None:
         return args
+    import json  # imported here, so that a run without a config need not load it
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):

@@ -6,7 +6,7 @@ of the channel transmissivity T.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def _bisect_lanes(rate, n):
 # threshold curves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ThresholdCurve:
+class ThresholdCurve(NamedTuple):
     """Security-threshold curve of one attack class: one array entry per T.
 
     status holds the solver's outcome: OK (omega_star is the root), or
@@ -122,7 +121,8 @@ class ThresholdCurve:
     N_star = 1, 0 and secure is False), NO_CROSSING (rate still positive at
     the bracket cap; inf, inf) or NON_MONOTONE (rate rose while bracketing,
     or the residual check failed; NaN, NaN).  secure is True whenever a
-    positive rate exists at omega = 1.
+    positive rate exists at omega = 1.  Two curves compare as tuples of
+    arrays, so compare their columns rather than the curves.
     """
 
     attack_class: str
@@ -227,8 +227,7 @@ def oneway_threshold_curve(t_grid):
 # optimal-attack scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Grid minimizer of the key rate over Eve's physical correlation region."""
 
     T: float
@@ -239,7 +238,7 @@ class ScanResult:
     grid_resolution: float
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def scan_grid(T, omega, resolution):

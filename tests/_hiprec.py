@@ -16,8 +16,9 @@ DPS = 40
 
 
 def _mpf(x):
-    """The exact binary value of float(x), not the decimal of its shortest repr."""
-    return mp.mpf(float(x))
+    """The exact binary value of float(x), not the decimal of its shortest repr; an mp
+    number is kept as it is, so that a root search in mp precision is not rounded."""
+    return x if isinstance(x, mp.mpf) else mp.mpf(float(x))
 
 
 def mp_attack(label, omega):
@@ -139,6 +140,24 @@ def mp_oneway_information(T, omega, mu_a):
     """
     _, b, b_cond = _mp_oneway_state(*map(_mpf, (T, omega, mu_a)))
     return mp.log((b + 1) / (b_cond + 1), 2)
+
+
+def mp_twoway_rate(T, omega, g, g_prime):
+    """Two-way key rate R in mp numbers, from the closed form of protocol._two_way_arrays.
+
+    R = log2(2T(1+T) / (e (1-T) sqrt(sigma sigma'))) - (h(nu1) + h(nu2) - h(nubar1)), with
+    the squared spectra floored at 1 as the float form floors them (the EPR classes sit
+    on nu1 = nu2 = 1, which mp rounding can put a hair below).
+    """
+    T, w, g, gp = map(_mpf, (T, omega, g, g_prime))
+    st = mp.sqrt(T)
+    r = 2 * st / (1 + T)
+    delta = 1 + T * T + (1 - T * T) * w
+    sigma, sigma_p = delta + 2 * g * (1 - T) * st, delta + 2 * gp * (1 - T) * st
+    nu1, nu2, nubar1 = (mp.sqrt(max(x, 1)) for x in
+                        ((w - g) * (w - gp), (w + g) * (w + gp), (w + r * g) * (w + r * gp)))
+    log_term = mp.log(2 * T * (1 + T) / (mp.e * (1 - T) * mp.sqrt(sigma * sigma_p)), 2)
+    return log_term - (mp_entropic_h(nu1) + mp_entropic_h(nu2) - mp_entropic_h(nubar1))
 
 
 def mp_oneway_rate(T, omega, mu_a):

@@ -168,6 +168,36 @@ class TestClosedFormPhysicality:
             AttackParams(**params)
 
 
+class TestAttackParamsRecord:
+    """AttackParams is a NamedTuple whose checks no construction route skips."""
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("omega", np.inf, ValueError, "omega must be finite"),
+        ("omega", 0.5, UnphysicalAttackError, "omega must be >= 1"),
+        ("omega", 2e9, ValueError, "omega must be <= 1e\\+09"),
+        ("g", np.nan, ValueError, "g must be finite"),
+        ("g_prime", -np.inf, ValueError, "g_prime must be finite"),
+    ])
+    def test_every_route_checks(self, field, value, error, message):
+        valid = AttackParams(2.0, 0.5, -0.5)
+        bad = {**valid._asdict(), field: value}
+        for build in (lambda: AttackParams(**bad), lambda: valid._replace(**{field: value}),
+                      lambda: AttackParams._make(bad.values())):
+            with pytest.raises(error, match=message):
+                build()
+
+    def test_tuple_contract(self):
+        a = AttackParams(2.0, 0.5, -0.5)
+        assert a._fields == ("omega", "g", "g_prime")
+        assert repr(a) == "AttackParams(omega=2.0, g=0.5, g_prime=-0.5)"
+        assert tuple(a) == (2.0, 0.5, -0.5) and a == AttackParams(omega=2.0, g=0.5, g_prime=-0.5)
+        assert hash(a) == hash(AttackParams(2.0, 0.5, -0.5))
+        moved = a._replace(g=0.25)
+        assert type(moved) is AttackParams and moved == (2.0, 0.25, -0.5)
+        with pytest.raises(AttributeError):
+            a.omega = 3.0
+
+
 class TestSymmetries:
     def test_physicality_invariant_under_swap_and_negation(self):
         rng = np.random.default_rng(5)

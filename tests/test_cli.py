@@ -282,6 +282,10 @@ class TestInvalidInput:
          ("4e+300", "grid points", str(MAX_GRID_POINTS))),
         (("scan", "--T", "0.8", "--omega", "3", "--step", "1e-4"),
          ("3.60012e+09", "grid nodes", str(MAX_GRID_NODES))),
+        (("scan", "--T", "0.8", "--omega", "2", "--step", "1e-300"),
+         ("grid nodes", str(MAX_GRID_NODES))),
+        (("scan", "--T", "0.8", "--omega", "2", "--step", "1e-300", "--full-grid"),
+         ("grid nodes", str(MAX_GRID_NODES))),
         (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "-0.5"), ("--mu", "-0.5")),
         (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "nan"), ("--mu", "nan")),
         (("oneway", "--T", "0.9", "--omega", "1.2", "--mu", "1e15"),
@@ -312,6 +316,7 @@ class TestInvalidInput:
             "scan-step-inf", "keyrate-omega-inf", "oneway-omega-inf", "oneway-omega-nan",
             "oneway-mu-inf", "keyrate-mu-inf", "appendix-mu-inf", "appendix-omega-max-inf",
             "threshold-grid-over-cap", "appendix-grid-over-cap", "scan-grid-over-cap",
+            "scan-grid-far-over-cap", "full-grid-far-over-cap",
             "oneway-mu-negative", "oneway-mu-nan", "oneway-mu-over-bound",
             "appendix-mu-over-bound", "scan-omega-over-bound", "oneway-mu-far-over-bound",
             "keyrate-mu-over-bound", "keyrate-omega-over-bound", "appendix-omega-over-bound",
@@ -444,8 +449,8 @@ class TestAppendixCommand:
             (attacks, "attack_from_class"), (cli, "attack_from_class"),
             (protocol, "mutual_information_asymptotic"), (protocol, "holevo_asymptotic"),
             (security, "_information_arrays")])
-        monkeypatch.setattr(attacks.AttackParams, "__post_init__",
-                            lambda self: pytest.fail("AttackParams built"))
+        monkeypatch.setattr(attacks.AttackParams, "__new__",
+                            lambda cls, *args, **kwargs: pytest.fail("AttackParams built"))
         code, out = run(capsys, "appendix", "--T", "0.65", "--T", "0.95", "--omega-step", "0.01")
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 401
         assert calls["attack_from_class"] == 0

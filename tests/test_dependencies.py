@@ -21,7 +21,8 @@ def _declared_dependencies():
     return {re.match(r"[A-Za-z0-9_.-]+", s).group(0).lower() for s in spec}
 
 
-def _third_party_imports():
+def _absolute_imports():
+    """Top-level names of every absolute import in the package's modules."""
     names = set()
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -29,7 +30,12 @@ def _third_party_imports():
                 names.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return {n for n in names if n not in sys.stdlib_module_names and n != PACKAGE.name}
+    return names
+
+
+def _third_party_imports():
+    return {n for n in _absolute_imports()
+            if n not in sys.stdlib_module_names and n != PACKAGE.name}
 
 
 def test_imports_match_declared_dependencies():
@@ -43,6 +49,34 @@ def _fresh(code, **env_overrides):
     env.update(env_overrides)
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def test_no_module_imports_dataclasses():
+    # the record types are NamedTuples: dataclasses would cost every CLI start-up its import
+    assert "dataclasses" not in _absolute_imports()
+
+
+_MODULES = "import sys; print(' '.join(sorted(sys.modules)))"
+
+
+def test_cli_import_adds_only_its_own_modules():
+    # beyond what numpy and argparse load anyway, the CLI loads the package's
+    # modules and nothing else: no dataclasses, no json, not the circuit model
+    base = set(_fresh("import numpy, argparse; " + _MODULES).split())
+    added = set(_fresh("import twowayqkd.cli; " + _MODULES).split()) - base
+    assert {"twowayqkd", "twowayqkd.cli", "twowayqkd.protocol"} <= added
+    assert {m for m in added if m.split(".")[0] != "twowayqkd"} == set()
+    assert "twowayqkd.circuit" not in added
+
+
+@pytest.mark.parametrize("fmt, loads_json", [("csv", False), ("json", True)])
+def test_scan_loads_json_only_for_json_output(fmt, loads_json):
+    code = ("import contextlib, io, sys, twowayqkd.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main(['scan', '--T', '0.8', '--omega', '1.5', '--step', '0.1',"
+            f" '--format', '{fmt}'])\n"
+            "print(code, 'json' in sys.modules)")
+    assert _fresh(code) == f"0 {loads_json}"
 
 
 def test_cli_import_loads_no_scipy():

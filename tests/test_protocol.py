@@ -61,6 +61,21 @@ class TestProtocolParams:
         with pytest.raises(ValueError):
             ProtocolParams(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("T", 0.0), ("T", 1.0), ("eta", 1.0), ("mu_B", 0.5), ("mu_A", 0.0), ("mu_A", math.nan)])
+    def test_replace_and_make_check(self, field, value):
+        valid = ProtocolParams(T=0.5, eta=0.5, mu_B=2.0, mu_A=2.0)
+        with pytest.raises(ValueError, match=f"{field} "):
+            valid._replace(**{field: value})
+        with pytest.raises(ValueError, match=f"{field} "):
+            ProtocolParams._make({**valid._asdict(), field: value}.values())
+
+    def test_tuple_contract(self):
+        p = ProtocolParams(T=0.5, eta=0.5, mu_B=2.0, mu_A=3.0)
+        assert p._fields == ("T", "eta", "mu_B", "mu_A")
+        assert repr(p) == "ProtocolParams(T=0.5, eta=0.5, mu_B=2.0, mu_A=3.0)"
+        assert p._replace(mu_A=1.0) == ProtocolParams(0.5, 0.5, 2.0, 1.0)
+
     def test_displacement_limit_coupling(self):
         p = ProtocolParams.displacement_limit(0.7, mu=10.0, eta=0.9)
         assert p.mu_B == 11.0
@@ -443,6 +458,7 @@ class TestKeyRate:
         assert list(rep.to_dict()) == [
             "nu1", "nu2", "nu3nu4_product", "nubar1", "nubar2", "S_E", "S_E_cond",
             "I_AB", "chi_EA", "R", "sigma", "sigma_prime", "Delta"]
+        assert type(rep.to_dict()) is dict and list(rep.to_dict()) == list(rep._fields)
         assert rep.nu1 == pytest.approx(3.0, rel=1e-12)
         assert rep.nu2 == pytest.approx(1.0, abs=1e-12)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import struct
@@ -22,10 +21,11 @@ from twowayqkd._serialize import Table, csv_table, json_text
 from twowayqkd.attacks import _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
 from twowayqkd.protocol import _keyrate_arrays
-from twowayqkd.security import (INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE, OK, ONEWAY_MU_A,
-                                _bisect_lanes, _grid_minimizer, _oneway_arrays, _oneway_quantities)
+from twowayqkd.security import (BRACKET_TOL, INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE, OK,
+                                ONEWAY_MU_A, _bisect_lanes, _grid_minimizer, _oneway_arrays,
+                                _oneway_quantities)
 
-from _hiprec import mp_oneway_information, mp_oneway_rate, with_dps
+from _hiprec import mp_attack, mp_oneway_information, mp_oneway_rate, mp_twoway_rate, with_dps
 from _util import bisect_threshold, lexsort_minimizer, oneway_quantities_circuit
 
 
@@ -110,7 +110,7 @@ class TestThresholdCurve:
 
     def test_csv_header_contract(self):
         curve = threshold_curve("collective", [0.5, 0.7, 0.9])
-        assert [f.name for f in dataclasses.fields(curve)] == [
+        assert list(curve._fields) == [
             "attack_class", "T", "omega_star", "N_star", "secure", "status"]
         assert all(getattr(curve, f).shape == (3,) for f in ("T", "omega_star", "N_star", "secure"))
 
@@ -243,8 +243,47 @@ class TestBatchedSolver:
         curve = threshold_curve("epr+", [0.5, 0.9])
         assert curve.status.tolist() == [INSECURE_AT_VACUUM, NON_MONOTONE]
         assert math.isnan(curve.omega_star[1]) and math.isnan(curve.N_star[1]) and curve.secure[1]
-        assert [f.name for f in dataclasses.fields(curve)][1:5] == [
-            "T", "omega_star", "N_star", "secure"]
+        assert list(curve._fields)[1:5] == ["T", "omega_star", "N_star", "secure"]
+
+
+class TestRootPrecision:
+    """Threshold roots against 40-digit roots of the same closed forms.
+
+    The bisection stops at a bracket of BRACKET_TOL and prints its midpoint,
+    so a root is good to BRACKET_TOL / 2 plus the few ulps where the float
+    rate's sign is rounding; the digits past that are not true yet.
+    """
+
+    GRID = [0.75, 0.9, 0.99]
+
+    @staticmethod
+    def _mp_root(rate, omega):
+        lo, hi = mp.mpf(omega) - mp.mpf("1e-9"), mp.mpf(omega) + mp.mpf("1e-9")
+        assert rate(lo) > 0 > rate(hi)
+        return mp.findroot(rate, (lo, hi), solver="anderson")
+
+    def test_ok_roots_within_half_the_bracket(self):
+        curves = threshold_curves(ATTACK_CLASSES, self.GRID, with_oneway=True)
+        checked = {}
+        for curve in curves:
+            for T, omega, status in zip(curve.T.tolist(), curve.omega_star.tolist(),
+                                        curve.status.tolist()):
+                if status != OK:
+                    continue
+                if curve.attack_class == "oneway":
+                    rate = lambda w, T=T: mp_oneway_rate(T, w, ONEWAY_MU_A)
+                else:
+                    rate = lambda w, T=T, c=curve.attack_class: mp_twoway_rate(
+                        T, w, *mp_attack(c, w))
+                exact = with_dps(self._mp_root, rate, omega)
+                gap = abs(float(mp.mpf(omega) - exact))
+                assert gap <= BRACKET_TOL / 2 + 4 * np.spacing(omega), (curve.attack_class, T)
+                checked[curve.attack_class] = checked.get(curve.attack_class, 0) + 1
+        # the EPR classes rebound without crossing zero, so they have no root to check
+        assert checked == {c: len(self.GRID) for c in (*ATTACK_CLASSES, "oneway")
+                           if not c.startswith("epr")}
+        assert {c.attack_class: set(c.status) for c in curves if c.attack_class.startswith("epr")} \
+            == {"epr+": {NON_MONOTONE}, "epr-": {NON_MONOTONE}}
 
 
 class TestOptimalAttackScan:
@@ -256,6 +295,13 @@ class TestOptimalAttackScan:
         best = min(rates)
         assert result.R_min == pytest.approx(best[0], abs=1e-12)
         assert (result.best_g, result.best_g_prime) == (best[1], best[2])
+
+    def test_record_keeps_its_key_order(self):
+        result = optimal_attack_scan(0.8, 1.5, 0.1)
+        payload = result.to_dict()
+        assert type(payload) is dict and list(payload) == [
+            "T", "omega", "best_g", "best_g_prime", "R_min", "grid_resolution"]
+        assert tuple(payload.values()) == tuple(result)
 
     def test_degenerate_region_at_vacuum_noise(self):
         result = optimal_attack_scan(0.65, 1.0, 0.1)
