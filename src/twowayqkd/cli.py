@@ -2,7 +2,12 @@
 
 Commands: keyrate | threshold | scan | oneway | appendix.  Exit codes:
 0 on success with a positive rate, 2 when the queried rate is nonpositive
-(insecure but valid), 1 on any error.
+(insecure but valid), 1 on any error.  Output that cannot be written (a full
+disk, a closed standard output) is an error too.
+
+`main(argv)` returns the exit code and suits calls from Python.  `run()` is
+the command's entry point: it calls `main`, flushes the output and ends the
+process with `os._exit`, which skips interpreter teardown.
 """
 
 import argparse
@@ -165,7 +170,10 @@ def _write(args, payload, tables):
     else:
         text = csv_table(*tables)
     if args.output is None:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
+        sys.stdout.flush()  # a failed write is reported here, not lost at exit
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -310,5 +318,31 @@ def main(argv=None):
         return 1
 
 
+def run():
+    """Run `main` as the `twowayqkd` command, then end the process at once.
+
+    Interpreter teardown (the last garbage collection and the clearing of
+    numpy's modules) costs about 20 ms and comes after the output is
+    complete, so the process skips it: once both streams are flushed it ends
+    with `os._exit`.  A flush that fails is an error, exit code 1, unless the
+    run has already failed and said so: a failed write leaves its bytes in the
+    buffer, and the flush here fails on them again.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:
+                stream.flush()
+        except OSError as exc:
+            if code != 1:
+                code = 1
+                try:
+                    if sys.stderr is not None:
+                        print(f"twowayqkd: error: {exc}", file=sys.stderr, flush=True)
+                except OSError:
+                    pass  # standard error cannot take the message either
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

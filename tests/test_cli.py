@@ -228,13 +228,28 @@ def test_commands_make_no_blas_call(argv, expected, monkeypatch, tmp_path, capsy
     assert run(capsys, *argv)[0] == expected
 
 
-def _cli_process(*argv, flags=(), **env_overrides):
-    env = dict(os.environ)
+def _cli_process(*argv, flags=(), stdout=subprocess.PIPE, **env_overrides):
+    """A fresh `python -m twowayqkd.cli` process, with buffered standard output
+    as a user gets it unless `env_overrides` sets PYTHONUNBUFFERED."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_overrides)
     return subprocess.run([sys.executable, *flags, "-m", "twowayqkd.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+class _Exit(Exception):
+    """Raised by a stand-in for os._exit, so that cli.run can be called in-process."""
+
+
+def _raise_exit(code):
+    raise _Exit(code)
+
+
+class _FullStream(io.StringIO):
+    def flush(self):
+        raise OSError(28, "No space left on device")
 
 
 class TestEntryPoint:
@@ -256,6 +271,88 @@ class TestEntryPoint:
         one, two = (_cli_process(*argv, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
         assert one.stdout and one.stderr == ""
         assert (one.returncode, one.stdout) == (two.returncode, two.stdout)
+
+    @pytest.mark.parametrize("argv", [
+        ("keyrate", "--T", "0.9", "--omega", "1", "--attack", "collective"),
+        ("scan", "--T", "0.8000", "--omega", "2", "--step", "0.01"),
+        ("scan", "--T", "0.8", "--omega", "2", "--step", "0.01", "--no-such-flag"),
+        ("threshold", *[x for c in ATTACK_CLASSES for x in ("--attack", c)],
+         "--t-min", "0.30", "--t-max", "0.99", "--t-step", "0.01", "--with-oneway"),
+        ("scan", "--T", "0.8000", "--omega", "3", "--step", "0.02", "--full-grid",
+         "--format", "json"),
+        ("scan", "--help"),
+    ], ids=("keyrate", "scan", "usage-error", "threshold", "full-grid-json", "help"))
+    def test_process_matches_main(self, argv, monkeypatch):
+        """A process ends with os._exit, after its output, and prints what main prints."""
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the same width in both
+        done = _cli_process(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == run_with_stderr(*argv)
+
+    def test_process_output_file_matches_main(self, tmp_path):
+        argv = ("scan", "--T", "0.8", "--omega", "2", "--step", "0.02", "--full-grid")
+        done = _cli_process(*argv, "--output", str(tmp_path / "process.csv"))
+        in_process = run_with_stderr(*argv, "--output", str(tmp_path / "main.csv"))
+        assert (done.returncode, done.stdout, done.stderr) == in_process == (2, "", "")
+        assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, env", [
+        (("keyrate", "--T", "0.8", "--omega", "2", "--attack", "collective"), {}),
+        (("keyrate", "--T", "0.8", "--omega", "2", "--attack", "collective"),
+         {"PYTHONUNBUFFERED": "1"}),
+        (("scan", "--T", "0.8", "--omega", "3", "--step", "0.1", "--full-grid"), {}),
+        (("scan", "--T", "0.8", "--omega", "3", "--step", "0.1", "--full-grid"),
+         {"PYTHONUNBUFFERED": "1"}),
+        (("scan", "--help"), {}),  # argparse writes it; the flush in cli.run reports it
+    ], ids=("keyrate", "keyrate-unbuffered", "full-grid", "full-grid-unbuffered", "help"))
+    def test_failed_write_exits_1_with_message(self, argv, env):
+        with open("/dev/full", "w") as full:
+            done = _cli_process(*argv, stdout=full, **env)
+        assert (done.returncode, done.stderr) == \
+            (1, "twowayqkd: error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("main_code, code, message", [
+        (0, 1, "twowayqkd: error: [Errno 28] No space left on device\n"),
+        (2, 1, "twowayqkd: error: [Errno 28] No space left on device\n"),
+        (1, 1, ""),  # main has already reported the failed write
+    ], ids=("secure", "insecure", "failed"))
+    def test_run_reports_a_failed_final_flush(self, main_code, code, message, monkeypatch):
+        err = io.StringIO()
+        monkeypatch.setattr(cli, "main", lambda: main_code)
+        monkeypatch.setattr(os, "_exit", _raise_exit)
+        monkeypatch.setattr(sys, "stdout", _FullStream())
+        monkeypatch.setattr(sys, "stderr", err)
+        with pytest.raises(_Exit) as exit_:
+            cli.run()
+        assert (exit_.value.args, err.getvalue()) == ((code,), message)
+
+    def test_run_with_both_streams_closed(self, monkeypatch):
+        monkeypatch.setattr(cli, "main", lambda: 2)
+        monkeypatch.setattr(os, "_exit", _raise_exit)
+        monkeypatch.setattr(sys, "stdout", None)
+        monkeypatch.setattr(sys, "stderr", None)
+        with pytest.raises(_Exit) as exit_:
+            cli.run()
+        assert exit_.value.args == (2,)
+
+
+class TestClosedStdout:
+    def test_closed_stdout_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["keyrate", "--T", "0.8", "--omega", "2", "--attack", "collective"])
+        assert (code, err.getvalue()) == (1, "twowayqkd: error: standard output is closed\n")
+
+    def test_output_file_needs_no_stdout(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(sys, "stdout", None)
+        target = tmp_path / "scan.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["scan", "--T", "0.8", "--omega", "2", "--step", "0.02",
+                         "--output", str(target)])
+        assert (code, err.getvalue()) == (2, "")
+        assert target.read_text().startswith("T,omega,best_g,best_g_prime,R_min")
 
 
 class TestInvalidInput:

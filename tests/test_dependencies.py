@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import importlib
+import io
 import os
 import re
 import subprocess
@@ -14,10 +16,14 @@ PACKAGE = Path(twowayqkd.__file__).parent
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
 
-def _declared_dependencies():
-    tomllib = pytest.importorskip("tomllib")
+def _project():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+; the package supports 3.10
     with PYPROJECT.open("rb") as f:
-        spec = tomllib.load(f)["project"]["dependencies"]
+        return tomllib.load(f)["project"]
+
+
+def _declared_dependencies():
+    spec = _project()["dependencies"]
     return {re.match(r"[A-Za-z0-9_.-]+", s).group(0).lower() for s in spec}
 
 
@@ -40,6 +46,25 @@ def _third_party_imports():
 
 def test_imports_match_declared_dependencies():
     assert _third_party_imports() == _declared_dependencies() == {"numpy"}
+
+
+def test_console_script_is_the_module_entry_point():
+    # the installed command and `python -m twowayqkd.cli` end through the same function
+    module, _, name = _project()["scripts"]["twowayqkd"].partition(":")
+    assert module == "twowayqkd.cli"
+    assert callable(getattr(importlib.import_module(module), name))
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    main_block = next(node for node in tree.body if isinstance(node, ast.If)
+                      and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert ast.unparse(main_block.body[0]) == f"{name}()"
+
+
+def test_main_returns_the_exit_code():
+    # main serves in-process callers (tests, the traced bench); only the entry point exits
+    from twowayqkd import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["keyrate", "--T", "0.8", "--omega", "2", "--attack", "collective"])
+    assert type(code) is int and code == 2
 
 
 def _fresh(code, **env_overrides):
