@@ -26,9 +26,8 @@ _EXPORTS = {
                  "epr_cm", "heterodyne_condition", "is_bona_fide", "is_symplectic",
                  "partial_trace", "ppt_separable", "symplectic_form", "symplectic_spectrum",
                  "tensor", "thermal_cm", "vacuum_cm", "von_neumann_entropy"),
-    "protocol": ("KeyRateReport", "asymptotic_total_spectrum", "conditional_entropy_asymptotic",
-                 "conditional_spectrum_asymptotic", "holevo_asymptotic", "keyrate_asymptotic",
-                 "keyrate_report", "mutual_information_asymptotic", "total_entropy_asymptotic"),
+    "protocol": ("KeyRateReport", "holevo_asymptotic", "keyrate_asymptotic", "keyrate_report",
+                 "mutual_information_asymptotic"),
     "security": ("ScanResult", "ThresholdCurve", "excess_noise", "omega_from_excess",
                  "oneway_keyrate", "oneway_report", "oneway_threshold_curve",
                  "oneway_threshold_omega", "optimal_attack_scan", "relative_variations",

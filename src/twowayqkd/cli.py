@@ -3,7 +3,8 @@
 Commands: keyrate | threshold | scan | oneway | appendix.  Exit codes:
 0 on success with a positive rate, 2 when the queried rate is nonpositive
 (insecure but valid), 1 on any error.  Output that cannot be written (a full
-disk, a closed standard output) is an error too.
+disk, a closed standard output, a reader that quits early) is an error too,
+exit code 1, whether standard output is buffered or not.
 
 `main(argv)` returns the exit code and suits calls from Python.  `run()` is
 the command's entry point: it calls `main`, flushes the output and ends the
@@ -42,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        # argparse's own drops every OSError, so --help into a full disk exited 0.  Only
+        # standard error's is dropped here: the usage error it carries still exits 1.
+        file = file or sys.stderr
+        try:
+            if message and file is not None:
+                file.write(message)
+        except OSError:
+            if file is not sys.stderr:
+                raise
 
 
 def _build_parser():
@@ -170,10 +182,19 @@ def _write(args, payload, tables):
     else:
         text = csv_table(*tables)
     if args.output is None:
-        if sys.stdout is None:
+        out = sys.stdout
+        if out is None:
             raise OSError("standard output is closed")
-        sys.stdout.write(text)
-        sys.stdout.flush()  # a failed write is reported here, not lost at exit
+        if getattr(out, "buffer", None) is None:
+            out.write(text)
+        else:
+            # unbuffered (python -u), the text layer ignores a short write and drops the
+            # rest: write the bytes until all are taken
+            out.flush()
+            data = memoryview(text.encode(out.encoding, out.errors))
+            while data:
+                data = data[out.buffer.write(data):]
+        out.flush()  # a failed write is reported here, not lost at exit
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

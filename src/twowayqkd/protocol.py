@@ -113,40 +113,6 @@ def _two_way_at(T, a, mu=None):
     return _two_way_arrays(T, a.omega, a.g, a.g_prime)
 
 
-def asymptotic_total_spectrum(T, a, mu):
-    """Large-modulation symplectic spectrum of the total output state.
-
-    Returns (nu1, nu2, nu3*nu4): two finite eigenvalues
-    nu1 = sqrt((w-g)(w-g')) and nu2 = sqrt((w+g)(w+g')), which coincide with
-    the spectrum of Eve's input state, and the product of the two divergent
-    ones, (1-T)^2 mu^2.  At the collective point g = g' = 0 both are omega
-    exactly: sqrt(fl(w*w)) == w for every w in [1, MAX_VARIANCE].
-    """
-    c = _two_way_at(T, a, mu)
-    return float(c.nu1), float(c.nu2), (1.0 - T) ** 2 * mu * mu
-
-
-def total_entropy_asymptotic(T, a, mu):
-    """Large-modulation entropy of the total output state, in bits."""
-    c = _two_way_at(T, a, mu)
-    return float(c.S) + math.log2(0.25 * np.e * np.e * ((1.0 - T) ** 2 * mu * mu))
-
-
-def conditional_spectrum_asymptotic(T, a, mu):
-    """Large-modulation spectrum (nubar1, nubar2) of Bob's conditional state.
-
-    nubar1 = sqrt((w + 2g sqrt(T)/(1+T)) (w + 2g' sqrt(T)/(1+T))) stays
-    finite; nubar2 = (1 - T^2) mu diverges with the modulation.
-    """
-    return float(_two_way_at(T, a, mu).nubar1), (1.0 - T * T) * mu
-
-
-def conditional_entropy_asymptotic(T, a, mu):
-    """Large-modulation entropy of Bob's conditional state, in bits."""
-    c = _two_way_at(T, a, mu)
-    return float(c.S_cond) + math.log2(0.5 * np.e * ((1.0 - T * T) * mu))
-
-
 def holevo_asymptotic(T, a, mu):
     """Holevo bound on Eve's information about Alice's variable, in bits.
 
@@ -183,6 +149,10 @@ class KeyRateReport(NamedTuple):
     Spectra and conditional variances are in SNU; entropies and information
     quantities in bits.  Quantities with a log(mu) term are evaluated at the
     modulation used to build the report; R itself is modulation-free.
+    The total state has the finite eigenvalues nu1 = sqrt((w-g)(w-g')) and
+    nu2 = sqrt((w+g)(w+g')), Eve's input spectrum, and two divergent ones of
+    product (1-T)^2 mu^2.  Bob's conditional state has the finite
+    nubar1 = sqrt((w + g r)(w + g' r)), r = 2 sqrt(T)/(1+T), and nubar2 = (1-T^2) mu.
     """
 
     nu1: float
@@ -206,8 +176,9 @@ class KeyRateReport(NamedTuple):
 def keyrate_report(T, a, mu=1e6):
     """Full report (spectra, entropies, I_AB, chi_EA, R) for one parameter point.
 
-    One check of the arguments and one evaluation of the closed form; every
-    field equals the public function that returns it alone.
+    The one scalar entry for the spectra and entropies: one check of the arguments,
+    one evaluation of the closed form.  Its scalar siblings holevo_asymptotic,
+    mutual_information_asymptotic and keyrate_asymptotic agree with it bit for bit.
     """
     c = _two_way_at(T, a, mu)
     iab, chi = map(float, _information(T, c, mu))

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from twowayqkd import (AttackParams, ProtocolParams, apply_symplectic, attack_from_class,
-                       asymptotic_total_spectrum, conditional_cm,
-                       conditional_spectrum_asymptotic, entropic_h, eve_cm, excess_noise,
-                       holevo_asymptotic, keyrate_asymptotic, mutual_information_asymptotic,
+                       conditional_cm, entropic_h, eve_cm, excess_noise, holevo_asymptotic,
+                       keyrate_asymptotic, keyrate_report, mutual_information_asymptotic,
                        oneway_threshold_omega, optimal_attack_scan, ppt_separable,
                        relative_variations, symplectic_spectrum, threshold_omega, total_cm,
                        total_cm_circuit)
@@ -60,7 +59,8 @@ def test_criterion_02_asymptotic_spectrum_convergence():
             for w in (1.5, 2.0, 3.0):
                 for label in FIVE_CLASSES:
                     a = attack_from_class(label, w)
-                    nu1, nu2, product = asymptotic_total_spectrum(T, a, mu)
+                    rep = keyrate_report(T, a, mu)
+                    nu1, nu2, product = rep.nu1, rep.nu2, rep.nu3nu4_product
                     # total state: the displacement limit exceeds float64's
                     # representable purity, so the exact spectrum is computed
                     # in 40-digit arithmetic from the same closed form
@@ -76,7 +76,7 @@ def test_criterion_02_asymptotic_spectrum_convergence():
                     # conditional state stays at float64 scale: use the library
                     p = ProtocolParams.displacement_limit(T, mu=mu, eta=1.0 - one_minus_eta)
                     cond = symplectic_spectrum(conditional_cm(p, a))
-                    nb = sorted(conditional_spectrum_asymptotic(T, a, mu), reverse=True)
+                    nb = sorted((rep.nubar1, rep.nubar2), reverse=True)
                     rel += [abs(a_ - b_) / b_ for a_, b_ in zip(cond, nb)]
                     worst = max(rel)
                     checks.append((worst <= 1e-3,
@@ -90,7 +90,8 @@ def test_criterion_03_collective_reduction_exact():
     checks = []
     for T in (0.3, 0.65, 0.9):
         for w in (1.0, 1.1, 1.7, 2.0, 3.3):
-            nu1, nu2, _ = asymptotic_total_spectrum(T, AttackParams(w, 0.0, 0.0), 1e6)
+            rep = keyrate_report(T, AttackParams(w, 0.0, 0.0), 1e6)
+            nu1, nu2 = rep.nu1, rep.nu2
             checks.append((nu1 == w and nu2 == w,
                            f"T={T} w={w}: got ({nu1!r}, {nu2!r})"))
     _criterion(3, "collective attacks reduce to nu1 = nu2 = omega exactly", checks)

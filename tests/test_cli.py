@@ -228,15 +228,22 @@ def test_commands_make_no_blas_call(argv, expected, monkeypatch, tmp_path, capsy
     assert run(capsys, *argv)[0] == expected
 
 
-def _cli_process(*argv, flags=(), stdout=subprocess.PIPE, **env_overrides):
-    """A fresh `python -m twowayqkd.cli` process, with buffered standard output
-    as a user gets it unless `env_overrides` sets PYTHONUNBUFFERED."""
+def _cli_command(*argv, flags=(), **env_overrides):
+    """Command line and environment of a fresh `python -m twowayqkd.cli` process,
+    with buffered standard output as a user gets it unless `env_overrides` sets
+    PYTHONUNBUFFERED."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.update(env_overrides)
-    return subprocess.run([sys.executable, *flags, "-m", "twowayqkd.cli", *argv], env=env,
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+    return [sys.executable, *flags, "-m", "twowayqkd.cli", *argv], env
+
+
+def _cli_process(*argv, flags=(), stdout=subprocess.PIPE, **env_overrides):
+    """A fresh `python -m twowayqkd.cli` process (see _cli_command), run to its end."""
+    command, env = _cli_command(*argv, flags=flags, **env_overrides)
+    return subprocess.run(command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
 
 
 class _Exit(Exception):
@@ -303,13 +310,32 @@ class TestEntryPoint:
         (("scan", "--T", "0.8", "--omega", "3", "--step", "0.1", "--full-grid"), {}),
         (("scan", "--T", "0.8", "--omega", "3", "--step", "0.1", "--full-grid"),
          {"PYTHONUNBUFFERED": "1"}),
-        (("scan", "--help"), {}),  # argparse writes it; the flush in cli.run reports it
-    ], ids=("keyrate", "keyrate-unbuffered", "full-grid", "full-grid-unbuffered", "help"))
+        # argparse writes the help: buffered, the flush in cli.run reports the failure;
+        # unbuffered, the write itself raises, and cli._Parser lets the error reach main
+        (("scan", "--help"), {}),
+        (("scan", "--help"), {"PYTHONUNBUFFERED": "1"}),
+    ], ids=("keyrate", "keyrate-unbuffered", "full-grid", "full-grid-unbuffered", "help",
+            "help-unbuffered"))
     def test_failed_write_exits_1_with_message(self, argv, env):
         with open("/dev/full", "w") as full:
             done = _cli_process(*argv, stdout=full, **env)
         assert (done.returncode, done.stderr) == \
             (1, "twowayqkd: error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("env", [{}, {"PYTHONUNBUFFERED": "1"}],
+                             ids=("buffered", "unbuffered"))
+    def test_reader_that_quits_early_exits_1_with_message(self, env):
+        # 5.2 MB of JSON: reading first leaves the process blocked in a write far larger
+        # than the pipe holds, so closing the pipe cuts that write short every time
+        command, env = _cli_command("scan", "--T", "0.8", "--omega", "3", "--step", "0.02",
+                                    "--full-grid", "--format", "json", **env)
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b'{"T": 0.80'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert (code, err) == (1, b"twowayqkd: error: [Errno 32] Broken pipe\n")
 
     @pytest.mark.parametrize("main_code, code, message", [
         (0, 1, "twowayqkd: error: [Errno 28] No space left on device\n"),

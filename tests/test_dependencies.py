@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import importlib
+import inspect
 import io
 import os
 import re
@@ -122,6 +123,17 @@ class TestLazyNamespace:
         for name in twowayqkd.__all__:
             module = importlib.import_module(f"twowayqkd.{twowayqkd._ORIGIN[name]}")
             assert getattr(twowayqkd, name) is getattr(module, name), name
+        # and the table lists every public function and class its modules define, and no other
+        defined, exported = set(), set()
+        for module_name, names in twowayqkd._EXPORTS.items():
+            module = importlib.import_module(f"twowayqkd.{module_name}")
+            for name, obj in vars(module).items():
+                if inspect.isfunction(obj) or inspect.isclass(obj):
+                    if obj.__module__ == module.__name__ and not name.startswith("_"):
+                        defined.add((module_name, name))
+                    if name in names:
+                        exported.add((module_name, name))
+        assert defined == exported
 
     def test_dir_covers_all(self):
         assert set(twowayqkd.__all__) <= set(dir(twowayqkd))
@@ -133,8 +145,11 @@ class TestLazyNamespace:
             {name: getattr(twowayqkd, name) for name in twowayqkd.__all__}
 
     def test_unknown_attribute(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            twowayqkd.no_such_name
+        # the last four: single-field getters deleted in favour of keyrate_report's fields
+        for name in ("no_such_name", "asymptotic_total_spectrum", "total_entropy_asymptotic",
+                     "conditional_spectrum_asymptotic", "conditional_entropy_asymptotic"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(twowayqkd, name)
 
 
 _THREADS = ("import os; print(os.environ.get('OPENBLAS_NUM_THREADS'), "

@@ -8,23 +8,19 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, AttackParams, ProtocolParams, UnphysicalAttackError,
-                       UnphysicalStateError, attack_from_class, asymptotic_total_spectrum,
-                       bob_cm, conditional_cm, conditional_entropy_asymptotic,
-                       conditional_spectrum_asymptotic, conditioning_deviation, entropic_h,
-                       heterodyne_condition, holevo_asymptotic, is_physical, keyrate_asymptotic,
-                       keyrate_report, mutual_information_asymptotic, partial_trace,
-                       symplectic_spectrum, total_cm, total_cm_circuit, total_entropy_asymptotic,
-                       von_neumann_entropy)
+                       UnphysicalStateError, attack_from_class, bob_cm, conditional_cm,
+                       conditioning_deviation, entropic_h, heterodyne_condition,
+                       holevo_asymptotic, is_physical, keyrate_asymptotic, keyrate_report,
+                       mutual_information_asymptotic, partial_trace, symplectic_spectrum,
+                       total_cm, total_cm_circuit, von_neumann_entropy)
 from twowayqkd import protocol, security
 from twowayqkd.attacks import _class_correlations, _physical_mask, physical_region_grid
 from twowayqkd.gaussian import MAX_VARIANCE
 
 from _util import count_calls, random_physical_attack
 
-#: the seven checked 0-d two-way functions and keyrate_report, each called as fn(T, a, mu)
-POINT_FUNCTIONS = (asymptotic_total_spectrum, total_entropy_asymptotic,
-                   conditional_spectrum_asymptotic, conditional_entropy_asymptotic,
-                   holevo_asymptotic, mutual_information_asymptotic,
+#: the three checked 0-d two-way functions and keyrate_report, each called as fn(T, a, mu)
+POINT_FUNCTIONS = (holevo_asymptotic, mutual_information_asymptotic,
                    lambda T, a, mu: keyrate_asymptotic(T, a), keyrate_report)
 
 
@@ -166,43 +162,39 @@ class TestBobAndConditionalCm:
 class TestAsymptoticSpectra:
     def test_collective_reduction_is_exact(self):
         for w in (1.0, 1.1, 1.7, 2.3, 5.0):
-            nu1, nu2, _ = asymptotic_total_spectrum(0.6, AttackParams(w, 0.0, 0.0), 1e6)
-            assert nu1 == w and nu2 == w
-            nb1, _ = conditional_spectrum_asymptotic(0.6, AttackParams(w, 0.0, 0.0), 1e6)
-            assert nb1 == w
+            rep = keyrate_report(0.6, AttackParams(w, 0.0, 0.0), 1e6)
+            assert rep.nu1 == w and rep.nu2 == w
+            assert rep.nubar1 == w
 
     @settings(max_examples=300, deadline=None)
     @given(T=st.floats(0.01, 0.99), omega=st.floats(1.0, MAX_VARIANCE))
     @example(T=0.5, omega=MAX_VARIANCE)
     def test_collective_spectra_are_omega_bit_for_bit(self, T, omega):
         # the general form sqrt(fl(w*w)) returns w: no collective branch is needed
-        a = AttackParams(omega, 0.0, 0.0)
-        nu1, nu2, _ = asymptotic_total_spectrum(T, a, 1e6)
-        nubar1, _ = conditional_spectrum_asymptotic(T, a, 1e6)
-        assert struct.pack("<3d", nu1, nu2, nubar1) == struct.pack("<3d", omega, omega, omega)
+        c = protocol._two_way_arrays(T, omega, 0.0, 0.0)
+        assert struct.pack("<3d", float(c.nu1), float(c.nu2), float(c.nubar1)) == \
+            struct.pack("<3d", omega, omega, omega)
 
     def test_epr_attack_hides_thermal_noise(self):
-        a = attack_from_class("epr+", 2.0)
-        nu1, nu2, product = asymptotic_total_spectrum(0.5, a, 1e6)
-        assert abs(nu1 - 1.0) < 1e-12 and abs(nu2 - 1.0) < 1e-12
-        assert product == pytest.approx(0.25e12)
+        rep = keyrate_report(0.5, attack_from_class("epr+", 2.0), 1e6)
+        assert abs(rep.nu1 - 1.0) < 1e-12 and abs(rep.nu2 - 1.0) < 1e-12
+        assert rep.nu3nu4_product == pytest.approx(0.25e12)
 
     def test_symmetric_separable_attack_values(self):
-        a = attack_from_class("sep-sym-", 2.0)
-        nu1, nu2, product = asymptotic_total_spectrum(0.5, a, 1e6)
-        assert {round(nu1, 12), round(nu2, 12)} == {3.0, 1.0}
-        assert product == pytest.approx(0.25e12)
+        rep = keyrate_report(0.5, attack_from_class("sep-sym-", 2.0), 1e6)
+        assert {round(rep.nu1, 12), round(rep.nu2, 12)} == {3.0, 1.0}
+        assert rep.nu3nu4_product == pytest.approx(0.25e12)
 
     def test_conditional_values(self):
-        a = attack_from_class("sep-sym-", 2.0)
-        nb1, nb2 = conditional_spectrum_asymptotic(0.65, a, 1e6)
+        rep = keyrate_report(0.65, attack_from_class("sep-sym-", 2.0), 1e6)
         expected = 2.0 - 2.0 * np.sqrt(0.65) / 1.65
-        assert nb1 == pytest.approx(expected, rel=1e-12)
-        assert nb2 == pytest.approx((1.0 - 0.65 ** 2) * 1e6, rel=1e-15)
+        assert rep.nubar1 == pytest.approx(expected, rel=1e-12)
+        assert rep.nubar2 == pytest.approx((1.0 - 0.65 ** 2) * 1e6, rel=1e-15)
 
     def test_conditional_limit_toward_full_transmission(self):
+        # the kernel, not keyrate_report: chi_EA < 0 at mu = 1e6 this close to T = 1
         a = attack_from_class("sep-sym-", 2.0)
-        nb1, _ = conditional_spectrum_asymptotic(1.0 - 1e-9, a, 1e6)
+        nb1 = protocol._two_way_arrays(1.0 - 1e-9, a.omega, a.g, a.g_prime).nubar1
         assert nb1 == pytest.approx(1.0, abs=1e-4)
 
     def test_numeric_conditional_spectrum_converges(self):
@@ -210,8 +202,8 @@ class TestAsymptoticSpectra:
             a = attack_from_class(label, 2.0)
             p = ProtocolParams.displacement_limit(0.65, mu=1e6, eta=1.0 - 1e-6)
             numeric = symplectic_spectrum(conditional_cm(p, a))
-            nb1, nb2 = conditional_spectrum_asymptotic(0.65, a, 1e6)
-            expected = np.sort([nb1, nb2])[::-1]
+            rep = keyrate_report(0.65, a, 1e6)
+            expected = np.sort([rep.nubar1, rep.nubar2])[::-1]
             np.testing.assert_allclose(numeric, expected, rtol=1e-3)
 
     def test_numeric_total_entropy_converges(self):
@@ -221,12 +213,12 @@ class TestAsymptoticSpectra:
                 a = attack_from_class(label, 2.0)
                 p = ProtocolParams.displacement_limit(T, mu=1e5, eta=1.0 - 1e-2)
                 s_num = von_neumann_entropy(total_cm(p, a))
-                s_asy = total_entropy_asymptotic(T, a, 1e5)
+                s_asy = keyrate_report(T, a, 1e5).S_E
                 assert abs(s_num - s_asy) < 1e-2
 
     def test_unphysical_regime_raises(self):
         with pytest.raises(UnphysicalStateError):
-            asymptotic_total_spectrum(0.5, AttackParams(2.0, 1.9, 1.9), 1e6)
+            keyrate_report(0.5, AttackParams(2.0, 1.9, 1.9), 1e6)
 
     @pytest.mark.parametrize("g, g_prime, check", [
         # |g'| >= omega, although (omega - g)(omega - g') = 125 is a bona fide radicand
@@ -279,7 +271,8 @@ class TestInformationQuantities:
             a = random_physical_attack(rng)
             T, mu = float(rng.uniform(0.1, 0.95)), 1e6
             chi = holevo_asymptotic(T, a, mu)
-            diff = total_entropy_asymptotic(T, a, mu) - conditional_entropy_asymptotic(T, a, mu)
+            rep = keyrate_report(T, a, mu)
+            diff = rep.S_E - rep.S_E_cond
             assert abs(chi - diff) < 1e-12
 
     def test_mutual_information_near_full_transmission(self):
@@ -338,17 +331,18 @@ class TestInformationQuantities:
                 fn(T, a, mu)
 
     def test_rejects_underflowing_one_minus_T_mu(self):
-        # (1-T)^2 mu^2 in S_E underflowed to 0: total_entropy_asymptotic raised a bare
+        # (1-T)^2 mu^2 in S_E underflowed to 0: the total entropy raised a bare
         # "math domain error" and keyrate_report an inconsistent-report verdict
         a = AttackParams(1.0, 0.0, 0.0)
-        for fn in (total_entropy_asymptotic, asymptotic_total_spectrum, holevo_asymptotic,
-                   keyrate_report):
+        for fn in (holevo_asymptotic, keyrate_report):
             with pytest.raises(ValueError, match="\\(1-T\\)\\*mu must be at least 1.49e-154"):
                 fn(0.999999999, a, 1.6e-154)
-        # (1-T) mu = sqrt(tiny) exactly: the square is still normal
+        # (1-T) mu = sqrt(tiny) exactly: accepted, and the square is still normal (the report
+        # itself rejects this point, since chi_EA < 0 at so small a modulation)
         mu = 2.0 * protocol._SQRT_TINY
-        assert math.isfinite(total_entropy_asymptotic(0.5, a, mu))
-        assert asymptotic_total_spectrum(0.5, a, mu)[2] == protocol._SQRT_TINY ** 2 > 0.0
+        protocol._check_regime(0.5, mu)
+        assert math.isfinite(holevo_asymptotic(0.5, a, mu))
+        assert (1.0 - 0.5) ** 2 * mu * mu == protocol._SQRT_TINY ** 2 > 0.0
 
     def test_smallest_accepted_T_mu_is_exact(self):
         # T = T*mu = sqrt(tiny): T^2 mu^2 = tiny, still normal, so I_AB = log2(T mu) - 1
@@ -462,20 +456,22 @@ class TestKeyRate:
         assert rep.nu1 == pytest.approx(3.0, rel=1e-12)
         assert rep.nu2 == pytest.approx(1.0, abs=1e-12)
 
-    def test_report_fields_equal_public_functions(self):
-        # the one-pass report, field by field and bit for bit, against each function alone
+    def test_report_fields_equal_siblings_and_closed_forms(self):
+        # the one-pass report, field by field and bit for bit, against its scalar siblings,
+        # the broadcasting kernel and the closed expressions of the log(mu) terms
         rng = np.random.default_rng(61)
         attacks = [attack_from_class(c, w) for c in ATTACK_CLASSES for w in (1.0, 1.7, 4.0)]
         attacks += [random_physical_attack(rng) for _ in range(30)]
         bits = lambda fields: {k: struct.pack("<d", v) for k, v in fields.items()}
         for a in attacks:
             T, mu = float(rng.uniform(0.05, 0.99)), float(10.0 ** rng.uniform(3.0, 9.0))
-            nu1, nu2, product = asymptotic_total_spectrum(T, a, mu)
-            nubar1, nubar2 = conditional_spectrum_asymptotic(T, a, mu)
+            c = protocol._two_way_arrays(T, a.omega, a.g, a.g_prime)
+            product, nubar2 = (1.0 - T) ** 2 * mu * mu, (1.0 - T * T) * mu
             iab, sigma, sigma_p, delta = mutual_information_asymptotic(T, a, mu)
-            alone = dict(nu1=nu1, nu2=nu2, nu3nu4_product=product, nubar1=nubar1, nubar2=nubar2,
-                         S_E=total_entropy_asymptotic(T, a, mu),
-                         S_E_cond=conditional_entropy_asymptotic(T, a, mu), I_AB=iab,
+            alone = dict(nu1=float(c.nu1), nu2=float(c.nu2), nu3nu4_product=product,
+                         nubar1=float(c.nubar1), nubar2=nubar2,
+                         S_E=float(c.S) + math.log2(0.25 * np.e * np.e * product),
+                         S_E_cond=float(c.S_cond) + math.log2(0.5 * np.e * nubar2), I_AB=iab,
                          chi_EA=holevo_asymptotic(T, a, mu), R=keyrate_asymptotic(T, a),
                          sigma=sigma, sigma_prime=sigma_p, Delta=delta)
             assert bits(keyrate_report(T, a, mu).to_dict()) == bits(alone), (T, a, mu)
