@@ -20,5 +20,5 @@ for label in ATTACK_CLASSES:
 
 print("\nFull report for the sep-sym- corner class (symmetric separable, g = g' = 1 - omega):")
 rep = keyrate_report(T, attack_from_class("sep-sym-", OMEGA))
-for key, value in rep.to_dict().items():
+for key, value in rep._asdict().items():
     print(f"  {key:>15} = {value:.12g}")

@@ -12,7 +12,7 @@ corner; even at the threshold of the corner class the scan finds a strictly
 negative rate just inside it.
 """
 
-from twowayqkd import AttackParams, keyrate_asymptotic, optimal_attack_scan, threshold_omega
+from twowayqkd import AttackParams, keyrate_asymptotic, optimal_attack_scan, threshold_curves
 
 OMEGA, STEP = 2.0, 0.02
 
@@ -26,7 +26,7 @@ for T in (0.95, 0.8, 0.65, 0.5):
 # at the sep-sym- threshold the corner rate is zero up to the root tolerance,
 # yet a point just inside the corner already gives a negative rate
 T = 0.8
-w_star = threshold_omega(T, "sep-sym-")
+w_star = float(threshold_curves(["sep-sym-"], [T])[0].omega_star[0])
 res = optimal_attack_scan(T, w_star, STEP)
 corner = keyrate_asymptotic(T, AttackParams(w_star, 1.0 - w_star, 1.0 - w_star))
 print(f"\nat the sep-sym- threshold (T={T}, omega={w_star:.4f}):")

@@ -7,8 +7,7 @@ quantify this, and the comparison between two transmissivities shows the
 mutual-information penalty fading while the Holevo advantage grows.
 """
 
-from twowayqkd import (attack_from_class, holevo_asymptotic, mutual_information_asymptotic,
-                       relative_variations)
+from twowayqkd import attack_from_class, keyrate_report, relative_variations
 
 MU = 1e6
 CLASSES = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
@@ -16,13 +15,13 @@ CLASSES = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
 print("T = 0.65, modulation 1e6")
 print(f"{'omega':>6} " + " ".join(f"chi[{c}]" for c in CLASSES))
 for w in (1.0, 1.5, 2.0, 3.0, 4.0, 5.0):
-    chis = [holevo_asymptotic(0.65, attack_from_class(c, w), MU) for c in CLASSES]
+    chis = [keyrate_report(0.65, attack_from_class(c, w), MU).chi_EA for c in CLASSES]
     print(f"{w:>6.1f} " + " ".join(f"{x:>{len('chi[') + len(c) + 1}.3f}"
                                    for c, x in zip(CLASSES, chis)))
 
 print("\nmutual information under the sep-sym- corner class decays with noise:")
 for w in (1.0, 2.0, 3.0, 5.0):
-    iab = mutual_information_asymptotic(0.65, attack_from_class("sep-sym-", w), MU)[0]
+    iab = keyrate_report(0.65, attack_from_class("sep-sym-", w), MU).I_AB
     print(f"  omega={w}: I_AB = {iab:.4f}")
 
 print("\nrelative variations (sep-sym- corner class vs collective):")

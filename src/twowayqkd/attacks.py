@@ -143,23 +143,23 @@ def attack_from_class(label, omega):
     return AttackParams(float(omega), float(g), float(gp))
 
 
-def _physical_mask(omega, g, g_prime, atol=gaussian.BONA_FIDE_ATOL):
+def _physical_mask(omega, g, g_prime):
     """Vectorized physicality check of Eve's covariance matrix.
 
     [[w I, G], [G, w I]] is positive definite iff |g|, |g'| < w, and its
     symplectic eigenvalues are sqrt((w-g)(w-g')) and sqrt((w+g)(w+g'))
     (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)); both must
-    be >= 1 - atol.
+    be >= 1 - gaussian.BONA_FIDE_ATOL.
     """
     g, gp = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(g_prime, dtype=float))
-    floor = (1.0 - atol) ** 2
+    floor = (1.0 - gaussian.BONA_FIDE_ATOL) ** 2
     return ((np.abs(g) < omega) & (np.abs(gp) < omega)
             & ((omega - g) * (omega - gp) >= floor) & ((omega + g) * (omega + gp) >= floor))
 
 
-def is_physical(params, atol=gaussian.BONA_FIDE_ATOL):
+def is_physical(params):
     """True iff Eve's two-mode covariance matrix is a physical state."""
-    return bool(_physical_mask(params.omega, params.g, params.g_prime, atol=atol))
+    return bool(_physical_mask(params.omega, params.g, params.g_prime))
 
 
 def require_physical(params):

@@ -237,7 +237,7 @@ def _cmd_keyrate(parser, args):
     attack = _resolve_attack(parser, args)
     mu = 1e6 if args.mu is None else args.mu
     report = keyrate_report(args.T, attack, mu=mu)
-    payload = report.to_dict()
+    payload = report._asdict()
     _write(args, payload, [Table.record(payload)])
     return 0 if report.R > 0.0 else 2
 
@@ -266,7 +266,7 @@ def _cmd_scan(parser, args):
         result = _grid_minimizer(args.T, args.omega, args.step, rows)
     else:
         result = optimal_attack_scan(args.T, args.omega, args.step)
-    payload = result.to_dict()
+    payload = result._asdict()
     tables = [Table.record(payload)]
     if args.full_grid:
         grid = Table(("g", "g_prime", "R"), tuple(rows.T))
@@ -349,7 +349,10 @@ def run():
     run has already failed and said so: a failed write leaves its bytes in the
     buffer, and the flush here fails on them again.
     """
-    code = main()
+    try:
+        code = main()
+    except OSError:
+        code = 1  # main's error message could not be written to standard error
     for stream in (sys.stdout, sys.stderr):
         try:
             if stream is not None:

@@ -11,11 +11,3 @@ class UnphysicalAttackError(UnphysicalStateError):
 
 class DegenerateSpectrumError(ArithmeticError):
     """The symplectic eigenvalue computation lost its pair structure numerically."""
-
-
-class MonotonicityError(RuntimeError):
-    """The key rate was not monotone decreasing while bracketing a threshold."""
-
-
-class DivergentThresholdError(RuntimeError):
-    """No noise level with negative key rate was found below the bracketing cap."""

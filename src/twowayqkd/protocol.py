@@ -113,26 +113,6 @@ def _two_way_at(T, a, mu=None):
     return _two_way_arrays(T, a.omega, a.g, a.g_prime)
 
 
-def holevo_asymptotic(T, a, mu):
-    """Holevo bound on Eve's information about Alice's variable, in bits.
-
-    chi = h(nu1) + h(nu2) - h(nubar1) + log2((e/2) (1-T)/(1+T) mu).
-    """
-    return float(_information(T, _two_way_at(T, a, mu), mu)[1])
-
-
-def mutual_information_asymptotic(T, a, mu):
-    """Alice-Bob mutual information for heterodyne read-out, in bits.
-
-    Returns (I_AB, sigma, sigma', Delta) with Delta = 1 + T^2 + (1-T^2) w,
-    sigma = Delta + 2g(1-T)sqrt(T), sigma' likewise with g', and
-    I_AB = (1/2) log2(T^2 mu^2 / (sigma sigma')).
-    """
-    c = _two_way_at(T, a, mu)
-    return (float(_information(T, c, mu)[0]), float(c.sigma), float(c.sigma_prime),
-            float(c.Delta))
-
-
 def keyrate_asymptotic(T, a):
     """Asymptotic secret-key rate in bits per protocol use (direct reconciliation).
 
@@ -153,6 +133,9 @@ class KeyRateReport(NamedTuple):
     nu2 = sqrt((w+g)(w+g')), Eve's input spectrum, and two divergent ones of
     product (1-T)^2 mu^2.  Bob's conditional state has the finite
     nubar1 = sqrt((w + g r)(w + g' r)), r = 2 sqrt(T)/(1+T), and nubar2 = (1-T^2) mu.
+    I_AB = (1/2) log2(T^2 mu^2 / (sigma sigma')) is Alice and Bob's heterodyne
+    information, with Delta = 1 + T^2 + (1-T^2) w, sigma = Delta + 2g(1-T)sqrt(T) and
+    sigma' likewise with g'; chi_EA = S_E - S_E_cond is Eve's Holevo bound.
     """
 
     nu1: float
@@ -169,16 +152,13 @@ class KeyRateReport(NamedTuple):
     sigma_prime: float
     Delta: float
 
-    def to_dict(self):
-        return self._asdict()
-
 
 def keyrate_report(T, a, mu=1e6):
     """Full report (spectra, entropies, I_AB, chi_EA, R) for one parameter point.
 
-    The one scalar entry for the spectra and entropies: one check of the arguments,
-    one evaluation of the closed form.  Its scalar siblings holevo_asymptotic,
-    mutual_information_asymptotic and keyrate_asymptotic agree with it bit for bit.
+    The one scalar entry for the spectra, entropies and information quantities: one
+    check of the arguments, one evaluation of the closed form.  Its R equals
+    keyrate_asymptotic's bit for bit.
     """
     c = _two_way_at(T, a, mu)
     iab, chi = map(float, _information(T, c, mu))

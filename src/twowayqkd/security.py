@@ -12,7 +12,7 @@ import numpy as np
 
 from .attacks import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_correlations,
                       _grid_half_width, _physical_mask, normalize_class, physical_region_grid)
-from .errors import DivergentThresholdError, MonotonicityError, UnphysicalStateError
+from .errors import UnphysicalStateError
 from .gaussian import _LN2, MAX_VARIANCE, entropic_h
 from .protocol import _check_regime, _information_arrays, _keyrate_arrays
 
@@ -133,36 +133,6 @@ class ThresholdCurve(NamedTuple):
     status: np.ndarray
 
 
-def _root_of(curve):
-    """omega* of a one-point curve: None if insecure at omega = 1, else the root or an exception."""
-    T, status = float(curve.T[0]), curve.status[0]
-    if status == INSECURE_AT_VACUUM:
-        return None
-    if status == NO_CROSSING:
-        raise DivergentThresholdError(
-            f"rate at T={T} still positive at omega={BRACKET_CAP:g} (the bracket cap)")
-    if status == NON_MONOTONE:
-        raise MonotonicityError(
-            f"rate at T={T} is not strictly decreasing in omega: it rose while "
-            f"bracketing, or the root residual exceeds {RESIDUAL_TOL}")
-    return float(curve.omega_star[0])
-
-
-def threshold_omega(T, attack_class):
-    """Thermal variance omega* where the two-way rate crosses zero, or None.
-
-    None means the channel is insecure already at omega = 1 for this T.
-    Raises DivergentThresholdError or MonotonicityError where the curve
-    point's status is NO_CROSSING or NON_MONOTONE.
-    """
-    return _root_of(threshold_curve(attack_class, [T]))
-
-
-def oneway_threshold_omega(T):
-    """Threshold of the one-way baseline protocol at transmissivity T, or None."""
-    return _root_of(oneway_threshold_curve([T]))
-
-
 def _check_t_grid(t_grid):
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
@@ -213,16 +183,6 @@ def threshold_curves(attack_classes, t_grid, with_oneway=False):
             for j, name in enumerate(names)]
 
 
-def threshold_curve(attack_class, t_grid):
-    """Security-threshold curve of one attack class: threshold_curves([attack_class], t_grid)[0]."""
-    return threshold_curves([attack_class], t_grid)[0]
-
-
-def oneway_threshold_curve(t_grid):
-    """Threshold curve of the one-way baseline over a strictly increasing T grid."""
-    return threshold_curves([], t_grid, with_oneway=True)[0]
-
-
 # ---------------------------------------------------------------------------
 # optimal-attack scan
 # ---------------------------------------------------------------------------
@@ -236,9 +196,6 @@ class ScanResult(NamedTuple):
     best_g_prime: float
     R_min: float
     grid_resolution: float
-
-    def to_dict(self):
-        return self._asdict()
 
 
 def scan_grid(T, omega, resolution):

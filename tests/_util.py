@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 
-from twowayqkd import (DegenerateSpectrumError, DivergentThresholdError, MonotonicityError,
-                       UnphysicalStateError, apply_symplectic, beam_splitter, entropic_h, epr_cm,
-                       heterodyne_condition, partial_trace, symplectic_form, tensor, thermal_cm,
-                       vacuum_cm, von_neumann_entropy)
-from twowayqkd.security import BRACKET_CAP, BRACKET_TOL, RESIDUAL_TOL
+from twowayqkd import (DegenerateSpectrumError, UnphysicalStateError, apply_symplectic,
+                       beam_splitter, entropic_h, epr_cm, heterodyne_condition, partial_trace,
+                       symplectic_form, tensor, thermal_cm, vacuum_cm, von_neumann_entropy)
+from twowayqkd.security import (BRACKET_CAP, BRACKET_TOL, INSECURE_AT_VACUUM, NO_CROSSING,
+                                NON_MONOTONE, OK, RESIDUAL_TOL)
 
 
 def random_bona_fide_cm(rng, n, pure=False):
@@ -131,28 +131,28 @@ def lexsort_minimizer(rows):
 def bisect_threshold(rate):
     """Zero of a scalar rate function of omega on [1, inf), by doubling plus bisection.
 
-    Oracle for security._bisect_lanes, one lane at a time.  Returns None when
-    rate(1) <= 0 (no secure region at all).  Raises MonotonicityError if the
-    sampled rate fails to decrease strictly while bracketing, and
-    DivergentThresholdError if no sign change is found below the cap.  The
-    returned root has bracket width <= BRACKET_TOL and |rate| <= RESIDUAL_TOL.
+    Oracle for security._bisect_lanes, one lane at a time.  Returns
+    (omega_star, status) as a ThresholdCurve point holds them: (1.0,
+    INSECURE_AT_VACUUM) when rate(1) <= 0 (no secure region at all),
+    (nan, NON_MONOTONE) if the sampled rate fails to decrease strictly while
+    bracketing or the root residual is too large, and (inf, NO_CROSSING) if no
+    sign change is found below the cap.  An OK root has bracket width
+    <= BRACKET_TOL and |rate| <= RESIDUAL_TOL.
     """
     r_lo = rate(1.0)
     if not r_lo > 0.0:
-        return None
+        return 1.0, INSECURE_AT_VACUUM
     lo, hi = 1.0, 2.0
     while True:
         r_hi = rate(hi)
         if not r_hi < r_lo:
-            raise MonotonicityError(
-                f"rate rose from {r_lo} at omega={lo} to {r_hi} at omega={hi}")
+            return math.nan, NON_MONOTONE
         if r_hi < 0.0:
             break
         lo, r_lo = hi, r_hi
         hi *= 2.0
         if hi > BRACKET_CAP:
-            raise DivergentThresholdError(
-                f"rate still positive at omega={lo} (cap {BRACKET_CAP:g})")
+            return math.inf, NO_CROSSING
     while hi - lo > BRACKET_TOL:
         mid = 0.5 * (lo + hi)
         if rate(mid) > 0.0:
@@ -161,8 +161,8 @@ def bisect_threshold(rate):
             hi = mid
     root = 0.5 * (lo + hi)
     if abs(rate(root)) > RESIDUAL_TOL:
-        raise MonotonicityError(f"root residual {rate(root)} exceeds {RESIDUAL_TOL}")
-    return root
+        return math.nan, NON_MONOTONE
+    return root, OK
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,14 @@ from twowayqkd import (ATTACK_CLASSES, AttackParams, _serialize, attacks, cli, g
                        keyrate_asymptotic, protocol, security)
 from twowayqkd.attacks import _physical_mask, eve_cm
 from twowayqkd.protocol import _keyrate_arrays
-from twowayqkd.security import oneway_keyrate, oneway_threshold_curve, threshold_curve
+from twowayqkd.security import oneway_keyrate, threshold_curves
 
 #: functions whose traced calls or results the harness reads, by module
 TRACED = {
     gaussian: ("entropic_h", "symplectic_spectrum", "heterodyne_condition"),
     attacks: ("attack_from_class", "physical_region_grid"),
     protocol: ("keyrate_asymptotic",),
-    security: ("threshold_curve", "oneway_threshold_curve", "oneway_keyrate",
-               "optimal_attack_scan", "scan_grid"),
+    security: ("oneway_keyrate", "optimal_attack_scan", "scan_grid"),
     _serialize: ("csv_table", "json_text"),
     cli: ("main",),
 }
@@ -63,7 +62,10 @@ def test_oneway_rate_is_a_float():
 @pytest.mark.parametrize("label", [*ATTACK_CLASSES, "one-way"])
 def test_curve_has_one_point_per_transmissivity(label):
     grid = [0.6, 0.73, 0.86, 0.99]
-    curve = oneway_threshold_curve(grid) if label == "one-way" else threshold_curve(label, grid)
+    if label == "one-way":
+        curve, = threshold_curves([], grid, with_oneway=True)
+    else:
+        curve, = threshold_curves([label], grid)
     for column in (curve.T, curve.omega_star, curve.N_star, curve.secure, curve.status):
         assert column.shape == (len(grid),)
 

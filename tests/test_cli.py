@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, gaussian,
-                       holevo_asymptotic, keyrate_report, mutual_information_asymptotic,
-                       physical_region_grid, protocol, security)
+                       keyrate_report, physical_region_grid, protocol, security)
 from twowayqkd.attacks import MAX_GRID_NODES, _grid_half_width
 from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
@@ -71,7 +70,7 @@ class TestKeyrateCommand:
                      "--attack", "sep-anti+", "--mu", "1e6")
         payload = json.loads(out)
         rep = keyrate_report(0.77, attack_from_class("sep-anti+", 1.9), mu=1e6)
-        for key, value in rep.to_dict().items():
+        for key, value in rep._asdict().items():
             assert payload[key] == value
 
     def test_missing_required_flag(self, capsys):
@@ -322,6 +321,21 @@ class TestEntryPoint:
         assert (done.returncode, done.stderr) == \
             (1, "twowayqkd: error: [Errno 28] No space left on device\n")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("env", [{}, {"PYTHONUNBUFFERED": "1"}],
+                             ids=("buffered", "unbuffered"))
+    @pytest.mark.parametrize("argv, stdout_full", [
+        (("keyrate", "--T", "2", "--omega", "2", "--attack", "collective"), False),
+        (("scan", "--T", "0.8", "--omega", "3", "--step", "0.1", "--full-grid"), True),
+    ], ids=("invalid-input", "failed-write"))
+    def test_unwritable_stderr_still_exits_1(self, argv, stdout_full, env):
+        # main's own error message cannot be written: the run still ends with exit code 1
+        command, env = _cli_command(*argv, **env)
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(command, env=env, stderr=full, timeout=120,
+                                  stdout=full if stdout_full else subprocess.DEVNULL)
+        assert done.returncode == 1
+
     @pytest.mark.parametrize("env", [{}, {"PYTHONUNBUFFERED": "1"}],
                              ids=("buffered", "unbuffered"))
     def test_reader_that_quits_early_exits_1_with_message(self, env):
@@ -570,26 +584,26 @@ class TestAppendixCommand:
         calls = {}
         count_calls(monkeypatch, calls, [
             (attacks, "attack_from_class"), (cli, "attack_from_class"),
-            (protocol, "mutual_information_asymptotic"), (protocol, "holevo_asymptotic"),
+            (protocol, "keyrate_report"), (cli, "keyrate_report"), (protocol, "_two_way_at"),
             (security, "_information_arrays")])
         monkeypatch.setattr(attacks.AttackParams, "__new__",
                             lambda cls, *args, **kwargs: pytest.fail("AttackParams built"))
         code, out = run(capsys, "appendix", "--T", "0.65", "--T", "0.95", "--omega-step", "0.01")
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 401
         assert calls["attack_from_class"] == 0
-        assert calls["mutual_information_asymptotic"] == calls["holevo_asymptotic"] == 0
+        assert calls["keyrate_report"] == calls["_two_way_at"] == 0
         # one five-class block per T; the variations are derived from it
         assert calls["_information_arrays"] == 2
 
     def test_matches_point_calls(self, capsys):
-        # each cell against the scalar information functions at the class's attack
+        # each cell against the scalar report's information fields at the class's attack
         _, out = run(capsys, "appendix", "--T", "0.3", "--T", "0.9", "--mu", "1e5",
                      "--omega-max", "4", "--omega-step", "0.75", "--format", "json")
         for row in json.loads(out):
             for label in cli._APPENDIX_CLASSES:
                 a = attack_from_class(label, row["omega"])
-                assert row[f"I_AB_{label}"] == mutual_information_asymptotic(row["T"], a, 1e5)[0]
-                assert row[f"chi_EA_{label}"] == holevo_asymptotic(row["T"], a, 1e5)
+                rep = keyrate_report(row["T"], a, 1e5)
+                assert (row[f"I_AB_{label}"], row[f"chi_EA_{label}"]) == (rep.I_AB, rep.chi_EA)
 
     def test_rejects_small_modulation(self, capsys):
         code, _ = run(capsys, "appendix", "--T", "0.65", "--mu", "10")

@@ -145,9 +145,14 @@ class TestLazyNamespace:
             {name: getattr(twowayqkd, name) for name in twowayqkd.__all__}
 
     def test_unknown_attribute(self):
-        # the last four: single-field getters deleted in favour of keyrate_report's fields
+        # then single-field getters deleted in favour of keyrate_report's fields, and
+        # single-curve threshold wrappers and their exceptions deleted in favour of
+        # threshold_curves and its status column
         for name in ("no_such_name", "asymptotic_total_spectrum", "total_entropy_asymptotic",
-                     "conditional_spectrum_asymptotic", "conditional_entropy_asymptotic"):
+                     "conditional_spectrum_asymptotic", "conditional_entropy_asymptotic",
+                     "holevo_asymptotic", "mutual_information_asymptotic", "threshold_curve",
+                     "oneway_threshold_curve", "threshold_omega", "oneway_threshold_omega",
+                     "DivergentThresholdError", "MonotonicityError"):
             with pytest.raises(AttributeError, match=name):
                 getattr(twowayqkd, name)
 

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, AttackParams, ProtocolParams, UnphysicalAttackError,
                        UnphysicalStateError, attack_from_class, bob_cm, conditional_cm,
-                       conditioning_deviation, entropic_h, heterodyne_condition,
-                       holevo_asymptotic, is_physical, keyrate_asymptotic, keyrate_report,
-                       mutual_information_asymptotic, partial_trace, symplectic_spectrum,
+                       conditioning_deviation, entropic_h, heterodyne_condition, is_physical,
+                       keyrate_asymptotic, keyrate_report, partial_trace, symplectic_spectrum,
                        total_cm, total_cm_circuit, von_neumann_entropy)
 from twowayqkd import protocol, security
 from twowayqkd.attacks import _class_correlations, _physical_mask, physical_region_grid
@@ -19,9 +18,9 @@ from twowayqkd.gaussian import MAX_VARIANCE
 
 from _util import count_calls, random_physical_attack
 
-#: the three checked 0-d two-way functions and keyrate_report, each called as fn(T, a, mu)
-POINT_FUNCTIONS = (holevo_asymptotic, mutual_information_asymptotic,
-                   lambda T, a, mu: keyrate_asymptotic(T, a), keyrate_report)
+#: the two checked 0-d two-way entries, keyrate_asymptotic and keyrate_report, each called
+#: as fn(T, a, mu)
+POINT_FUNCTIONS = (lambda T, a, mu: keyrate_asymptotic(T, a), keyrate_report)
 
 
 @st.composite
@@ -262,7 +261,7 @@ class TestAsymptoticSpectra:
 class TestInformationQuantities:
     def test_holevo_pure_loss(self):
         T, mu = 0.7, 1e6
-        chi = holevo_asymptotic(T, AttackParams(1.0, 0.0, 0.0), mu)
+        chi = keyrate_report(T, AttackParams(1.0, 0.0, 0.0), mu).chi_EA
         assert chi == pytest.approx(np.log2(0.5 * np.e * (1 - T) / (1 + T) * mu), rel=1e-14)
 
     def test_holevo_is_entropy_difference(self):
@@ -270,22 +269,23 @@ class TestInformationQuantities:
         for _ in range(20):
             a = random_physical_attack(rng)
             T, mu = float(rng.uniform(0.1, 0.95)), 1e6
-            chi = holevo_asymptotic(T, a, mu)
             rep = keyrate_report(T, a, mu)
             diff = rep.S_E - rep.S_E_cond
-            assert abs(chi - diff) < 1e-12
+            assert abs(rep.chi_EA - diff) < 1e-12
 
     def test_mutual_information_near_full_transmission(self):
-        mu = 1e6
-        iab, sigma, sigma_p, _ = mutual_information_asymptotic(
-            1.0 - 1e-9, AttackParams(2.0, 0.5, -0.5), mu)
+        # the closed form: keyrate_report's consistency check rejects this point
+        # (chi_EA < 0 at T -> 1)
+        T, mu = 1.0 - 1e-9, 1e6
+        c = protocol._two_way_at(T, AttackParams(2.0, 0.5, -0.5), mu)
+        iab, sigma, sigma_p = float(protocol._information(T, c, mu)[0]), c.sigma, c.sigma_prime
         assert sigma == pytest.approx(2.0, abs=1e-6)
         assert sigma_p == pytest.approx(2.0, abs=1e-6)
         assert iab == pytest.approx(np.log2(mu / 2.0), abs=1e-6)
 
     def test_mutual_information_pure_loss_value(self):
-        iab, sigma, sigma_p, delta = mutual_information_asymptotic(
-            0.9, AttackParams(1.0, 0.0, 0.0), 1e6)
+        rep = keyrate_report(0.9, AttackParams(1.0, 0.0, 0.0), 1e6)
+        iab, sigma, sigma_p, delta = rep.I_AB, rep.sigma, rep.sigma_prime, rep.Delta
         assert sigma == 2.0 and sigma_p == 2.0 and delta == 2.0
         assert iab == pytest.approx(0.5 * np.log2(0.81e12 / 4.0), rel=1e-14)
 
@@ -295,7 +295,7 @@ class TestInformationQuantities:
            omega=st.lists(st.floats(1.0, 50.0), min_size=1, max_size=6),
            mu=st.floats(1e3, MAX_VARIANCE))
     def test_broadcast_information_equals_point_calls(self, label, T, omega, mu):
-        # a (T column x omega row) grid in one call, against the 0-d public functions
+        # a (T column x omega row) grid in one call, against the 0-d public report
         w = np.array(omega)
         g, g_prime = _class_correlations(ATTACK_CLASSES.index(label), w)
         iab, chi = protocol._information_arrays(np.array(T)[:, None], w, g, g_prime, mu)
@@ -303,15 +303,15 @@ class TestInformationQuantities:
         for i, t in enumerate(T):
             for j, a in enumerate(AttackParams(*x) for x in zip(omega, g.tolist(),
                                                                  g_prime.tolist())):
-                assert iab[i, j] == mutual_information_asymptotic(t, a, mu)[0]
-                assert chi[i, j] == holevo_asymptotic(t, a, mu)
+                rep = keyrate_report(t, a, mu)
+                assert (iab[i, j], chi[i, j]) == (rep.I_AB, rep.chi_EA)
 
-    def test_information_rejects_nonpositive_sigma(self):
+    def test_information_rejects_nonpositive_sigma(self, monkeypatch):
         # |g| >= omega, where a custom g reaches sigma < 0: rejected before the closed form
-        a = AttackParams(10.0, -30.0, -30.0)
-        for fn in (mutual_information_asymptotic, holevo_asymptotic):
-            with pytest.raises(UnphysicalAttackError, match="positive definiteness"):
-                fn(0.5, a, 1e6)
+        monkeypatch.setattr(protocol, "_two_way_arrays",
+                            lambda *args: pytest.fail("closed form evaluated"))
+        with pytest.raises(UnphysicalAttackError, match="positive definiteness"):
+            keyrate_report(0.5, AttackParams(10.0, -30.0, -30.0), 1e6)
 
     def test_every_scalar_function_rejects_nonpositive_sigma(self):
         # the squared spectra are >= 1 here (1600, 400 and 334.2...) and sigma = sigma' =
@@ -325,33 +325,31 @@ class TestInformationQuantities:
                                        (0.5, 2.9e-154)])
     def test_rejects_underflowing_T_mu(self, T, mu):
         # T^2 mu^2 in I_AB leaves the normal doubles: it read -inf, or lost digits
-        a = AttackParams(1.0, 0.0, 0.0)
-        for fn in (mutual_information_asymptotic, holevo_asymptotic, keyrate_report):
-            with pytest.raises(ValueError, match="T and T\\*mu must both be at least 1.49e-154"):
-                fn(T, a, mu)
+        with pytest.raises(ValueError, match="T and T\\*mu must both be at least 1.49e-154"):
+            keyrate_report(T, AttackParams(1.0, 0.0, 0.0), mu)
 
     def test_rejects_underflowing_one_minus_T_mu(self):
         # (1-T)^2 mu^2 in S_E underflowed to 0: the total entropy raised a bare
         # "math domain error" and keyrate_report an inconsistent-report verdict
         a = AttackParams(1.0, 0.0, 0.0)
-        for fn in (holevo_asymptotic, keyrate_report):
-            with pytest.raises(ValueError, match="\\(1-T\\)\\*mu must be at least 1.49e-154"):
-                fn(0.999999999, a, 1.6e-154)
+        with pytest.raises(ValueError, match="\\(1-T\\)\\*mu must be at least 1.49e-154"):
+            keyrate_report(0.999999999, a, 1.6e-154)
         # (1-T) mu = sqrt(tiny) exactly: accepted, and the square is still normal (the report
-        # itself rejects this point, since chi_EA < 0 at so small a modulation)
+        # itself rejects this point, since chi_EA < 0 at so small a modulation, so the
+        # closed form is read)
         mu = 2.0 * protocol._SQRT_TINY
         protocol._check_regime(0.5, mu)
-        assert math.isfinite(holevo_asymptotic(0.5, a, mu))
+        assert math.isfinite(protocol._information(0.5, protocol._two_way_at(0.5, a, mu), mu)[1])
         assert (1.0 - 0.5) ** 2 * mu * mu == protocol._SQRT_TINY ** 2 > 0.0
 
     def test_smallest_accepted_T_mu_is_exact(self):
         # T = T*mu = sqrt(tiny): T^2 mu^2 = tiny, still normal, so I_AB = log2(T mu) - 1
         T = protocol._SQRT_TINY
-        iab = mutual_information_asymptotic(T, AttackParams(1.0, 0.0, 0.0), 1.0)[0]
+        iab = keyrate_report(T, AttackParams(1.0, 0.0, 0.0), 1.0).I_AB
         assert iab == pytest.approx(math.log2(T) - 1.0, rel=1e-15)
 
     def test_mutual_information_decreases_with_noise(self):
-        vals = [mutual_information_asymptotic(0.65, attack_from_class("sep-sym-", w), 1e6)[0]
+        vals = [keyrate_report(0.65, attack_from_class("sep-sym-", w), 1e6).I_AB
                 for w in (1.0, 1.5, 2.0, 3.0, 5.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -422,17 +420,16 @@ class TestKeyRate:
             a = random_physical_attack(rng)
             T = float(rng.uniform(0.1, 0.95))
             r = keyrate_asymptotic(T, a)
-            iab = mutual_information_asymptotic(T, a, 1e6)[0]
-            chi = holevo_asymptotic(T, a, 1e6)
-            assert abs(r - (iab - chi)) < 1e-9
+            rep = keyrate_report(T, a, 1e6)
+            assert abs(r - (rep.I_AB - rep.chi_EA)) < 1e-9
 
     def test_modulation_independence(self):
         rng = np.random.default_rng(47)
         for _ in range(25):
             a = random_physical_attack(rng)
             T = float(rng.uniform(0.1, 0.95))
-            r5 = (mutual_information_asymptotic(T, a, 1e5)[0] - holevo_asymptotic(T, a, 1e5))
-            r7 = (mutual_information_asymptotic(T, a, 1e7)[0] - holevo_asymptotic(T, a, 1e7))
+            r5, r7 = (rep.I_AB - rep.chi_EA for rep in (keyrate_report(T, a, mu)
+                                                         for mu in (1e5, 1e7)))
             assert abs(r5 - r7) <= 1e-9
 
     def test_quadrature_swap_symmetry(self):
@@ -449,16 +446,17 @@ class TestKeyRate:
         rep = keyrate_report(0.65, a, mu=1e6)
         assert abs(rep.R - (rep.I_AB - rep.chi_EA)) <= 1e-10
         assert rep.chi_EA >= -1e-9
-        assert list(rep.to_dict()) == [
+        assert list(rep._asdict()) == [
             "nu1", "nu2", "nu3nu4_product", "nubar1", "nubar2", "S_E", "S_E_cond",
             "I_AB", "chi_EA", "R", "sigma", "sigma_prime", "Delta"]
-        assert type(rep.to_dict()) is dict and list(rep.to_dict()) == list(rep._fields)
+        assert type(rep._asdict()) is dict and list(rep._asdict()) == list(rep._fields)
         assert rep.nu1 == pytest.approx(3.0, rel=1e-12)
         assert rep.nu2 == pytest.approx(1.0, abs=1e-12)
 
     def test_report_fields_equal_siblings_and_closed_forms(self):
-        # the one-pass report, field by field and bit for bit, against its scalar siblings,
-        # the broadcasting kernel and the closed expressions of the log(mu) terms
+        # the one-pass report, field by field and bit for bit, against its scalar sibling
+        # keyrate_asymptotic, the broadcasting kernel and the closed expressions of the
+        # log(mu) terms
         rng = np.random.default_rng(61)
         attacks = [attack_from_class(c, w) for c in ATTACK_CLASSES for w in (1.0, 1.7, 4.0)]
         attacks += [random_physical_attack(rng) for _ in range(30)]
@@ -467,14 +465,14 @@ class TestKeyRate:
             T, mu = float(rng.uniform(0.05, 0.99)), float(10.0 ** rng.uniform(3.0, 9.0))
             c = protocol._two_way_arrays(T, a.omega, a.g, a.g_prime)
             product, nubar2 = (1.0 - T) ** 2 * mu * mu, (1.0 - T * T) * mu
-            iab, sigma, sigma_p, delta = mutual_information_asymptotic(T, a, mu)
+            iab, chi = map(float, protocol._information(T, c, mu))
             alone = dict(nu1=float(c.nu1), nu2=float(c.nu2), nu3nu4_product=product,
                          nubar1=float(c.nubar1), nubar2=nubar2,
                          S_E=float(c.S) + math.log2(0.25 * np.e * np.e * product),
                          S_E_cond=float(c.S_cond) + math.log2(0.5 * np.e * nubar2), I_AB=iab,
-                         chi_EA=holevo_asymptotic(T, a, mu), R=keyrate_asymptotic(T, a),
-                         sigma=sigma, sigma_prime=sigma_p, Delta=delta)
-            assert bits(keyrate_report(T, a, mu).to_dict()) == bits(alone), (T, a, mu)
+                         chi_EA=chi, R=keyrate_asymptotic(T, a), sigma=float(c.sigma),
+                         sigma_prime=float(c.sigma_prime), Delta=float(c.Delta))
+            assert bits(keyrate_report(T, a, mu)._asdict()) == bits(alone), (T, a, mu)
 
     def test_one_entropy_call_per_evaluation(self, monkeypatch):
         calls = {}
@@ -494,7 +492,8 @@ class TestKeyRate:
         # raised errors, not asserts, so the check survives python -O
         # the one-pass report takes I_AB and chi_EA from protocol._information
         a = attack_from_class("sep-sym-", 2.0)
-        iab, chi = mutual_information_asymptotic(0.65, a, 1e6)[0], holevo_asymptotic(0.65, a, 1e6)
+        rep = keyrate_report(0.65, a, mu=1e6)
+        iab, chi = rep.I_AB, rep.chi_EA
         monkeypatch.setattr(protocol, "_information", lambda T, c, mu: (iab, chi + 1e-6))
         with pytest.raises(UnphysicalStateError, match="inconsistent"):
             keyrate_report(0.65, a, mu=1e6)
@@ -502,7 +501,7 @@ class TestKeyRate:
     def test_report_rejects_negative_holevo_bound(self, monkeypatch):
         # and R from protocol._rate
         a = attack_from_class("sep-sym-", 2.0)
-        iab = mutual_information_asymptotic(0.65, a, 1e6)[0]
+        iab = keyrate_report(0.65, a, mu=1e6).I_AB
         monkeypatch.setattr(protocol, "_information", lambda T, c, mu: (iab, -1.0))
         monkeypatch.setattr(protocol, "_rate", lambda T, c: iab + 1.0)
         with pytest.raises(UnphysicalStateError, match="inconsistent"):

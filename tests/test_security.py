@@ -9,14 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twowayqkd import (ATTACK_CLASSES, AttackParams, DivergentThresholdError, MonotonicityError,
-                       UnphysicalStateError, attack_from_class, eve_cm, excess_noise,
-                       holevo_asymptotic, is_physical, keyrate_asymptotic,
-                       mutual_information_asymptotic, omega_from_excess, oneway_keyrate,
-                       oneway_report, oneway_threshold_curve, oneway_threshold_omega,
-                       optimal_attack_scan, physical_region_grid, ppt_separable,
-                       relative_variations, scan_grid, security, threshold_curve,
-                       threshold_curves, threshold_omega)
+from twowayqkd import (ATTACK_CLASSES, AttackParams, UnphysicalStateError, attack_from_class,
+                       eve_cm, excess_noise, is_physical, keyrate_asymptotic, keyrate_report,
+                       omega_from_excess, oneway_keyrate, oneway_report, optimal_attack_scan,
+                       physical_region_grid, ppt_separable, relative_variations, scan_grid,
+                       security, threshold_curves)
 from twowayqkd._serialize import Table, csv_table, json_text
 from twowayqkd.attacks import _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
@@ -66,7 +63,9 @@ class TestExcessNoise:
 class TestThresholdOmega:
     def test_collective_matches_grid_scan_oracle(self):
         T = 0.9
-        w_star = threshold_omega(T, "collective")
+        curve = threshold_curves(["collective"], [T])[0]
+        assert curve.status.tolist() == [OK]
+        w_star = float(curve.omega_star[0])
         # independent oracle: dense grid locating the sign change
         grid = np.linspace(1.0, 8.0, 20001)
         rates = np.array([keyrate_asymptotic(T, AttackParams(w, 0.0, 0.0)) for w in grid])
@@ -77,22 +76,21 @@ class TestThresholdOmega:
         assert abs(keyrate_asymptotic(T, AttackParams(w_star, 0.0, 0.0))) <= 1e-8
 
     def test_symmetric_separable_attack_is_stronger_than_collective(self):
-        for T in (0.7, 0.9):
-            assert threshold_omega(T, "sep-sym-") < threshold_omega(T, "collective")
+        sep, coll = threshold_curves(["sep-sym-", "collective"], [0.7, 0.9])
+        assert sep.status.tolist() == coll.status.tolist() == [OK, OK]
+        assert (sep.omega_star < coll.omega_star).all()
 
     def test_no_secure_region_at_low_transmissivity(self):
-        assert threshold_omega(1e-3, "collective") is None
+        assert threshold_curves(["collective"], [1e-3])[0].status.tolist() == [INSECURE_AT_VACUUM]
 
     def test_epr_rate_rebound_is_detected(self):
-        with pytest.raises(MonotonicityError):
-            threshold_omega(0.9, "epr+")
+        assert threshold_curves(["epr+"], [0.9])[0].status.tolist() == [NON_MONOTONE]
 
 
 class TestThresholdCurve:
     def test_epr_signs_coincide_pointwise(self):
         grid = [0.4, 0.55, 0.7, 0.85]
-        pos = threshold_curve("epr+", grid)
-        neg = threshold_curve("epr-", grid)
+        pos, neg = threshold_curves(["epr+", "epr-"], grid)
         assert pos.secure.tolist() == neg.secure.tolist()
         for p, q in zip(pos.omega_star.tolist(), neg.omega_star.tolist()):
             if math.isfinite(p) and math.isfinite(q):
@@ -102,25 +100,25 @@ class TestThresholdCurve:
 
     def test_epr_serializations_byte_identical(self):
         grid = [0.4, 0.55, 0.7, 0.85]
-        pos, neg = threshold_curve("epr+", grid), threshold_curve("epr-", grid)
+        pos, neg = threshold_curves(["epr+", "epr-"], grid)
         header = ("T", "omega_star", "N_star", "secure")
         tables = [Table(header, (c.T, c.omega_star, c.N_star, c.secure)) for c in (pos, neg)]
         assert csv_table(tables[0]) == csv_table(tables[1])
         assert json_text(tables[0]) == json_text(tables[1])
 
     def test_csv_header_contract(self):
-        curve = threshold_curve("collective", [0.5, 0.7, 0.9])
+        curve = threshold_curves(["collective"], [0.5, 0.7, 0.9])[0]
         assert list(curve._fields) == [
             "attack_class", "T", "omega_star", "N_star", "secure", "status"]
         assert all(getattr(curve, f).shape == (3,) for f in ("T", "omega_star", "N_star", "secure"))
 
     def test_insecure_points_flagged_not_dropped(self):
-        curve = threshold_curve("collective", [0.3, 0.5, 0.7, 0.9])
+        curve = threshold_curves(["collective"], [0.3, 0.5, 0.7, 0.9])[0]
         assert curve.secure.tolist() == [False, False, True, True]
         assert curve.omega_star[0] == 1.0 and curve.N_star[0] == 0.0
 
     def test_points_satisfy_rate_residual(self):
-        curve = threshold_curve("sep-anti+", [0.7, 0.8, 0.9])
+        curve = threshold_curves(["sep-anti+"], [0.7, 0.8, 0.9])[0]
         for T, omega_star in zip(curve.T.tolist(), curve.omega_star.tolist()):
             a = attack_from_class("sep-anti+", omega_star)
             assert abs(keyrate_asymptotic(T, a)) <= 1e-8
@@ -128,15 +126,15 @@ class TestThresholdCurve:
     @pytest.mark.parametrize("label", ["collective", "sep-sym+", "sep-sym-", "sep-anti+"])
     def test_excess_noise_thresholds_nondecreasing(self, label):
         grid = list(np.round(np.arange(0.30, 0.99, 0.02), 10))
-        curve = threshold_curve(label, grid)
+        curve = threshold_curves([label], grid)[0]
         n_stars = curve.N_star.tolist()
         assert all(b >= a - 1e-12 for a, b in zip(n_stars, n_stars[1:]))
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            threshold_curve("collective", [0.5, 0.4])
+            threshold_curves(["collective"], [0.5, 0.4])
         with pytest.raises(ValueError):
-            threshold_curve("collective", [])
+            threshold_curves(["collective"], [])
 
 
 class TestBatchedSolver:
@@ -144,30 +142,19 @@ class TestBatchedSolver:
     # EPR rates above it, roots for the other classes
     T_GRID = [0.01, 0.2, 0.45, 0.6, 0.66, 0.7, 0.73, 0.75, 0.8, 0.85, 0.9, 0.95, 0.99, 0.999]
 
-    @staticmethod
-    def _oracle(rate):
-        try:
-            return bisect_threshold(rate), OK
-        except DivergentThresholdError:
-            return math.inf, NO_CROSSING
-        except MonotonicityError:
-            return math.nan, NON_MONOTONE
-
     @pytest.mark.parametrize("label", [*ATTACK_CLASSES, "oneway"])
     def test_roots_equal_scalar_oracle_bit_for_bit(self, label):
         if label == "oneway":
-            curve = oneway_threshold_curve(self.T_GRID)
+            curve = threshold_curves([], self.T_GRID, with_oneway=True)[0]
             rates = [lambda w, T=T: oneway_keyrate(T, w) for T in self.T_GRID]
         else:
-            curve = threshold_curve(label, self.T_GRID)
+            curve = threshold_curves([label], self.T_GRID)[0]
             rates = [lambda w, T=T: keyrate_asymptotic(T, attack_from_class(label, w))
                      for T in self.T_GRID]
         statuses = set()
         for got_status, omega_star, rate in zip(curve.status.tolist(), curve.omega_star.tolist(),
                                                 rates):
-            root, status = self._oracle(rate)
-            if root is None:
-                root, status = 1.0, INSECURE_AT_VACUUM
+            root, status = bisect_threshold(rate)
             assert got_status == status
             assert repr(omega_star) == repr(root)
             statuses.add(status)
@@ -195,22 +182,9 @@ class TestBatchedSolver:
         assert roots[0] == pytest.approx(3.0, abs=1e-10)
         assert roots[5] == pytest.approx(5.0, abs=1e-10)
         assert np.isnan(roots[1:5]).all()
+        assert [bisect_threshold(r)[1] for r in lane_rates] == status.tolist()
         for i in (0, 5):
-            assert roots[i] == bisect_threshold(lane_rates[i])
-
-    def test_single_lane_contract(self):
-        def rate(T, label):
-            return lambda w: keyrate_asymptotic(T, attack_from_class(label, w))
-
-        assert threshold_omega(0.9, "sep-sym-") == bisect_threshold(rate(0.9, "sep-sym-"))
-        assert type(threshold_omega(0.9, "sep-sym-")) is type(oneway_threshold_omega(0.9)) is float
-        assert oneway_threshold_omega(0.9) == bisect_threshold(lambda w: oneway_keyrate(0.9, w))
-        assert threshold_omega(0.5, "collective") is None
-        assert oneway_threshold_omega(0.7) is None
-        with pytest.raises(DivergentThresholdError, match="T=0.999"):
-            threshold_omega(0.999, "sep-sym+")
-        with pytest.raises(MonotonicityError, match="T=0.9"):
-            threshold_omega(0.9, "epr-")
+            assert bisect_threshold(lane_rates[i]) == (roots[i], OK)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batched_curves_equal_one_curve_calls(self, seed):
@@ -221,7 +195,8 @@ class TestBatchedSolver:
         rng.shuffle(classes)
         grid = sorted(set(self.T_GRID + rng.uniform(0.0, 1.0, 8).tolist()))
         batch = threshold_curves(classes, grid, with_oneway=True)
-        single = [threshold_curve(c, grid) for c in classes] + [oneway_threshold_curve(grid)]
+        single = [threshold_curves([c], grid)[0] for c in classes]
+        single += threshold_curves([], grid, with_oneway=True)
 
         def packed(curve):
             return (curve.attack_class, curve.status.tolist(),
@@ -240,7 +215,7 @@ class TestBatchedSolver:
         assert threshold_curves([], [0.5]) == []
 
     def test_curve_points_carry_status(self):
-        curve = threshold_curve("epr+", [0.5, 0.9])
+        curve = threshold_curves(["epr+"], [0.5, 0.9])[0]
         assert curve.status.tolist() == [INSECURE_AT_VACUUM, NON_MONOTONE]
         assert math.isnan(curve.omega_star[1]) and math.isnan(curve.N_star[1]) and curve.secure[1]
         assert list(curve._fields)[1:5] == ["T", "omega_star", "N_star", "secure"]
@@ -298,7 +273,7 @@ class TestOptimalAttackScan:
 
     def test_record_keeps_its_key_order(self):
         result = optimal_attack_scan(0.8, 1.5, 0.1)
-        payload = result.to_dict()
+        payload = result._asdict()
         assert type(payload) is dict and list(payload) == [
             "T", "omega", "best_g", "best_g_prime", "R_min", "grid_resolution"]
         assert tuple(payload.values()) == tuple(result)
@@ -469,7 +444,7 @@ class TestOptimalAttackScan:
 
     def test_serialization(self):
         result = optimal_attack_scan(0.7, 1.5, 0.5)
-        parsed = json.loads(json_text(result.to_dict()))
+        parsed = json.loads(json_text(result._asdict()))
         assert parsed["T"] == 0.7 and parsed["grid_resolution"] == 0.5
         assert list(parsed) == ["T", "omega", "best_g", "best_g_prime", "R_min", "grid_resolution"]
 
@@ -503,13 +478,12 @@ class TestOneWayBaseline:
                 assert drift <= 1e-6 + 1.5 * T / ((1.0 - T) * 1e7)
 
     def test_threshold_below_two_way_collective(self):
-        for T in (0.75, 0.85, 0.95):
-            w_one = oneway_threshold_omega(T)
-            w_two = threshold_omega(T, "collective")
-            assert w_one < w_two
+        two, one = threshold_curves(["collective"], [0.75, 0.85, 0.95], with_oneway=True)
+        assert two.status.tolist() == one.status.tolist() == [OK, OK, OK]
+        assert (one.omega_star < two.omega_star).all()
 
     def test_curve_insecure_below_edge(self):
-        curve = oneway_threshold_curve([0.6, 0.7, 0.8, 0.9])
+        curve = threshold_curves([], [0.6, 0.7, 0.8, 0.9], with_oneway=True)[0]
         assert curve.secure.tolist() == [False, False, True, True]
         assert curve.attack_class == "oneway"
 
@@ -658,11 +632,11 @@ class TestRelativeVariations:
             relative_variations(T, mu, omegas)
 
     def test_matches_point_calls(self):
-        # the one array call per grid against the scalar information functions
+        # the one array call per grid against the scalar report's information fields
         omegas = [1.0, 1.25, 2.0, 3.5, 5.0]
         for T in (0.3, 0.65, 0.95):
             for (w, d_i, d_chi), w_ref in zip(relative_variations(T, 1e6, omegas), omegas):
                 coll, corner = AttackParams(w_ref, 0.0, 0.0), attack_from_class("sep-sym-", w_ref)
-                i_c, i_d = (mutual_information_asymptotic(T, a, 1e6)[0] for a in (coll, corner))
-                chi_c, chi_d = (holevo_asymptotic(T, a, 1e6) for a in (coll, corner))
+                (i_c, chi_c), (i_d, chi_d) = ((r.I_AB, r.chi_EA) for r in
+                                              (keyrate_report(T, a, 1e6) for a in (coll, corner)))
                 assert (w, d_i, d_chi) == (w_ref, (i_d - i_c) / i_c, (chi_d - chi_c) / chi_c)

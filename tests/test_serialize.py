@@ -10,9 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twowayqkd import (ATTACK_CLASSES, attack_from_class, holevo_asymptotic, keyrate_report,
-                       mutual_information_asymptotic, oneway_report, oneway_threshold_curve,
-                       optimal_attack_scan, relative_variations, scan_grid, threshold_curve)
+from twowayqkd import (ATTACK_CLASSES, attack_from_class, keyrate_report, oneway_report,
+                       optimal_attack_scan, relative_variations, scan_grid, threshold_curves)
 from twowayqkd import _serialize
 from twowayqkd._serialize import Table
 from twowayqkd._serialize import csv_table as column_csv
@@ -37,13 +36,15 @@ def record(payload, fmt):
 
 
 def oracle_keyrate(fmt):
-    return record(keyrate_report(0.8, attack_from_class("sep-anti+", 1.6)).to_dict(), fmt)
+    return record(keyrate_report(0.8, attack_from_class("sep-anti+", 1.6))._asdict(), fmt)
 
 
 def oracle_threshold(fmt):
     # T up to 0.999 holds NaN rows (the EPR rebound) and an inf row (sep-sym+ at 0.999)
     grid = _even_grid(_build_parser(), "t", 0.90, 0.999, 0.003)
-    curves = [threshold_curve(c, grid) for c in ATTACK_CLASSES] + [oneway_threshold_curve(grid)]
+    # one curve per solve, where the CLI solves them all at once
+    curves = [threshold_curves([c], grid)[0] for c in ATTACK_CLASSES]
+    curves += threshold_curves([], grid, with_oneway=True)
     header = ("T", "omega_star", "N_star", "secure")
     rows = [list(zip(*(getattr(c, h).tolist() for h in header))) for c in curves]
     if fmt == "json":
@@ -55,12 +56,12 @@ def oracle_threshold(fmt):
 
 
 def oracle_scan(fmt):
-    return record(optimal_attack_scan(0.8, 1.5, 0.1).to_dict(), fmt)
+    return record(optimal_attack_scan(0.8, 1.5, 0.1)._asdict(), fmt)
 
 
 def oracle_full_grid(fmt):
     rows = scan_grid(0.8, 1.5, 0.1).tolist()
-    payload = optimal_attack_scan(0.8, 1.5, 0.1).to_dict()
+    payload = optimal_attack_scan(0.8, 1.5, 0.1)._asdict()
     if fmt == "json":
         payload["grid"] = [{"g": g, "g_prime": gp, "R": r} for g, gp, r in rows]
         return json_text(payload)
@@ -78,9 +79,9 @@ def oracle_appendix(fmt):
     rows = []
     for T in (0.65, 0.95):
         for omega, d_i, d_chi in relative_variations(T, 1e6, [1.0, 1.5, 2.0]):
-            attacks = [attack_from_class(c, omega) for c in classes]
-            rows.append([T, omega, *(mutual_information_asymptotic(T, a, 1e6)[0] for a in attacks),
-                         *(holevo_asymptotic(T, a, 1e6) for a in attacks), d_i, d_chi])
+            reports = [keyrate_report(T, attack_from_class(c, omega), 1e6) for c in classes]
+            rows.append([T, omega, *(r.I_AB for r in reports), *(r.chi_EA for r in reports),
+                         d_i, d_chi])
     if fmt == "json":
         return json_text([dict(zip(header, row)) for row in rows])
     return csv_table(header, rows)
