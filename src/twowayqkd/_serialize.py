@@ -13,8 +13,10 @@ its cells repeat.
 CSV renders a table as a header row and one data row per line, with '.'
 decimals, ',' separators and '\\n' line endings.  JSON renders it as a list
 of {header: value} objects, and prints non-finite floats as null (strict
-JSON has no inf/nan).  Either way the rows of a table are one "".join over a
-flat list of literals and cells.
+JSON has no inf/nan).  Either way every piece of a document goes into one
+list, joined once.  Each cell's text carries the literal in front of it
+(',' or ', "R": '), made once per distinct text, so a row is one piece per
+column plus its ending, and no text is sliced or concatenated afterwards.
 """
 
 from typing import NamedTuple
@@ -39,8 +41,9 @@ def _format_floats(values):
     return list(map("%.17g".__mod__, values))
 
 
-def _cells(column, null):
-    """Text of every value of one column; null: print non-finite floats as JSON's null."""
+def _cells(column, null, literal=""):
+    """Text of every value of one column, `literal` in front of each; null: print
+    non-finite floats as JSON's null."""
     values = np.asarray(column)
     kind = values.dtype.kind
     if kind == "f":
@@ -51,53 +54,70 @@ def _cells(column, null):
         if null:
             for i in np.flatnonzero(~np.isfinite(distinct)):
                 texts[i] = "null"
+        if literal:
+            texts = [literal + t for t in texts]
         return np.array(texts, dtype=object)[inverse].tolist()
     if kind == "b":
-        return ["true" if v else "false" for v in values]
+        true, false = literal + "true", literal + "false"
+        return [true if v else false for v in values]
     if kind == "U":
         if not null:
-            return list(map(str, values))
+            return [literal + v for v in map(str, values)]
         import json  # JSON output only, so that CSV runs never load it
-        return list(map(json.dumps, values))
+        return [literal + v for v in map(json.dumps, values)]
     raise TypeError(f"cannot serialize a column of dtype {values.dtype}")
 
 
-def _rows(table, literals, null):
-    """Text of every row of `table`: literals[j] before cell j, literals[-1] after the row."""
+def _emit_rows(out, table, literals, end, last_end, null):
+    """Append the pieces of every row of `table` to `out`: cell j with literals[j] in front,
+    then `end` after each row but the last, which gets `last_end`."""
     lengths = [len(c) for c in table.columns]
     if len(lengths) != len(table.header) or len(set(lengths)) > 1:
         raise ValueError(f"a table needs one column per header entry, all of one length; "
                          f"got {len(table.header)} header entries and column lengths {lengths}")
     n = lengths[0] if lengths else 0
-    width = 2 * len(lengths) + 1
-    flat = [literals[-1]] * (width * n)
+    if not n:
+        return
+    width = len(lengths) + 1
+    start = len(out)
+    out += [end] * (width * n)
+    out[-1] = last_end
     for j, column in enumerate(table.columns):
-        flat[2 * j::width] = [literals[j]] * n
-        flat[2 * j + 1::width] = _cells(column, null)
-    return "".join(flat)
+        out[start + j::width] = _cells(column, null, literals[j])
 
 
 def csv_table(*tables):
     """CSV text of one or more tables, separated by a blank line."""
-    texts = []
-    for table in tables:
-        literals = ["", *[","] * (len(table.header) - 1), "\n"]
-        texts.append(",".join(table.header) + "\n" + _rows(table, literals, False))
-    return "\n".join(texts)
+    out = []
+    for i, table in enumerate(tables):
+        out.append(("\n" if i else "") + ",".join(table.header) + "\n")
+        _emit_rows(out, table, ["", *[","] * (len(table.header) - 1)], "\n", "\n", False)
+    return "".join(out)
 
 
-def _json(value):
+def _emit_json(out, value):
     import json  # JSON output only, so that CSV runs never load it
     if isinstance(value, Table):
         keys = [json.dumps(str(h)) + ": " for h in value.header]
-        literals = ["{" + k if j == 0 else ", " + k for j, k in enumerate(keys)] + ["}, "]
-        return "[" + _rows(value, literals, True)[:-2] + "]"  # no ", " after the last row
-    if isinstance(value, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_json(v)}"
-                               for k, v in value.items()) + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_json, value)) + "]"
-    return _cells([value], True)[0]
+        out.append("[")
+        _emit_rows(out, value, ["{" + k if j == 0 else ", " + k for j, k in enumerate(keys)],
+                   "}, ", "}", True)
+        out.append("]")
+    elif isinstance(value, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(value.items()):
+            out.append((", " if i else "") + json.dumps(str(k)) + ": ")
+            _emit_json(out, v)
+        out.append("}")
+    elif isinstance(value, (list, tuple)):
+        out.append("[")
+        for i, v in enumerate(value):
+            if i:
+                out.append(", ")
+            _emit_json(out, v)
+        out.append("]")
+    else:
+        out += _cells([value], True)
 
 
 def json_text(value):
@@ -105,4 +125,7 @@ def json_text(value):
 
     Keys keep insertion order; a Table becomes a list of row objects.
     """
-    return _json(value) + "\n"
+    out = []
+    _emit_json(out, value)
+    out.append("\n")
+    return "".join(out)

@@ -56,22 +56,7 @@ class _Parser(argparse.ArgumentParser):
                 raise
 
 
-def _build_parser():
-    parser = _Parser(prog="twowayqkd",
-                     description="Key rates and security thresholds for two-way "
-                                 "Gaussian coherent-state QKD in direct reconciliation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_default):
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help=f"output format (default {fmt_default})")
-        p.add_argument("--output", default=None, metavar="PATH",
-                       help="write to PATH instead of standard output")
-        p.add_argument("--config", default=None, metavar="PATH",
-                       help="JSON file with the same keys as the flags; flags override it")
-        p.set_defaults(fmt_default=fmt_default)
-
-    p = sub.add_parser("keyrate", help="key-rate report at one parameter point")
+def _keyrate_flags(p):
     p.add_argument("--T", type=float, default=None, help="channel transmissivity per pass")
     p.add_argument("--omega", type=float, default=None, help="Eve's thermal variance (SNU)")
     p.add_argument("--attack", default=None,
@@ -79,9 +64,9 @@ def _build_parser():
     p.add_argument("--g", type=float, default=None, help="q-quadrature correlation (custom attack)")
     p.add_argument("--g-prime", type=float, default=None, help="p-quadrature correlation (custom attack)")
     p.add_argument("--mu", type=float, default=None, help="modulation variance (default 1e6)")
-    common(p, "json")
 
-    p = sub.add_parser("threshold", help="security-threshold curves over a T grid")
+
+def _threshold_flags(p):
     p.add_argument("--attack", action="append", default=None,
                    help="attack class, repeatable: " + ", ".join(ATTACK_CLASSES))
     p.add_argument("--t-min", type=float, default=None)
@@ -89,32 +74,61 @@ def _build_parser():
     p.add_argument("--t-step", type=float, default=None)
     p.add_argument("--with-oneway", action="store_true", default=False,
                    help="append the one-way baseline curve")
-    common(p, "csv")
 
-    p = sub.add_parser("scan", help="grid scan for the rate-minimizing attack")
+
+def _scan_flags(p):
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--step", type=float, default=None, help="grid resolution in (g, g')")
     p.add_argument("--full-grid", action="store_true", default=False,
                    help="emit the rate at every physical grid point")
-    common(p, "csv")
 
-    p = sub.add_parser("oneway", help="one-way baseline key rate")
+
+def _oneway_flags(p):
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--omega", type=float, default=None)
     p.add_argument("--mu", type=float, default=None,
                    help="modulation variance of the baseline (default 1e7)")
-    common(p, "json")
 
-    p = sub.add_parser("appendix", help="I_AB, chi_EA and sep-sym- corner-class variations vs omega")
+
+def _appendix_flags(p):
     p.add_argument("--T", action="append", type=float, default=None,
                    help="transmissivity, repeatable")
     p.add_argument("--mu", type=float, default=None, help="modulation variance (default 1e6)")
     p.add_argument("--omega-min", type=float, default=None)
     p.add_argument("--omega-max", type=float, default=None)
     p.add_argument("--omega-step", type=float, default=None)
-    common(p, "csv")
 
+
+#: the subcommands in the order --help lists them: (help, default format, own flags)
+_SUBCOMMANDS = {
+    "keyrate": ("key-rate report at one parameter point", "json", _keyrate_flags),
+    "threshold": ("security-threshold curves over a T grid", "csv", _threshold_flags),
+    "scan": ("grid scan for the rate-minimizing attack", "csv", _scan_flags),
+    "oneway": ("one-way baseline key rate", "json", _oneway_flags),
+    "appendix": ("I_AB, chi_EA and sep-sym- corner-class variations vs omega", "csv",
+                 _appendix_flags),
+}
+
+
+def _build_parser(command=None):
+    """The command-line parser; given a command name, with that subcommand's parser only."""
+    parser = _Parser(prog="twowayqkd",
+                     description="Key rates and security thresholds for two-way "
+                                 "Gaussian coherent-state QKD in direct reconciliation.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fmt_default, add_flags) in _SUBCOMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help=f"output format (default {fmt_default})")
+        p.add_argument("--output", default=None, metavar="PATH",
+                       help="write to PATH instead of standard output")
+        p.add_argument("--config", default=None, metavar="PATH",
+                       help="JSON file with the same keys as the flags; flags override it")
+        p.set_defaults(fmt_default=fmt_default)
     return parser
 
 
@@ -324,7 +338,10 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run needs only its own subcommand's parser; --help, no command or an
+    # unknown one need them all, to list them
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         args = _merge_config(parser, args)

@@ -163,10 +163,13 @@ def keyrate_report(T, a, mu=1e6):
     c = _two_way_at(T, a, mu)
     iab, chi = map(float, _information(T, c, mu))
     rate = float(_rate(T, c))
-    if not (abs(rate - (iab - chi)) <= 1e-10 and chi >= -1e-9):
+    if not abs(rate - (iab - chi)) <= 1e-10:
         raise UnphysicalStateError(
-            f"inconsistent report: R={rate}, I_AB={iab}, chi_EA={chi} "
-            "(need R = I_AB - chi_EA and chi_EA >= 0)")
+            f"inconsistent report: R={rate}, I_AB={iab}, chi_EA={chi} (need R = I_AB - chi_EA)")
+    if not chi >= -1e-9:
+        raise ValueError(
+            f"(1-T)*mu = {(1.0 - T) * mu} is too small for the asymptotic regime: the Holevo "
+            f"bound must be >= 0, got chi_EA={chi} at T={T}, mu={mu}")
     product, nubar2 = (1.0 - T) ** 2 * mu * mu, (1.0 - T * T) * mu
     return KeyRateReport(
         nu1=float(c.nu1), nu2=float(c.nu2), nu3nu4_product=product, nubar1=float(c.nubar1),

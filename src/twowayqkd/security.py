@@ -199,10 +199,23 @@ class ScanResult(NamedTuple):
 
 
 def scan_grid(T, omega, resolution):
-    """(n, 3) array of (g, g', R) rows: the key rate at every node of physical_region_grid."""
+    """(n, 3) array of (g, g', R) rows: the key rate at every node of physical_region_grid.
+
+    Each mirror pair is rated once.  R(g, g') = R(g', g) bit for bit, and the
+    physical region is symmetric under g <-> g', so only the rows with
+    g <= g' are evaluated; every other row takes the rate of its mirror row,
+    found through the integer node indices (i, j) of (g, g') = (i, j) * step.
+    """
     _check_regime(T)
     grid = physical_region_grid(omega, resolution)
-    return np.column_stack((grid, _keyrate_arrays(T, omega, grid[:, 0], grid[:, 1])))
+    i, j = np.rint(grid.T / resolution).astype(np.intp)
+    upper = i <= j
+    rates = np.empty(len(grid))
+    rates[upper] = _keyrate_arrays(T, omega, grid[upper, 0], grid[upper, 1])
+    # sorted by (j, i), the rows list the mirror of each row-major row in turn
+    lower = ~upper
+    rates[lower] = rates[np.lexsort((i, j))[lower]]
+    return np.column_stack((grid, rates))
 
 
 def _grid_minimizer(T, omega, resolution, rows):

@@ -79,10 +79,31 @@ def test_traced_functions_are_public_module_functions():
 
 
 def test_serializers_return_text():
-    # the harness counts the bytes of the returned text
+    # the harness counts the bytes of the returned text, here also of the grid-export
+    # documents: a record and the grid, as CSV and JSON
     table = _serialize.Table(["x"], (np.array([0.5]),))
     assert isinstance(_serialize.csv_table(table), str)
     assert isinstance(_serialize.json_text({"x": 0.5}), str)
+    rows = security.scan_grid(0.8, 2.0, 0.1)
+    record = _serialize.Table.record({"T": 0.8, "R_min": float(rows[:, 2].min())})
+    grid = _serialize.Table(("g", "g_prime", "R"), tuple(rows.T))
+    assert type(_serialize.csv_table(record, grid)) is str
+    assert type(_serialize.json_text({"T": 0.8, "grid": grid})) is str
+
+
+def test_scan_grid_builds_its_grid_once_through_the_module_global(monkeypatch):
+    # the tracer's node and physical counts come from this one call
+    calls = []
+    grid_fn = security.physical_region_grid
+
+    def grid(*args, **kwargs):
+        calls.append((args, kwargs))
+        return grid_fn(*args, **kwargs)
+
+    monkeypatch.setattr(security, "physical_region_grid", grid)
+    rows = security.scan_grid(0.8, 2.0, 0.1)
+    assert calls == [((2.0, 0.1), {})]
+    assert len(rows) == len(grid_fn(2.0, 0.1))
 
 
 def test_workload_command_lines(monkeypatch):

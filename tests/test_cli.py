@@ -447,6 +447,8 @@ class TestInvalidInput:
           "--mu", "1.6e-154"), ("(1-T)*mu", "mu=1.6e-154", "1.49e-154")),
         (("scan", "--T", "5e-324", "--omega", "2", "--step", "0.5"),
          ("T", "5e-324", "smallest normal double 2.23e-308")),
+        (("keyrate", "--T", "0.9999", "--omega", "2", "--attack", "collective", "--mu", "1000"),
+         ("(1-T)*mu = 0.09999999999998899", "asymptotic regime", "chi_EA=-2.5017")),
         (("threshold", "--attack", "collective", "--t-min", "5e-324", "--t-max", "0.5",
           "--t-step", "0.25"), ("T", "5e-324", "smallest normal double 2.23e-308")),
     ], ids=["scan-omega-inf", "scan-T-above-one", "scan-T-nan", "scan-T-zero",
@@ -458,7 +460,8 @@ class TestInvalidInput:
             "appendix-mu-over-bound", "scan-omega-over-bound", "oneway-mu-far-over-bound",
             "keyrate-mu-over-bound", "keyrate-omega-over-bound", "appendix-omega-over-bound",
             "keyrate-T-mu-underflow", "keyrate-mu-underflow", "appendix-T-mu-underflow",
-            "keyrate-one-minus-T-mu-underflow", "scan-T-subnormal", "threshold-t-min-subnormal"])
+            "keyrate-one-minus-T-mu-underflow", "scan-T-subnormal", "threshold-t-min-subnormal",
+            "keyrate-outside-asymptotic-regime"])
     def test_rejected_with_message(self, argv, named):
         code, out, err = run_with_stderr(*argv)
         assert code == 1
@@ -532,6 +535,46 @@ class TestInvalidInput:
         assert (code, out) == (1, "")
         assert "Traceback" not in err
         assert all(word in err for word in named)
+
+
+def _parse(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestParserPerCommand:
+    """A run builds only its own subcommand's parser, and prints what the full parser would."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("rest", [("--help",), ("--format", "xml")], ids=["help", "usage-error"])
+    def test_single_parser_prints_what_the_full_one_does(self, command, rest, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, *rest]
+        single = _parse(_build_parser(command), argv)
+        assert single == _parse(_build_parser(), argv)
+        assert single[0] == (0 if rest == ("--help",) else 1) and any(single[1:])
+
+    @pytest.mark.parametrize("argv, built", [
+        (["scan", "--T", "0.8"], "scan"), (["appendix", "--help"], "appendix"),
+        (["--help"], None), ([], None), (["bogus"], None), (["-h", "scan"], None),
+    ])
+    def test_main_builds_the_named_parser(self, argv, built, monkeypatch):
+        seen = []
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: seen.append(command)
+                            or build(command))
+        run_with_stderr(*argv)
+        assert seen == [built]
+
+    def test_top_level_help_lists_every_command(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run_with_stderr("--help")
+        assert (code, out, err) == _parse(_build_parser(), ["--help"])
+        assert "{keyrate,threshold,scan,oneway,appendix}" in out
+        assert all(f"\n    {c} " in out for c in cli._COMMANDS)
 
 
 class TestOnewayCommand:

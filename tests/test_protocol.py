@@ -504,8 +504,12 @@ class TestKeyRate:
         iab = keyrate_report(0.65, a, mu=1e6).I_AB
         monkeypatch.setattr(protocol, "_information", lambda T, c, mu: (iab, -1.0))
         monkeypatch.setattr(protocol, "_rate", lambda T, c: iab + 1.0)
-        with pytest.raises(UnphysicalStateError, match="inconsistent"):
+        # a negative Holevo bound says (T, mu) lies outside the closed form's asymptotic
+        # regime, not that the state is unphysical
+        with pytest.raises(ValueError, match=re.escape("(1-T)*mu = 350000.0")) as exc:
             keyrate_report(0.65, a, mu=1e6)
+        assert "asymptotic regime" in str(exc.value)
+        assert not isinstance(exc.value, UnphysicalStateError)
 
 
 class TestExactEntanglementBasedOracle:

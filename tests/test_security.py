@@ -307,6 +307,20 @@ class TestOptimalAttackScan:
         rows = scan_grid(0.7, 1.5, 0.25)
         assert len(rows) == len(physical_region_grid(1.5, 0.25))
 
+    def test_every_row_equals_direct_evaluation(self):
+        # scan_grid rates each mirror pair once and copies the rate to the other row; the
+        # half-grid scan below takes scan_grid as its oracle, so check scan_grid here
+        # against the closed form at each row's own node, without the symmetry
+        rng = np.random.default_rng(23)
+        cases = [(float(rng.uniform(0.02, 0.99)), w, w / float(rng.uniform(1.0, 25.0)))
+                 for w in [1.0] * 5 + rng.uniform(1.0, 6.0, 60).tolist()]
+        cases += [(T, w, 0.013) for T, w in ((0.8, 1.0), (0.8, 2.0), (0.5, 3.0), (0.95, 1.05))]
+        for T, w, step in cases:
+            rows = scan_grid(T, w, step)
+            g, gp, rate = rows.T
+            assert np.array_equal(rows[:, :2], physical_region_grid(w, step)), (T, w, step)
+            assert rate.tobytes() == _keyrate_arrays(T, w, g, gp).tobytes(), (T, w, step)
+
     def test_half_grid_equals_full_grid_lexsort(self):
         # random (T, omega, step) grids, omega = 1 among them; every grid ties each
         # node (g, g') with (g', g), and the rate takes the same bits on both
