@@ -131,16 +131,8 @@ def total_cm_circuit(p, a):
 
 
 def bob_cm(p, a):
-    """4x4 covariance matrix of Bob's modes (B1, B2), Alice's modes traced out."""
-    _, theta, _, _, _, eps, g_eps, _, _ = _coefficients(p, a)
-    Z = np.diag([1.0, -1.0])
-    G = np.diag([a.g, a.g_prime])
-    V = np.zeros((4, 4))
-    V[:2, :2] = p.mu_B * np.eye(2)
-    V[2:, 2:] = eps * np.eye(2) + g_eps * G
-    V[:2, 2:] = theta * Z
-    V[2:, :2] = theta * Z
-    return V
+    """4x4 covariance matrix of Bob's modes (B1, B2): total_cm with Alice's modes traced out."""
+    return gaussian.partial_trace(total_cm(p, a), keep=(0, 3))
 
 
 def conditional_cm(p, a):

@@ -28,7 +28,7 @@ from ._serialize import Table, csv_table, json_text
 from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class, normalize_class
 from .errors import UnphysicalStateError
 from .gaussian import MAX_VARIANCE
-from .protocol import _check_regime, keyrate_report
+from .protocol import DEFAULT_MU, keyrate_report
 from .security import (ONEWAY_MU_A, _class_variations, _grid_minimizer, oneway_report,
                        optimal_attack_scan, scan_grid, threshold_curves)
 
@@ -100,24 +100,13 @@ def _appendix_flags(p):
     p.add_argument("--omega-step", type=float, default=None)
 
 
-#: the subcommands in the order --help lists them: (help, default format, own flags)
-_SUBCOMMANDS = {
-    "keyrate": ("key-rate report at one parameter point", "json", _keyrate_flags),
-    "threshold": ("security-threshold curves over a T grid", "csv", _threshold_flags),
-    "scan": ("grid scan for the rate-minimizing attack", "csv", _scan_flags),
-    "oneway": ("one-way baseline key rate", "json", _oneway_flags),
-    "appendix": ("I_AB, chi_EA and sep-sym- corner-class variations vs omega", "csv",
-                 _appendix_flags),
-}
-
-
 def _build_parser(command=None):
     """The command-line parser; given a command name, with that subcommand's parser only."""
     parser = _Parser(prog="twowayqkd",
                      description="Key rates and security thresholds for two-way "
                                  "Gaussian coherent-state QKD in direct reconciliation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, fmt_default, add_flags) in _SUBCOMMANDS.items():
+    for name, (help_text, fmt_default, add_flags, _) in _SUBCOMMANDS.items():
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_text)
@@ -226,7 +215,7 @@ def _resolve_attack(parser, args):
 
 
 def _even_grid(parser, name, lo, hi, step):
-    """lo, lo + step, ... up to hi (lo <= hi); the size is checked before anything is built."""
+    """lo, lo + step, ... up to hi (lo <= hi) as a float64 array; the size is checked first."""
     for suffix, value in (("min", lo), ("max", hi), ("step", step)):
         if not math.isfinite(value):
             parser.error(f"{name}-{suffix} must be finite, got {value}")
@@ -237,7 +226,7 @@ def _even_grid(parser, name, lo, hi, step):
     if count > MAX_GRID_POINTS:
         parser.error(f"{name}-step {step} gives {count:.6g} grid points; "
                      f"a grid must hold at most {MAX_GRID_POINTS}")
-    return [lo + k * step for k in range(count)]
+    return lo + np.arange(count) * step
 
 
 def _t_grid(parser, args):
@@ -249,7 +238,7 @@ def _t_grid(parser, args):
 def _cmd_keyrate(parser, args):
     _require(parser, args, ("T", "omega"))
     attack = _resolve_attack(parser, args)
-    mu = 1e6 if args.mu is None else args.mu
+    mu = DEFAULT_MU if args.mu is None else args.mu
     report = keyrate_report(args.T, attack, mu=mu)
     payload = report._asdict()
     _write(args, payload, [Table.record(payload)])
@@ -267,7 +256,7 @@ def _cmd_threshold(parser, args):
     columns = [(c.T, c.omega_star, c.N_star, c.secure) for c in curves]
     payload = [{"attack_class": c.attack_class, "points": Table(header, cols)}
                for c, cols in zip(curves, columns)]
-    labels = np.concatenate([np.full(len(grid), c.attack_class) for c in curves])
+    labels = np.repeat([c.attack_class for c in curves], len(grid))
     table = Table(("attack", *header), (labels, *map(np.concatenate, zip(*columns))))
     _write(args, payload, [table])
     return 0
@@ -303,7 +292,7 @@ def _cmd_oneway(parser, args):
 def _cmd_appendix(parser, args):
     if not args.T:
         parser.error("at least one --T is required")
-    mu = 1e6 if args.mu is None else args.mu
+    mu = DEFAULT_MU if args.mu is None else args.mu
     if mu < 1e3:
         parser.error(f"appendix tables need the asymptotic regime mu >= 1e3, got {mu}")
     w_min = 1.0 if args.omega_min is None else args.omega_min
@@ -311,29 +300,27 @@ def _cmd_appendix(parser, args):
     w_step = 0.25 if args.omega_step is None else args.omega_step
     if not (w_min >= 1.0 and w_max >= w_min):
         parser.error(f"bad omega grid: [{w_min}, {w_max}] step {w_step}")
-    omegas = np.array(_even_grid(parser, "omega", w_min, w_max, w_step))
+    omegas = _even_grid(parser, "omega", w_min, w_max, w_step)
 
     header = ["T", "omega"]
     header += [f"I_AB_{c}" for c in _APPENDIX_CLASSES]
     header += [f"chi_EA_{c}" for c in _APPENDIX_CLASSES]
     header += ["dI_AB", "dchi_EA"]
-    for T in args.T:  # every T before the first block is evaluated
-        _check_regime(T, mu)
-    blocks = []
-    for T in args.T:
-        _, i_ab, chi, d_i, d_chi = _class_variations(T, mu, omegas, _APPENDIX_CLASSES)
-        blocks.append((np.full(omegas.size, T), omegas, *i_ab, *chi, d_i, d_chi))
-    table = Table(header, tuple(np.concatenate(c) for c in zip(*blocks)))
+    t, omega, i_ab, chi, d_i, d_chi = _class_variations(args.T, mu, omegas, _APPENDIX_CLASSES)
+    table = Table(header, (t, omega, *i_ab, *chi, d_i, d_chi))
     _write(args, table, [table])
     return 0
 
 
-_COMMANDS = {
-    "keyrate": _cmd_keyrate,
-    "threshold": _cmd_threshold,
-    "scan": _cmd_scan,
-    "oneway": _cmd_oneway,
-    "appendix": _cmd_appendix,
+#: the subcommands in the order --help lists them: (help, default format, own flags, handler)
+_SUBCOMMANDS = {
+    "keyrate": ("key-rate report at one parameter point", "json", _keyrate_flags, _cmd_keyrate),
+    "threshold": ("security-threshold curves over a T grid", "csv", _threshold_flags,
+                  _cmd_threshold),
+    "scan": ("grid scan for the rate-minimizing attack", "csv", _scan_flags, _cmd_scan),
+    "oneway": ("one-way baseline key rate", "json", _oneway_flags, _cmd_oneway),
+    "appendix": ("I_AB, chi_EA and sep-sym- corner-class variations vs omega", "csv",
+                 _appendix_flags, _cmd_appendix),
 }
 
 
@@ -341,11 +328,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     # a run needs only its own subcommand's parser; --help, no command or an
     # unknown one need them all, to list them
-    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         args = _merge_config(parser, args)
-        return _COMMANDS[args.command](parser, args)
+        return _SUBCOMMANDS[args.command][3](parser, args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except UnphysicalStateError as exc:

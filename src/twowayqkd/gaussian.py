@@ -113,11 +113,11 @@ def beam_splitter(transmissivity, modes, n):
     return S
 
 
-def is_symplectic(S, atol=1e-10):
-    """True iff S Omega S^T = Omega to within atol."""
+def is_symplectic(S):
+    """True iff S Omega S^T = Omega to within 1e-10 in every entry."""
     S = _as_square(S, "symplectic matrix")
     Om = symplectic_form(S.shape[0] // 2)
-    return np.max(np.abs(S @ Om @ S.T - Om)) <= atol
+    return np.max(np.abs(S @ Om @ S.T - Om)) <= 1e-10
 
 
 def apply_symplectic(S, V):
@@ -200,13 +200,13 @@ def symplectic_spectrum(V):
     return _spectrum_from_cholesky(_as_cm(V))
 
 
-def is_bona_fide(V, atol=BONA_FIDE_ATOL):
-    """True iff V is a physical covariance matrix (all nu >= 1 - atol)."""
+def is_bona_fide(V):
+    """True iff V is a physical covariance matrix (all nu >= 1 - BONA_FIDE_ATOL)."""
     try:
         nu = symplectic_spectrum(V)
     except UnphysicalStateError:
         return False
-    return bool(nu[-1] >= 1.0 - atol)
+    return bool(nu[-1] >= 1.0 - BONA_FIDE_ATOL)
 
 
 #: entropic_h takes its log1p form below this eigenvalue and its series from it on
@@ -321,11 +321,12 @@ def heterodyne_condition(V, measured):
     return 0.5 * (W + W.T)
 
 
-def ppt_separable(V, atol=BONA_FIDE_ATOL):
+def ppt_separable(V):
     """PPT separability test for a two-mode Gaussian state.
 
     Flips the sign of the second mode's p quadrature (partial transposition)
-    and checks that the result is still bona fide.  For 1x1-mode Gaussian
+    and checks that the result is still bona fide: its smallest symplectic
+    eigenvalue is at least 1 - BONA_FIDE_ATOL.  For 1x1-mode Gaussian
     states this criterion is necessary and sufficient.
     """
     V = _as_cm(V)
@@ -333,4 +334,4 @@ def ppt_separable(V, atol=BONA_FIDE_ATOL):
         raise ValueError(f"PPT test is defined for two-mode states, got {V.shape[0] // 2} modes")
     flip = np.diag([1.0, 1.0, 1.0, -1.0])
     nu = symplectic_spectrum(flip @ V @ flip)
-    return bool(nu[-1] >= 1.0 - atol)
+    return bool(nu[-1] >= 1.0 - BONA_FIDE_ATOL)

@@ -20,6 +20,9 @@ from .attacks import AttackParams, require_physical
 from .errors import UnphysicalStateError
 from .gaussian import entropic_h
 
+#: modulation variance of keyrate_report and of the CLI's keyrate and appendix when none is given
+DEFAULT_MU = 1e6
+
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # T, T*mu or (1-T)*mu below it: a square underflows
 
 
@@ -153,7 +156,7 @@ class KeyRateReport(NamedTuple):
     Delta: float
 
 
-def keyrate_report(T, a, mu=1e6):
+def keyrate_report(T, a, mu=DEFAULT_MU):
     """Full report (spectra, entropies, I_AB, chi_EA, R) for one parameter point.
 
     The one scalar entry for the spectra, entropies and information quantities: one

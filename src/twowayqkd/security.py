@@ -327,28 +327,32 @@ def oneway_report(T, omega, mu_a=ONEWAY_MU_A):
 # relative variations of the sep-sym- corner class
 # ---------------------------------------------------------------------------
 
-def _class_variations(T, mu, omega_grid, classes):
-    """Checked (omega, I_AB, chi_EA, dI_AB, dchi_EA) of named classes over an omega grid.
+def _class_variations(t_values, mu, omega_grid, classes):
+    """Checked (T, omega, I_AB, chi_EA, dI_AB, dchi_EA) of named classes over a (T, omega) grid.
 
-    I_AB and chi_EA hold one row per class, in the order given; the
+    The grid is every T of t_values by every omega of omega_grid, T-major:
+    the T and omega columns hold one entry per node, and I_AB and chi_EA one
+    row per class, in the order given, evaluated in one call.  The
     variations compare the sep-sym- corner class with the collective attack,
-    which must both be among the classes.  T, mu and every omega are checked
-    before any class is evaluated.
+    which must both be among the classes.  mu, every T and every omega are
+    checked before any class is evaluated.
     """
     if not mu >= 1e3:
         raise ValueError(f"relative variations need the asymptotic regime mu >= 1e3, got {mu}")
-    _check_regime(T, mu)
+    for T in t_values:
+        _check_regime(T, mu)
     omega = np.asarray(omega_grid, dtype=float)
     bad = ~((omega >= 1.0) & (omega <= MAX_VARIANCE))
     if bad.any():
         _check_omega(float(omega[bad][0]))
+    t, omega = np.repeat(t_values, omega.size), np.tile(omega, len(t_values))
     index = np.array([ATTACK_CLASSES.index(c) for c in classes])
     g, g_prime = _class_correlations(index[:, None], omega)
-    i_ab, chi = _information_arrays(T, omega, g, g_prime, mu)
+    i_ab, chi = _information_arrays(t, omega, g, g_prime, mu)
     ref, corner = classes.index(COLLECTIVE), classes.index(SEP_SYM_NEG)
     d_i, d_chi = (np.divide(x[corner] - x[ref], x[ref], out=np.full_like(x[ref], math.nan),
                             where=x[ref] > 0.0) for x in (i_ab, chi))
-    return omega, i_ab, chi, d_i, d_chi
+    return t, omega, i_ab, chi, d_i, d_chi
 
 
 def relative_variations(T, mu, omega_grid):
@@ -356,9 +360,10 @@ def relative_variations(T, mu, omega_grid):
 
     For each omega in the grid, compares the sep-sym- corner class
     g = g' = 1 - omega against the collective attack at the same (T, omega,
-    mu), returning rows (omega, dI_AB, dchi_EA) with dX = (X - X_c)/X_c.
-    Rows where the collective reference is nonpositive carry NaN instead of
-    a ratio; they are flagged, not fatal.
+    mu), returning rows (omega, dI_AB, dchi_EA) with dX = (X - X_c)/X_c, from
+    one evaluation of the whole grid.  Rows where the collective reference
+    is nonpositive carry NaN instead of a ratio; they are flagged, not fatal.
     """
-    omega, _, _, d_i, d_chi = _class_variations(T, mu, omega_grid, (COLLECTIVE, SEP_SYM_NEG))
+    _, omega, _, _, d_i, d_chi = _class_variations((T,), mu, omega_grid,
+                                                   (COLLECTIVE, SEP_SYM_NEG))
     return list(zip(omega.tolist(), d_i.tolist(), d_chi.tolist()))

@@ -78,6 +78,17 @@ class TestKeyrateCommand:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("keyrate", "--T", "0.77", "--omega", "1.9", "--attack", "sep-anti+"),
+    ("keyrate", "--T", "0.77", "--omega", "1.9", "--attack", "sep-anti+", "--format", "csv"),
+    ("appendix", "--T", "0.65", "--T", "0.95", "--omega-max", "3"),
+    ("appendix", "--T", "0.65", "--omega-max", "2", "--format", "json"),
+], ids=["keyrate-json", "keyrate-csv", "appendix-csv", "appendix-json"])
+def test_default_modulation_is_1e6(argv):
+    assert protocol.DEFAULT_MU == 1e6
+    assert run_with_stderr(*argv) == run_with_stderr(*argv, "--mu", "1e6")
+
+
 class TestThresholdCommand:
     def test_csv_shape_and_determinism(self, capsys):
         args = ("threshold", "--attack", "sep-sym-", "--attack", "collective",
@@ -471,13 +482,24 @@ class TestInvalidInput:
         assert "must" in err and "unphysical" not in err
 
     def test_appendix_checks_every_T_before_any_block(self, monkeypatch):
+        # the one _class_variations call checks every T, and raises before it evaluates
         calls = {}
         count_calls(monkeypatch, calls, [(cli, "_class_variations"),
                                          (security, "_information_arrays")])
         code, out, err = run_with_stderr("appendix", "--T", "0.5", "--T", "1.5")
         assert (code, out) == (1, "")
         assert "channel transmissivity T must lie in (0, 1), got 1.5" in err
-        assert calls == {"_class_variations": 0, "_information_arrays": 0}
+        assert calls == {"_class_variations": 1, "_information_arrays": 0}
+
+    @pytest.mark.parametrize("lo, hi, step, count", [
+        (0.0, MAX_GRID_POINTS - 1.0, 1.0, MAX_GRID_POINTS),
+        (0.25, 0.25 + (MAX_GRID_POINTS - 1) * 0.013, 0.013, MAX_GRID_POINTS),
+        (0.3, 0.99, 0.01, 70), (1.0, 5.0, 0.37, 11)],
+        ids=["cap", "cap-odd-step", "t-grid", "odd-step"])
+    def test_even_grid_is_the_scalar_sum(self, lo, hi, step, count):
+        grid = _even_grid(_build_parser(), "t", lo, hi, step)
+        assert grid.dtype == np.float64
+        assert grid.tolist() == [lo + k * step for k in range(count)]
 
     def test_grid_cap_is_inclusive(self, capsys):
         parser = _build_parser()
@@ -548,7 +570,7 @@ def _parse(parser, argv):
 class TestParserPerCommand:
     """A run builds only its own subcommand's parser, and prints what the full parser would."""
 
-    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
     @pytest.mark.parametrize("rest", [("--help",), ("--format", "xml")], ids=["help", "usage-error"])
     def test_single_parser_prints_what_the_full_one_does(self, command, rest, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -574,7 +596,7 @@ class TestParserPerCommand:
         code, out, err = run_with_stderr("--help")
         assert (code, out, err) == _parse(_build_parser(), ["--help"])
         assert "{keyrate,threshold,scan,oneway,appendix}" in out
-        assert all(f"\n    {c} " in out for c in cli._COMMANDS)
+        assert all(f"\n    {c} " in out for c in cli._SUBCOMMANDS)
 
 
 class TestOnewayCommand:
@@ -635,8 +657,31 @@ class TestAppendixCommand:
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 401
         assert calls["attack_from_class"] == 0
         assert calls["keyrate_report"] == calls["_two_way_at"] == 0
-        # one five-class block per T; the variations are derived from it
-        assert calls["_information_arrays"] == 2
+        # one five-class evaluation of the whole (T, omega) grid; the variations come from it
+        assert calls["_information_arrays"] == 1
+
+    @pytest.mark.parametrize("ts", [("0.65",), ("0.65", "0.95"),
+                                    ("0.3", "0.5", "0.65", "0.8", "0.95")])
+    def test_one_evaluation_per_run(self, ts, monkeypatch):
+        calls = {}
+        count_calls(monkeypatch, calls, [(security, "_information_arrays")])
+        code, out, err = run_with_stderr("appendix", *(x for t in ts for x in ("--T", t)),
+                                         "--omega-max", "2", "--omega-step", "0.5")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 3 * len(ts)
+        assert calls["_information_arrays"] == 1
+
+    @pytest.mark.parametrize("ts", [("1.5", "0.5", "0.65", "0.8", "0.95"),
+                                    ("0.3", "0.5", "1.5", "0.8", "0.95"),
+                                    ("0.3", "0.5", "0.65", "0.8", "1.5")],
+                             ids=["first", "middle", "last"])
+    def test_invalid_T_anywhere_evaluates_nothing(self, ts, monkeypatch):
+        calls = {}
+        count_calls(monkeypatch, calls, [(security, "_information_arrays")])
+        code, out, err = run_with_stderr("appendix", *(x for t in ts for x in ("--T", t)))
+        assert (code, out) == (1, "")
+        assert err == "twowayqkd: error: channel transmissivity T must lie in (0, 1), got 1.5\n"
+        assert calls["_information_arrays"] == 0
 
     def test_matches_point_calls(self, capsys):
         # each cell against the scalar report's information fields at the class's attack

@@ -14,7 +14,11 @@ import pytest
 import twowayqkd
 
 PACKAGE = Path(twowayqkd.__file__).parent
+TESTS = Path(__file__).parent
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+
+#: the helper modules in tests/, imported by the tests alone
+TEST_HELPERS = {"_util", "_hiprec", "_symbolic"}
 
 
 def _project():
@@ -23,15 +27,18 @@ def _project():
         return tomllib.load(f)["project"]
 
 
-def _declared_dependencies():
-    spec = _project()["dependencies"]
+def _names(spec):
     return {re.match(r"[A-Za-z0-9_.-]+", s).group(0).lower() for s in spec}
 
 
-def _absolute_imports():
-    """Top-level names of every absolute import in the package's modules."""
+def _declared_dependencies():
+    return _names(_project()["dependencies"])
+
+
+def _absolute_imports(directory=PACKAGE):
+    """Top-level names of every absolute import in the modules of a directory."""
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
@@ -47,6 +54,15 @@ def _third_party_imports():
 
 def test_imports_match_declared_dependencies():
     assert _third_party_imports() == _declared_dependencies() == {"numpy"}
+
+
+def test_test_imports_are_declared():
+    # a test may import the standard library, its helpers, the package and what
+    # pyproject.toml declares for the package or its test extra, and nothing else
+    declared = _declared_dependencies() | _names(_project()["optional-dependencies"]["test"])
+    undeclared = {n for n in _absolute_imports(TESTS) if n not in sys.stdlib_module_names
+                  and n not in TEST_HELPERS | {PACKAGE.name} | declared}
+    assert undeclared == set()
 
 
 def test_console_script_is_the_module_entry_point():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from twowayqkd import (ATTACK_CLASSES, AttackParams, ProtocolParams, UnphysicalAttackError,
                        UnphysicalStateError, attack_from_class, bob_cm, conditional_cm,
                        conditioning_deviation, entropic_h, heterodyne_condition, is_physical,
-                       keyrate_asymptotic, keyrate_report, partial_trace, symplectic_spectrum,
+                       keyrate_asymptotic, keyrate_report, symplectic_spectrum,
                        total_cm, total_cm_circuit, von_neumann_entropy)
 from twowayqkd import protocol, security
 from twowayqkd.attacks import _class_correlations, _physical_mask, physical_region_grid
@@ -119,14 +119,6 @@ class TestTotalCm:
 
 
 class TestBobAndConditionalCm:
-    def test_bob_cm_is_partial_trace_of_total(self):
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            p = random_protocol_params(rng)
-            a = random_physical_attack(rng)
-            np.testing.assert_allclose(
-                bob_cm(p, a), partial_trace(total_cm(p, a), keep=(0, 3)), atol=1e-12)
-
     def test_correlation_block_structure(self):
         p = ProtocolParams(T=0.6, eta=0.99, mu_B=10.0, mu_A=10.0)
         a = AttackParams(2.0, 1.0, 1.0)
