@@ -207,6 +207,18 @@ class TestThresholdBatching:
         assert 0 < calls["_keyrate_arrays"] <= 60
         assert 0 < calls["_oneway_arrays"] <= 60
 
+    def test_workload_kernel_calls(self, capsys, monkeypatch):
+        # the threshold-curves benchmark line: one two-way call per solver step while any
+        # class lane is open, one one-way call per step while the one-way lanes are
+        calls = {}
+        count_calls(monkeypatch, calls, [(security, "_keyrate_arrays"),
+                                         (security, "_oneway_arrays")])
+        classes = [x for c in ATTACK_CLASSES for x in ("--attack", c)]
+        code, _ = run(capsys, "threshold", *classes, "--t-min", "0.30", "--t-max", "0.99",
+                      "--t-step", "0.01", "--with-oneway")
+        assert code == 0
+        assert calls == {"_keyrate_arrays": 59, "_oneway_arrays": 47}
+
 
 # the README's examples with their exit codes, plus a scan without --full-grid
 README_RUNS = [
