@@ -18,17 +18,16 @@ _EXPORTS = {
                 "SEP_ANTI_POS", "SEP_SYM_NEG", "SEP_SYM_POS", "AttackParams",
                 "attack_from_class", "classify", "eve_cm", "is_physical", "normalize_class",
                 "physical_region_grid", "require_physical"),
-    "circuit": ("ProtocolParams", "bob_cm", "conditional_cm", "conditioning_deviation",
-                "total_cm", "total_cm_circuit"),
+    "circuit": ("ProtocolParams", "bob_cm", "conditional_cm", "total_cm", "total_cm_circuit"),
     "errors": ("DegenerateSpectrumError", "UnphysicalAttackError", "UnphysicalStateError"),
-    "gaussian": ("apply_symplectic", "beam_splitter", "entropic_h", "entropic_h_asymptotic",
-                 "epr_cm", "heterodyne_condition", "is_bona_fide", "is_symplectic",
-                 "partial_trace", "ppt_separable", "symplectic_form", "symplectic_spectrum",
-                 "tensor", "thermal_cm", "vacuum_cm", "von_neumann_entropy"),
+    "gaussian": ("apply_symplectic", "beam_splitter", "entropic_h", "epr_cm",
+                 "heterodyne_condition", "is_bona_fide", "is_symplectic", "partial_trace",
+                 "ppt_separable", "symplectic_form", "symplectic_spectrum", "tensor",
+                 "thermal_cm", "vacuum_cm", "von_neumann_entropy"),
     "protocol": ("KeyRateReport", "keyrate_asymptotic", "keyrate_report"),
-    "security": ("ScanResult", "ThresholdCurve", "excess_noise", "omega_from_excess",
-                 "oneway_keyrate", "oneway_report", "optimal_attack_scan", "relative_variations",
-                 "scan_grid", "threshold_curves"),
+    "security": ("ScanResult", "ThresholdCurve", "excess_noise", "oneway_keyrate",
+                 "oneway_report", "optimal_attack_scan", "relative_variations", "scan_grid",
+                 "threshold_curves"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

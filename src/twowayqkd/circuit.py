@@ -142,18 +142,3 @@ def conditional_cm(p, a):
     unchanged, which removes Alice's modulation from the returned mode.
     """
     return bob_cm(p._replace(mu_A=1.0), a)
-
-
-def conditioning_deviation(p, a):
-    """Gap between the mu_A = 1 substitution and exact heterodyne conditioning.
-
-    Heterodynes mode A of the total state exactly, leaving (B1, A'', B2), and
-    compares the two largest symplectic eigenvalues with the spectrum of
-    conditional_cm.  Returns (max relative deviation, residual third
-    eigenvalue); the residual sits at 1 when mode A'' decouples, which happens
-    only in the eta -> 1 displacement limit.
-    """
-    exact = gaussian.symplectic_spectrum(gaussian.heterodyne_condition(total_cm(p, a), measured=1))
-    approx = gaussian.symplectic_spectrum(conditional_cm(p, a))
-    dev = float(np.max(np.abs(exact[:2] - approx) / approx))
-    return dev, float(exact[2])

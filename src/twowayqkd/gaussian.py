@@ -7,6 +7,8 @@ positive-definite 2n x 2n matrix with quadratures ordered
 quantity computed here depends on second moments only.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateSpectrumError, UnphysicalStateError
@@ -45,25 +47,35 @@ def _as_cm(V):
 # elementary constructors
 # ---------------------------------------------------------------------------
 
-def symplectic_form(n):
-    """Symplectic form Omega for n modes: direct sum of [[0, 1], [-1, 0]] blocks."""
+def _check_modes(n):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"mode count must be a positive integer, got {n!r}")
+
+
+def _check_variance(kind, v):
+    if not math.isfinite(v):
+        raise ValueError(f"{kind} variance must be finite, got {v}")
+    if v < 1.0:
+        raise UnphysicalStateError(f"{kind} variance must be >= 1 SNU, got {v}")
+
+
+def symplectic_form(n):
+    """Symplectic form Omega for n modes: direct sum of [[0, 1], [-1, 0]] blocks."""
+    _check_modes(n)
     w = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return np.kron(np.eye(n), w)
 
 
 def vacuum_cm(n):
     """Covariance matrix of n vacuum modes (identity in SNU)."""
-    if n < 1:
-        raise ValueError("mode count must be >= 1")
+    _check_modes(n)
     return np.eye(2 * n)
 
 
 def thermal_cm(nbar_variance, n=1):
     """Covariance matrix of n identical thermal modes with quadrature variance >= 1."""
-    if nbar_variance < 1.0:
-        raise UnphysicalStateError(f"thermal variance must be >= 1 SNU, got {nbar_variance}")
+    _check_variance("thermal", nbar_variance)
+    _check_modes(n)
     return nbar_variance * np.eye(2 * n)
 
 
@@ -73,8 +85,7 @@ def epr_cm(mu):
     Block form [[mu I, c Z], [c Z, mu I]] with c = sqrt(mu^2 - 1) and
     Z = diag(1, -1); pure for every mu, reducing to two vacua at mu = 1.
     """
-    if mu < 1.0:
-        raise UnphysicalStateError(f"EPR variance must be >= 1 SNU, got {mu}")
+    _check_variance("EPR", mu)
     c = np.sqrt(mu * mu - 1.0)
     Z = np.diag([1.0, -1.0])
     V = np.zeros((4, 4))
@@ -258,15 +269,6 @@ def entropic_h(nu):
     np.log2(x, out=x)
     x += _LOG2_HALF_E - series
     out[far] = x
-    return float(out) if np.ndim(nu) == 0 else out
-
-
-def entropic_h_asymptotic(nu):
-    """Large-nu form of entropic_h: log2((e/2) nu).  Exact up to O(1/nu)."""
-    arr = np.asarray(nu, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"asymptotic entropy needs nu > 0, got {arr.min()}")
-    out = np.log2(0.5 * np.e * arr)
     return float(out) if np.ndim(nu) == 0 else out
 
 

@@ -6,7 +6,7 @@ of the channel transmissivity T.
 """
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,15 +37,6 @@ def excess_noise(T, omega):
         raise ValueError(f"transmissivity must lie in (0, 1], got {T}")
     _check_omega(omega)
     return (1.0 - T) * (omega - 1.0) / T
-
-
-def omega_from_excess(T, N):
-    """Inverse of excess_noise: thermal variance giving excess noise N."""
-    if not 0.0 < T < 1.0:
-        raise ValueError(f"transmissivity must lie in (0, 1), got {T}")
-    if not 0.0 <= N < math.inf:
-        raise ValueError(f"excess noise N must be finite and >= 0, got {N}")
-    return 1.0 + T * N / (1.0 - T)
 
 
 # ---------------------------------------------------------------------------
@@ -144,33 +135,53 @@ def _check_t_grid(t_grid):
     return t_grid
 
 
+class _LaneFamily(NamedTuple):
+    """Threshold curves sharing one key-rate kernel, broadcast over lane arrays."""
+
+    labels: list         # one per curve
+    rate: Callable       # rate(T, omega, param)
+    params: np.ndarray   # one per curve
+
+
+def _class_rate(T, omega, index):
+    return _keyrate_arrays(T, omega, *_class_correlations(index, omega))
+
+
+def _oneway_rate(T, omega, mu_a):
+    return np.subtract(*_oneway_arrays(T, omega, mu_a))
+
+
 def threshold_curves(attack_classes, t_grid, with_oneway=False):
     """Security-threshold curves of attack classes over a strictly increasing T grid.
 
     One curve per class, in the order given (repeats included), then the
-    one-way baseline curve if with_oneway.  Every T of every curve is
-    bisected at once: the lanes are curve-major, and each solver step makes
-    one two-way and one one-way kernel call for the lanes still open.
-    Per-point failures are flagged in the curve's status column rather
-    than aborting the curve.
+    one-way baseline curve if with_oneway.  A lane family holds curve
+    labels, one broadcast kernel rate(T, omega, param) and one parameter
+    per curve: the class table (the class index) and the one-way baseline
+    (ONEWAY_MU_A).  Every T of every curve is one lane, curve-major, and all
+    lanes are bisected at once; each solver step calls each family's kernel
+    once on its open lanes, and not at all when it has none.  A further
+    rate joins as one more family.  Per-point failures are flagged in the
+    curve's status column rather than aborting the curve.
     """
     labels = [normalize_class(c) for c in attack_classes]
     t_grid = _check_t_grid(t_grid)
-    names = labels + ["oneway"] if with_oneway else labels
+    families = [_LaneFamily(labels, _class_rate,
+                            np.array([ATTACK_CLASSES.index(c) for c in labels], dtype=int))]
+    if with_oneway:
+        families.append(_LaneFamily(["oneway"], _oneway_rate, np.array([ONEWAY_MU_A])))
+    names = [name for f in families for name in f.labels]
     n = len(t_grid)
     t = np.tile(t_grid, len(names))
-    index = np.repeat([ATTACK_CLASSES.index(c) for c in labels], n)
-    two_way = index.size  # lanes below are two-way, the rest one-way
+    starts = np.cumsum([0] + [n * len(f.labels) for f in families])
 
     def rate(lanes, omega):
         out = np.empty(lanes.size)
-        two = lanes < two_way
-        one = ~two
-        if two.any():
-            lane, w = lanes[two], omega[two]
-            out[two] = _keyrate_arrays(t[lane], w, *_class_correlations(index[lane], w))
-        if one.any():
-            out[one] = np.subtract(*_oneway_arrays(t[lanes[one]], omega[one], ONEWAY_MU_A))
+        for f, start, stop in zip(families, starts, starts[1:]):
+            mine = (lanes >= start) & (lanes < stop)
+            if mine.any():
+                lane = lanes[mine]
+                out[mine] = f.rate(t[lane], omega[mine], f.params[(lane - start) // n])
         return out
 
     roots, status = _bisect_lanes(rate, t.size)

@@ -7,8 +7,9 @@ import math
 import numpy as np
 
 from twowayqkd import (DegenerateSpectrumError, UnphysicalStateError, apply_symplectic,
-                       beam_splitter, entropic_h, epr_cm, heterodyne_condition, partial_trace,
-                       symplectic_form, tensor, thermal_cm, vacuum_cm, von_neumann_entropy)
+                       beam_splitter, conditional_cm, entropic_h, epr_cm, gaussian,
+                       heterodyne_condition, partial_trace, symplectic_form, tensor, thermal_cm,
+                       total_cm, vacuum_cm, von_neumann_entropy)
 from twowayqkd.security import (BRACKET_CAP, BRACKET_TOL, INSECURE_AT_VACUUM, NO_CROSSING,
                                 NON_MONOTONE, OK, RESIDUAL_TOL)
 
@@ -115,6 +116,21 @@ def oneway_quantities_circuit(T, omega, mu_a):
     i_ab = math.log2((b + 1.0) / (b_cond + 1.0))
     chi = von_neumann_entropy(V_ab) - entropic_h(b_cond)
     return i_ab, chi
+
+
+def conditioning_deviation(p, a):
+    """Gap between the mu_A = 1 substitution and exact heterodyne conditioning.
+
+    Heterodynes mode A of the total state exactly, leaving (B1, A'', B2), and
+    compares the two largest symplectic eigenvalues with the spectrum of
+    conditional_cm.  Returns (max relative deviation, residual third
+    eigenvalue); the residual sits at 1 when mode A'' decouples, which happens
+    only in the eta -> 1 displacement limit.
+    """
+    exact = gaussian.symplectic_spectrum(gaussian.heterodyne_condition(total_cm(p, a), measured=1))
+    approx = gaussian.symplectic_spectrum(conditional_cm(p, a))
+    dev = float(np.max(np.abs(exact[:2] - approx) / approx))
+    return dev, float(exact[2])
 
 
 def lexsort_minimizer(rows):

@@ -163,12 +163,13 @@ class TestLazyNamespace:
     def test_unknown_attribute(self):
         # then single-field getters deleted in favour of keyrate_report's fields, and
         # single-curve threshold wrappers and their exceptions deleted in favour of
-        # threshold_curves and its status column
+        # threshold_curves and its status column, and names only their own tests used
         for name in ("no_such_name", "asymptotic_total_spectrum", "total_entropy_asymptotic",
                      "conditional_spectrum_asymptotic", "conditional_entropy_asymptotic",
                      "holevo_asymptotic", "mutual_information_asymptotic", "threshold_curve",
                      "oneway_threshold_curve", "threshold_omega", "oneway_threshold_omega",
-                     "DivergentThresholdError", "MonotonicityError"):
+                     "DivergentThresholdError", "MonotonicityError", "entropic_h_asymptotic",
+                     "omega_from_excess", "conditioning_deviation"):
             with pytest.raises(AttributeError, match=name):
                 getattr(twowayqkd, name)
 

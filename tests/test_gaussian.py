@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twowayqkd import (AttackParams, UnphysicalStateError,
-                       apply_symplectic, beam_splitter, entropic_h, entropic_h_asymptotic,
-                       epr_cm, eve_cm, heterodyne_condition, is_bona_fide, is_symplectic,
+                       apply_symplectic, beam_splitter, entropic_h, epr_cm, eve_cm,
+                       heterodyne_condition, is_bona_fide, is_symplectic,
                        partial_trace, ppt_separable, symplectic_form, symplectic_spectrum,
                        tensor, thermal_cm, vacuum_cm, von_neumann_entropy)
 from twowayqkd.gaussian import _NU_SERIES
@@ -32,6 +32,22 @@ class TestSymplecticForm:
     def test_rejects_bad_mode_count(self, n):
         with pytest.raises(ValueError):
             symplectic_form(n)
+
+
+class TestConstructorsRejectBadInput:
+    # every constructor takes symplectic_form's mode-count check; a non-finite variance
+    # fails by name rather than yielding a NaN or infinite matrix
+    @pytest.mark.parametrize("build, message", [
+        (lambda: thermal_cm(2.0, 0), "mode count must be a positive integer, got 0"),
+        (lambda: vacuum_cm(1.5), "mode count must be a positive integer, got 1.5"),
+        (lambda: thermal_cm(2.0, 1.5), "mode count must be a positive integer, got 1.5"),
+        (lambda: epr_cm(np.nan), "EPR variance must be finite, got nan"),
+        (lambda: thermal_cm(np.nan), "thermal variance must be finite, got nan"),
+    ], ids=["thermal-zero-modes", "vacuum-fractional-modes", "thermal-fractional-modes",
+            "epr-nan", "thermal-nan"])
+    def test_raises_value_error(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestSymplecticSpectrum:
@@ -148,13 +164,8 @@ class TestEntropicH:
         assert np.all(np.diff(entropic_h(nus)) >= 0.0)
 
     def test_asymptotic_values(self):
-        assert abs(entropic_h_asymptotic(2.0 / np.e)) < 1e-15
-        assert abs(entropic_h_asymptotic(2.0) - np.log2(np.e)) < 1e-15
-        assert abs(entropic_h_asymptotic(1e6) - entropic_h(1e6)) < 1e-6
-
-    def test_asymptotic_domain(self):
-        with pytest.raises(ValueError):
-            entropic_h_asymptotic(0.0)
+        # h(nu) = log2((e/2) nu) + O(1/nu)
+        assert abs(entropic_h(1e6) - np.log2(0.5 * np.e * 1e6)) < 1e-6
 
 
 class TestVonNeumannEntropy:

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, AttackParams, ProtocolParams, UnphysicalAttackError,
                        UnphysicalStateError, attack_from_class, bob_cm, conditional_cm,
-                       conditioning_deviation, entropic_h, heterodyne_condition, is_physical,
-                       keyrate_asymptotic, keyrate_report, symplectic_spectrum,
-                       total_cm, total_cm_circuit, von_neumann_entropy)
+                       entropic_h, heterodyne_condition, is_physical, keyrate_asymptotic,
+                       keyrate_report, symplectic_spectrum, total_cm, total_cm_circuit,
+                       von_neumann_entropy)
 from twowayqkd import protocol, security
 from twowayqkd.attacks import _class_correlations, _physical_mask, physical_region_grid
 from twowayqkd.gaussian import MAX_VARIANCE
 
-from _util import count_calls, random_physical_attack
+from _util import conditioning_deviation, count_calls, random_physical_attack
 
 #: the two checked 0-d two-way entries, keyrate_asymptotic and keyrate_report, each called
 #: as fn(T, a, mu)

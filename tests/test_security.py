@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, AttackParams, UnphysicalStateError, attack_from_class,
                        eve_cm, excess_noise, is_physical, keyrate_asymptotic, keyrate_report,
-                       omega_from_excess, oneway_keyrate, oneway_report, optimal_attack_scan,
-                       physical_region_grid, ppt_separable, relative_variations, scan_grid,
-                       security, threshold_curves)
+                       oneway_keyrate, oneway_report, optimal_attack_scan, physical_region_grid,
+                       ppt_separable, relative_variations, scan_grid, security, threshold_curves)
 from twowayqkd._serialize import Table, csv_table, json_text
 from twowayqkd.attacks import _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
@@ -38,26 +37,19 @@ class TestExcessNoise:
         rng = np.random.default_rng(2)
         for _ in range(50):
             t = float(rng.uniform(0.05, 0.95))
-            w = float(rng.uniform(1.0, 30.0))
-            assert omega_from_excess(t, excess_noise(t, w)) == pytest.approx(w, abs=1e-12)
+            n = float(rng.uniform(0.0, 30.0))
+            assert excess_noise(t, 1.0 + t * n / (1.0 - t)) == pytest.approx(n, abs=1e-12)
 
     def test_validates(self):
         with pytest.raises(ValueError):
             excess_noise(0.0, 2.0)
         with pytest.raises(ValueError):
             excess_noise(0.5, 0.5)
-        with pytest.raises(ValueError):
-            omega_from_excess(1.0, 0.1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_excess_noise_rejects_non_finite_omega(self, value):
         with pytest.raises(ValueError, match=f"omega must be finite, got {value}"):
             excess_noise(0.5, value)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_omega_from_excess_rejects_non_finite_noise(self, value):
-        with pytest.raises(ValueError, match=f"N must be finite and >= 0, got {value}"):
-            omega_from_excess(0.5, value)
 
 
 class TestThresholdOmega:
