@@ -88,15 +88,13 @@ class AttackParams(_AttackFields):
 
 
 def eve_cm(params):
-    """4x4 covariance matrix [[w I, G], [G, w I]] of Eve's two ancillas."""
-    w, g, gp = params.omega, params.g, params.g_prime
-    G = np.diag([g, gp])
-    V = np.zeros((4, 4))
-    V[:2, :2] = w * np.eye(2)
-    V[2:, 2:] = w * np.eye(2)
-    V[:2, 2:] = G
-    V[2:, :2] = G
-    return V
+    """4x4 covariance matrix [[w I, G], [G, w I]] of Eve's two ancillas.
+
+    2x2 blocks over the modes (E1, E2), with G = diag(g, g').
+    """
+    wI = params.omega * np.eye(2)
+    G = np.diag([params.g, params.g_prime])
+    return np.block([[wI, G], [G, wI]])
 
 
 def normalize_class(label):
@@ -202,6 +200,12 @@ def _grid_half_width(omega, resolution):
     return math.floor(span)
 
 
+def _grid_values(omega, resolution):
+    """Node values k * resolution, k = -kmax..kmax, of each axis of physical_region_grid."""
+    kmax = _grid_half_width(omega, resolution)
+    return np.arange(-kmax, kmax + 1) * resolution
+
+
 def physical_region_grid(omega, resolution):
     """All physical attacks on a centered square grid of step `resolution`.
 
@@ -210,8 +214,7 @@ def physical_region_grid(omega, resolution):
     filtered through the operational physicality check, in row-major order
     (g varying slowest).  Always contains (0, 0).
     """
-    kmax = _grid_half_width(omega, resolution)
-    vals = np.arange(-kmax, kmax + 1) * resolution
+    vals = _grid_values(omega, resolution)
     G, GP = np.meshgrid(vals, vals, indexing="ij")
     mask = _physical_mask(omega, G, GP)
     return np.column_stack((G[mask], GP[mask]))

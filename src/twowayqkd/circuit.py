@@ -90,28 +90,23 @@ def _coefficients(p, a):
 
 
 def total_cm(p, a):
-    """Closed-form 8x8 covariance matrix of the output modes (B1, A, A'', B2)."""
+    """Closed-form 8x8 covariance matrix of the output modes (B1, A, A'', B2).
+
+    The 4x4 block matrix below, of 2x2 blocks built from I, Z = diag(1, -1) and
+    G = diag(g, g'); every block is diagonal, so the matrix is symmetric.
+    """
     phi, theta, k, xi, tau, eps, g_eps, delta, g_delta = _coefficients(p, a)
-    I = np.eye(2)
+    I, O = np.eye(2), np.zeros((2, 2))
     Z = np.diag([1.0, -1.0])
     G = np.diag([a.g, a.g_prime])
-    V = np.zeros((8, 8))
-
-    def put(i, j, block):
-        V[2 * i:2 * i + 2, 2 * j:2 * j + 2] = block
-        if i != j:
-            V[2 * j:2 * j + 2, 2 * i:2 * i + 2] = block.T
-
-    put(0, 0, p.mu_B * I)
-    put(1, 1, p.mu_A * I)
-    put(2, 2, k * I)
-    put(3, 3, eps * I + g_eps * G)
-    put(0, 2, phi * Z)
-    put(0, 3, theta * Z)
-    put(1, 2, xi * Z)
-    put(1, 3, tau * Z)
-    put(2, 3, delta * I + g_delta * G)
-    return V
+    D = delta * I + g_delta * G
+    E = eps * I + g_eps * G
+    return np.block([
+        [p.mu_B * I, O, phi * Z, theta * Z],
+        [O, p.mu_A * I, xi * Z, tau * Z],
+        [phi * Z, xi * Z, k * I, D],
+        [theta * Z, tau * Z, D, E],
+    ])
 
 
 def total_cm_circuit(p, a):

@@ -8,6 +8,7 @@ quantity computed here depends on second moments only.
 """
 
 import math
+import operator
 
 import numpy as np
 
@@ -29,10 +30,12 @@ SYMMETRY_ATOL = 1e-12
 MAX_VARIANCE = 1e9
 
 
-def _as_square(M, name="matrix"):
+def _as_square(M, name):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
         raise ValueError(f"{name} must be square with even dimension, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} must be finite, got a NaN or infinite entry")
     return M
 
 
@@ -50,6 +53,20 @@ def _as_cm(V):
 def _check_modes(n):
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"mode count must be a positive integer, got {n!r}")
+
+
+def _mode_indices(modes, n, name):
+    """One integer or an iterable of them (Python or numpy, not bool) as a tuple, in order."""
+    items = tuple(modes) if np.iterable(modes) else (modes,)
+    try:
+        idx = tuple(operator.index(m) for m in items)
+    except TypeError:
+        idx = None
+    if idx is None or any(isinstance(m, bool) for m in items):  # index(True) is 1
+        raise ValueError(f"{name} must be integer mode indices, got {modes!r}")
+    if len(set(idx)) != len(idx) or any(not 0 <= m < n for m in idx):
+        raise ValueError(f"{name} must be distinct mode indices in range({n}), got {modes!r}")
+    return idx
 
 
 def _check_variance(kind, v):
@@ -82,18 +99,13 @@ def thermal_cm(nbar_variance, n=1):
 def epr_cm(mu):
     """Two-mode squeezed vacuum covariance matrix with local variance mu >= 1.
 
-    Block form [[mu I, c Z], [c Z, mu I]] with c = sqrt(mu^2 - 1) and
-    Z = diag(1, -1); pure for every mu, reducing to two vacua at mu = 1.
+    Block form [[mu I, c Z], [c Z, mu I]] of 2x2 blocks, c = sqrt(mu^2 - 1)
+    and Z = diag(1, -1); pure for every mu, reducing to two vacua at mu = 1.
     """
     _check_variance("EPR", mu)
     c = np.sqrt(mu * mu - 1.0)
-    Z = np.diag([1.0, -1.0])
-    V = np.zeros((4, 4))
-    V[:2, :2] = mu * np.eye(2)
-    V[2:, 2:] = mu * np.eye(2)
-    V[:2, 2:] = c * Z
-    V[2:, :2] = c * Z
-    return V
+    I, Z = np.eye(2), np.diag([1.0, -1.0])
+    return np.block([[mu * I, c * Z], [c * Z, mu * I]])
 
 
 # ---------------------------------------------------------------------------
@@ -106,22 +118,20 @@ def beam_splitter(transmissivity, modes, n):
     Convention: for modes (i, j) the transmitted output stays in slot i,
         out_i = sqrt(T) in_i + sqrt(1-T) in_j
         out_j = -sqrt(1-T) in_i + sqrt(T) in_j
-    so the off-diagonal blocks carry (+sqrt(1-T), -sqrt(1-T)).
+    so the off-diagonal blocks carry (+sqrt(1-T), -sqrt(1-T)).  `modes` is a
+    pair of distinct integers in range(n); S is the identity on the other modes.
     """
     if not 0.0 <= transmissivity <= 1.0:
         raise ValueError(f"transmissivity must lie in [0, 1], got {transmissivity}")
-    i, j = modes
-    if i == j or not (0 <= i < n) or not (0 <= j < n):
-        raise ValueError(f"beam splitter needs two distinct mode indices in range({n}), got {modes}")
-    t = np.sqrt(transmissivity)
-    r = np.sqrt(1.0 - transmissivity)
-    S = np.eye(2 * n)
-    I2 = np.eye(2)
-    S[2 * i:2 * i + 2, 2 * i:2 * i + 2] = t * I2
-    S[2 * j:2 * j + 2, 2 * j:2 * j + 2] = t * I2
-    S[2 * i:2 * i + 2, 2 * j:2 * j + 2] = r * I2
-    S[2 * j:2 * j + 2, 2 * i:2 * i + 2] = -r * I2
-    return S
+    _check_modes(n)
+    idx = _mode_indices(modes, n, "modes")
+    if len(idx) != 2:
+        raise ValueError(f"modes must be two mode indices for a beam splitter, got {modes!r}")
+    i, j = idx
+    t, r = np.sqrt(transmissivity), np.sqrt(1.0 - transmissivity)
+    M = np.eye(n)  # one entry per 2x2 block of S
+    M[i, i], M[i, j], M[j, i], M[j, j] = t, r, -r, t
+    return np.kron(M, np.eye(2))
 
 
 def is_symplectic(S):
@@ -142,31 +152,27 @@ def apply_symplectic(S, V):
 
 
 def tensor(*cms):
-    """Direct sum of covariance matrices (tensor product of the states)."""
+    """Direct sum of covariance matrices (tensor product of the states).
+
+    Block form diag(V1, V2, ...): the modes of each state follow in the order given.
+    """
     if not cms:
         raise ValueError("tensor needs at least one covariance matrix")
     mats = [_as_cm(V) for V in cms]
-    dim = sum(V.shape[0] for V in mats)
-    out = np.zeros((dim, dim))
-    k = 0
-    for V in mats:
-        d = V.shape[0]
-        out[k:k + d, k:k + d] = V
-        k += d
-    return out
+    return np.block([[A if a == b else np.zeros((len(A), len(B))) for b, B in enumerate(mats)]
+                     for a, A in enumerate(mats)])
 
 
 def partial_trace(V, keep):
-    """Principal submatrix on the kept modes, in the order given."""
+    """Principal submatrix on the kept modes, in the order given.
+
+    `keep` is one mode index or an iterable of distinct ones in range(n),
+    at least one; keep=(1, 0) swaps the first two modes.
+    """
     V = _as_cm(V)
-    n = V.shape[0] // 2
-    keep = [int(m) for m in (keep if np.iterable(keep) else [keep])]
+    keep = _mode_indices(keep, V.shape[0] // 2, "keep")
     if not keep:
-        raise ValueError("must keep at least one mode")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate mode indices in {keep}")
-    if any(not 0 <= m < n for m in keep):
-        raise ValueError(f"mode indices {keep} out of range for {n} modes")
+        raise ValueError("keep must name at least one mode")
     idx = [x for m in keep for x in (2 * m, 2 * m + 1)]
     return V[np.ix_(idx, idx)].copy()
 
@@ -175,14 +181,19 @@ def partial_trace(V, keep):
 # symplectic spectrum and entropies
 # ---------------------------------------------------------------------------
 
-def _spectrum_from_cholesky(V):
-    """Symplectic eigenvalues of a positive-definite V.
+def symplectic_spectrum(V):
+    """Symplectic eigenvalues of a covariance matrix, sorted descending.
 
-    Uses eig(Omega V) = eig(L^T Omega L) for V = L L^T; the right-hand matrix
-    is skew-symmetric, so its singular values come in equal pairs (nu, nu).
-    This keeps full accuracy where a general eigensolver on Omega V loses the
-    small eigenvalues of badly scaled matrices.
+    These are the n positive values nu in the (+-i nu) eigenvalue pairs of
+    Omega V; every physical state has nu >= 1, with equality on pure modes.
+    They are the singular values, in equal pairs, of the skew-symmetric
+    L^T Omega L for V = L L^T, which keeps full accuracy where a general
+    eigensolver on Omega V loses the small eigenvalues of badly scaled matrices.
+
+    Raises UnphysicalStateError for non-positive-definite input and
+    DegenerateSpectrumError if the pair structure is lost numerically.
     """
+    V = _as_cm(V)
     n = V.shape[0] // 2
     try:
         L = np.linalg.cholesky(V)
@@ -197,18 +208,6 @@ def _spectrum_from_cholesky(V):
         raise DegenerateSpectrumError(
             f"singular values of the skew form failed to pair (max mismatch {mismatch.max():.3e})")
     return 0.5 * (s[0::2] + s[1::2])
-
-
-def symplectic_spectrum(V):
-    """Symplectic eigenvalues of a covariance matrix, sorted descending.
-
-    These are the n positive values nu in the (+-i nu) eigenvalue pairs of
-    Omega V; every physical state has nu >= 1, with equality on pure modes.
-
-    Raises UnphysicalStateError for non-positive-definite input and
-    DegenerateSpectrumError if the pair structure is lost numerically.
-    """
-    return _spectrum_from_cholesky(_as_cm(V))
 
 
 def is_bona_fide(V):
@@ -299,16 +298,15 @@ def heterodyne_condition(V, measured):
 
     Heterodyne detection projects onto coherent states, so the conditional
     state is the Schur complement V_keep - C (V_meas + I)^-1 C^T, independent
-    of the measurement outcome.  `measured` is a mode index or set of them
-    and must be a proper nonempty subset of the modes.
+    of the measurement outcome.  `measured` is one mode index or an iterable
+    (a set, say) of distinct ones in range(n), a proper nonempty subset of
+    the modes; the kept modes stay in ascending order.
     """
     V = _as_cm(V)
     n = V.shape[0] // 2
-    measured = sorted({int(m) for m in (measured if np.iterable(measured) else [measured])})
+    measured = sorted(_mode_indices(measured, n, "measured"))
     if not measured or len(measured) >= n:
-        raise ValueError(f"measured modes must be a proper nonempty subset, got {measured}")
-    if any(not 0 <= m < n for m in measured):
-        raise ValueError(f"mode indices {measured} out of range for {n} modes")
+        raise ValueError(f"measured must be a proper nonempty subset of the modes, got {measured}")
     keep = [m for m in range(n) if m not in measured]
     ik = [x for m in keep for x in (2 * m, 2 * m + 1)]
     im = [x for m in measured for x in (2 * m, 2 * m + 1)]

@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .attacks import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_correlations,
-                      _grid_half_width, _physical_mask, normalize_class, physical_region_grid)
+                      _grid_values, _physical_mask, normalize_class, physical_region_grid)
 from .errors import UnphysicalStateError
 from .gaussian import _LN2, MAX_VARIANCE, entropic_h
 from .protocol import _check_regime, _information_arrays, _keyrate_arrays
@@ -215,17 +215,17 @@ def scan_grid(T, omega, resolution):
     Each mirror pair is rated once.  R(g, g') = R(g', g) bit for bit, and the
     physical region is symmetric under g <-> g', so only the rows with
     g <= g' are evaluated; every other row takes the rate of its mirror row,
-    found through the integer node indices (i, j) of (g, g') = (i, j) * step.
+    which has the same two values swapped.
     """
     _check_regime(T)
     grid = physical_region_grid(omega, resolution)
-    i, j = np.rint(grid.T / resolution).astype(np.intp)
-    upper = i <= j
+    g, gp = grid.T
+    upper = g <= gp
     rates = np.empty(len(grid))
-    rates[upper] = _keyrate_arrays(T, omega, grid[upper, 0], grid[upper, 1])
-    # sorted by (j, i), the rows list the mirror of each row-major row in turn
+    rates[upper] = _keyrate_arrays(T, omega, g[upper], gp[upper])
+    # sorted by (g', g), the rows list the mirror of each row-major row in turn
     lower = ~upper
-    rates[lower] = rates[np.lexsort((i, j))[lower]]
+    rates[lower] = rates[np.lexsort((g, gp))[lower]]
     return np.column_stack((grid, rates))
 
 
@@ -258,9 +258,8 @@ def optimal_attack_scan(T, omega, resolution):
     for bit.
     """
     _check_regime(T)
-    kmax = _grid_half_width(omega, resolution)
-    vals = np.arange(-kmax, kmax + 1) * resolution
-    k = np.arange(4 * kmax + 1)
+    vals = _grid_values(omega, resolution)
+    k = np.arange(2 * len(vals) - 1)
     g, gp = vals[k // 2], vals[(k + 1) // 2]
     physical = _physical_mask(omega, g, gp)
     g, gp = g[physical], gp[physical]

@@ -50,6 +50,82 @@ class TestConstructorsRejectBadInput:
             build()
 
 
+def _with_entry(value):
+    # a two-mode vacuum with value in its (0, 0) entry; still symmetric
+    V = np.eye(4)
+    V[0, 0] = value
+    return V
+
+
+class TestNonFiniteMatrices:
+    # every public function that takes a matrix rejects NaN and +-inf by name, before any
+    # linear algebra; warnings are errors in this suite, so none may be emitted on the way
+    CALLS = {
+        "symplectic_spectrum": (symplectic_spectrum, "covariance"),
+        "is_bona_fide": (is_bona_fide, "covariance"),
+        "von_neumann_entropy": (von_neumann_entropy, "covariance"),
+        "ppt_separable": (ppt_separable, "covariance"),
+        "heterodyne_condition": (lambda M: heterodyne_condition(M, 1), "covariance"),
+        "partial_trace": (lambda M: partial_trace(M, 0), "covariance"),
+        "tensor": (lambda M: tensor(np.eye(2), M), "covariance"),
+        "is_symplectic": (is_symplectic, "symplectic"),
+        "apply_symplectic-S": (lambda M: apply_symplectic(M, np.eye(4)), "symplectic"),
+        "apply_symplectic-V": (lambda M: apply_symplectic(np.eye(4), M), "covariance"),
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_raises_value_error_naming_the_matrix(self, call, value):
+        fn, kind = self.CALLS[call]
+        with pytest.raises(ValueError, match=f"^{kind} matrix must be finite"):
+            fn(_with_entry(value))
+
+
+class TestModeIndices:
+    # one parser reads every mode index: Python or numpy integers, distinct and in range
+    V = tensor(thermal_cm(1.5), epr_cm(2.0), thermal_cm(3.0))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda V: partial_trace(V, 0.7), "^keep must be integer mode indices, got 0.7"),
+        (lambda V: partial_trace(V, True), "^keep must be integer mode indices, got True"),
+        (lambda V: partial_trace(V, np.array([0.0, 1.0])), "^keep must be integer mode indices"),
+        (lambda V: heterodyne_condition(V, 1.5), "^measured must be integer mode indices"),
+        (lambda V: heterodyne_condition(V, (1, 1)),
+         r"^measured must be distinct mode indices in range\(4\), got \(1, 1\)"),
+        (lambda V: beam_splitter(0.5, (0, 1), 1.5), "^mode count must be a positive integer"),
+        (lambda V: beam_splitter(0.5, (0.5, 1), 2), "^modes must be integer mode indices"),
+        (lambda V: beam_splitter(0.5, (0, 1, 2), 3), "^modes must be two mode indices"),
+        (lambda V: beam_splitter(0.5, 1, 2), "^modes must be two mode indices"),
+    ], ids=["keep-float", "keep-bool", "keep-float-array", "measured-float",
+            "measured-repeated", "splitter-fractional-n", "splitter-float-mode",
+            "splitter-three-modes", "splitter-one-mode"])
+    def test_invalid_raises_value_error_naming_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(self.V)
+
+    @pytest.mark.parametrize("keep, idx", [
+        (2, [4, 5]),
+        (np.int64(3), [6, 7]),
+        (np.array([3, 0]), [6, 7, 0, 1]),
+        ({0, 1}, [0, 1, 2, 3]),
+        ((1, 0), [2, 3, 0, 1]),
+    ], ids=["int", "numpy-int", "ndarray", "set", "reordered"])
+    def test_partial_trace_index_forms(self, keep, idx):
+        assert partial_trace(self.V, keep).tobytes() == self.V[np.ix_(idx, idx)].tobytes()
+
+    @pytest.mark.parametrize("measured", [{2, 0}, np.array([2, 0]), (np.int64(2), 0), [0, 2]],
+                             ids=["set", "ndarray", "numpy-int", "list"])
+    def test_heterodyne_index_forms_are_sorted(self, measured):
+        expected = heterodyne_condition(self.V, (0, 2)).tobytes()
+        assert heterodyne_condition(self.V, measured).tobytes() == expected
+
+    def test_beam_splitter_index_forms(self):
+        i, j = np.random.default_rng(2).choice(4, 2, replace=False)
+        expected = beam_splitter(0.3, (int(i), int(j)), 4).tobytes()
+        for modes in ((i, j), np.array([i, j]), [int(i), j]):
+            assert beam_splitter(0.3, modes, np.int64(4)).tobytes() == expected
+
+
 class TestSymplecticSpectrum:
     def test_vacuum(self):
         np.testing.assert_allclose(symplectic_spectrum(np.eye(4)), [1.0, 1.0], atol=1e-14)
