@@ -24,6 +24,7 @@ import numpy as np
 
 from . import gaussian
 from .attacks import eve_cm
+from .protocol import _check_regime
 
 
 class _ProtocolFields(NamedTuple):
@@ -36,20 +37,18 @@ class _ProtocolFields(NamedTuple):
 class ProtocolParams(_ProtocolFields):
     """One two-way protocol instance: (T, eta, mu_B, mu_A).
 
-    The ranges are enforced on construction, also through _make and _replace.
+    Checked on construction, also through _make and _replace: T by _check_regime,
+    eta in (0, 1), and mu_B and mu_A (finite, >= 1 SNU) by gaussian._check_variance.
     """
 
     __slots__ = ()
 
     def __new__(cls, T, eta, mu_B, mu_A):
-        if not 0.0 < T < 1.0:
-            raise ValueError(f"channel transmissivity T must lie in (0, 1), got {T}")
+        _check_regime(T)
         if not 0.0 < eta < 1.0:
             raise ValueError(f"beam-splitter transmissivity eta must lie in (0, 1), got {eta}")
-        if not mu_B >= 1.0:
-            raise ValueError(f"mu_B must be >= 1 SNU, got {mu_B}")
-        if not mu_A >= 1.0:
-            raise ValueError(f"mu_A must be >= 1 SNU, got {mu_A}")
+        gaussian._check_variance("mu_B", mu_B)
+        gaussian._check_variance("mu_A", mu_A)
         return super().__new__(cls, T, eta, mu_B, mu_A)
 
     @classmethod
@@ -62,10 +61,9 @@ class ProtocolParams(_ProtocolFields):
 
         Sets mu_B = mu + 1 and mu_A = mu/(1-eta) + 1, so that Alice's source
         variance diverges as eta -> 1 while her effective displacement keeps
-        modulation variance mu.
+        modulation variance mu.  (T, mu) is checked by protocol._check_regime.
         """
-        if not 0.0 < mu < math.inf:
-            raise ValueError(f"modulation variance mu must be positive and finite, got {mu}")
+        _check_regime(T, mu)
         return cls(T=T, eta=eta, mu_B=mu + 1.0, mu_A=mu / (1.0 - eta) + 1.0)
 
 

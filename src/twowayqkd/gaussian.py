@@ -51,7 +51,7 @@ def _as_cm(V):
 # ---------------------------------------------------------------------------
 
 def _check_modes(n):
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"mode count must be a positive integer, got {n!r}")
 
 

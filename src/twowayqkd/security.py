@@ -12,8 +12,7 @@ import numpy as np
 
 from .attacks import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_correlations,
                       _grid_values, _physical_mask, normalize_class, physical_region_grid)
-from .errors import UnphysicalStateError
-from .gaussian import _LN2, MAX_VARIANCE, entropic_h
+from .gaussian import _LN2, MAX_VARIANCE, _check_variance, entropic_h
 from .protocol import _check_regime, _information_arrays, _keyrate_arrays
 
 #: doubling cap for the threshold bracket search
@@ -295,13 +294,13 @@ def _oneway_arrays(T, omega, mu_a):
 
 
 def _oneway_quantities(T, omega, mu_a):
-    """Checked one-way (I_AB, chi_EA) at one point, as Python floats."""
+    """Checked one-way (I_AB, chi_EA) at one point, as Python floats: T by _check_regime,
+    omega by _check_omega, mu_a <= MAX_VARIANCE and its 1 SNU floor by _check_variance."""
     _check_regime(T)
     _check_omega(omega)
     if not mu_a <= MAX_VARIANCE:
         raise ValueError(f"EPR variance mu_a must be finite and <= {MAX_VARIANCE:g}, got {mu_a}")
-    if not mu_a >= 1.0:
-        raise UnphysicalStateError(f"EPR variance must be >= 1 SNU, got {mu_a}")
+    _check_variance("EPR", mu_a)
     if mu_a == 1.0:
         # no modulation: A and B are uncorrelated, so nobody learns anything;
         # the general form would leave rounding dust of either sign in R
@@ -348,7 +347,7 @@ def _class_variations(t_values, mu, omega_grid, classes):
     checked before any class is evaluated.
     """
     if not mu >= 1e3:
-        raise ValueError(f"relative variations need the asymptotic regime mu >= 1e3, got {mu}")
+        raise ValueError(f"the asymptotic regime needs mu >= 1e3, got {mu}")
     for T in t_values:
         _check_regime(T, mu)
     omega = np.asarray(omega_grid, dtype=float)
@@ -373,6 +372,8 @@ def relative_variations(T, mu, omega_grid):
     mu), returning rows (omega, dI_AB, dchi_EA) with dX = (X - X_c)/X_c, from
     one evaluation of the whole grid.  Rows where the collective reference
     is nonpositive carry NaN instead of a ratio; they are flagged, not fatal.
+    _class_variations first checks mu >= 1e3 (the asymptotic regime), then
+    _check_regime(T, mu) and _check_omega at every omega.
     """
     _, omega, _, _, d_i, d_chi = _class_variations((T,), mu, omega_grid,
                                                    (COLLECTIVE, SEP_SYM_NEG))

@@ -706,8 +706,39 @@ class TestAppendixCommand:
                 assert (row[f"I_AB_{label}"], row[f"chi_EA_{label}"]) == (rep.I_AB, rep.chi_EA)
 
     def test_rejects_small_modulation(self, capsys):
-        code, _ = run(capsys, "appendix", "--T", "0.65", "--mu", "10")
-        assert code == 1
+        # the message of relative_variations, which owns the rule
+        assert run_with_stderr("appendix", "--T", "0.65", "--mu", "10") == (
+            1, "", "twowayqkd: error: the asymptotic regime needs mu >= 1e3, got 10.0\n")
+
+
+class TestLibraryOwnsPhysicalBounds:
+    """The CLI leaves each physical bound and class label to the library function
+    that applies it: a command fails with that function's own message, and takes
+    the boundary that the function takes."""
+
+    UNKNOWN_CLASS = ("twowayqkd: error: unknown attack class 'bogus'; expected one of "
+                     + ", ".join(ATTACK_CLASSES) + "\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("appendix", "--T", "0.65", "--omega-min", "0.5"),
+         "twowayqkd: unphysical parameters: thermal variance omega must be >= 1 SNU, "
+         "got 0.5\n"),
+        (("threshold", "--attack", "bogus", "--t-min", "0.5", "--t-max", "0.9",
+          "--t-step", "0.1"), UNKNOWN_CLASS),
+        (("keyrate", "--T", "0.8", "--omega", "2", "--attack", "bogus"), UNKNOWN_CLASS),
+    ], ids=["appendix-omega-min-below-vacuum", "threshold-unknown-class",
+            "keyrate-unknown-class"])
+    def test_rejected_with_the_library_message(self, argv, message):
+        assert run_with_stderr(*argv) == (1, "", message)
+
+    @pytest.mark.parametrize("argv", [
+        ("appendix", "--T", "0.65", "--T", "0.95", "--omega-min", "1", "--omega-max", "1"),
+        ("appendix", "--T", "0.65", "--mu", "1e3", "--omega-max", "2", "--omega-step", "1"),
+    ], ids=["appendix-omega-at-vacuum", "appendix-mu-at-regime-bound"])
+    def test_boundary_accepted(self, argv):
+        code, out, err = run_with_stderr(*argv)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 2  # header and two (T, omega) rows
 
 
 class TestConfigAndOutput:

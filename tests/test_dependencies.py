@@ -93,6 +93,24 @@ def _fresh(code, **env_overrides):
                           check=True).stdout.strip()
 
 
+def _unused_imports(path):
+    """Names a module binds by import and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # `import a.b` binds `a`; `from m import x as y` binds `y`
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter is a dependency; this is its unused-import rule, stdlib only
+    unused = {path.name: sorted(_unused_imports(path)) for path in PACKAGE.glob("*.py")}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
 def test_no_module_imports_dataclasses():
     # the record types are NamedTuples: dataclasses would cost every CLI start-up its import
     assert "dataclasses" not in _absolute_imports()

@@ -43,8 +43,15 @@ class TestConstructorsRejectBadInput:
         (lambda: thermal_cm(2.0, 1.5), "mode count must be a positive integer, got 1.5"),
         (lambda: epr_cm(np.nan), "EPR variance must be finite, got nan"),
         (lambda: thermal_cm(np.nan), "thermal variance must be finite, got nan"),
+        # a bool is not a mode count, as it is not a mode index
+        (lambda: vacuum_cm(True), "mode count must be a positive integer, got True"),
+        (lambda: thermal_cm(2.0, True), "mode count must be a positive integer, got True"),
+        (lambda: symplectic_form(True), "mode count must be a positive integer, got True"),
+        (lambda: beam_splitter(0.5, (0, 1), True),
+         "mode count must be a positive integer, got True"),
     ], ids=["thermal-zero-modes", "vacuum-fractional-modes", "thermal-fractional-modes",
-            "epr-nan", "thermal-nan"])
+            "epr-nan", "thermal-nan", "vacuum-bool-modes", "thermal-bool-modes",
+            "symplectic-form-bool-modes", "beam-splitter-bool-modes"])
     def test_raises_value_error(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

@@ -51,6 +51,10 @@ class TestProtocolParams:
         dict(T=0.5, eta=1.0, mu_B=2.0, mu_A=2.0),
         dict(T=0.5, eta=0.5, mu_B=0.5, mu_A=2.0),
         dict(T=0.5, eta=0.5, mu_B=2.0, mu_A=0.0),
+        # protocol._check_regime's T rule and gaussian._check_variance's finiteness
+        dict(T=5e-324, eta=0.5, mu_B=2.0, mu_A=2.0),
+        dict(T=0.5, eta=0.5, mu_B=math.inf, mu_A=2.0),
+        dict(T=0.5, eta=0.5, mu_B=2.0, mu_A=math.inf),
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
@@ -80,6 +84,16 @@ class TestProtocolParams:
     def test_displacement_limit_needs_finite_positive_mu(self, mu):
         with pytest.raises(ValueError, match=f"mu must be positive and finite, got {mu}"):
             ProtocolParams.displacement_limit(0.8, mu=mu)
+
+    @pytest.mark.parametrize("mu, message", [
+        (2e9, "mu must be <= 1e\\+09, got 2000000000.0"),
+        (1e-300, "T\\*mu must both be at least"),
+    ], ids=["over-bound", "underflow"])
+    def test_displacement_limit_takes_the_regime_rule(self, mu, message):
+        # protocol._check_regime(T, mu), the closed forms' rule; its bound is inclusive
+        with pytest.raises(ValueError, match=message):
+            ProtocolParams.displacement_limit(0.8, mu=mu)
+        assert ProtocolParams.displacement_limit(0.8, mu=MAX_VARIANCE).mu_B == MAX_VARIANCE + 1.0
 
 
 class TestTotalCm:

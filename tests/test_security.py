@@ -621,7 +621,7 @@ class TestRelativeVariations:
             assert dchi_hi > dchi_lo
 
     def test_validates_regime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^the asymptotic regime needs mu >= 1e3, got 10.0$"):
             relative_variations(0.65, 10.0, [2.0])
 
     @pytest.mark.parametrize("T, mu, omegas, match", [
