@@ -7,7 +7,7 @@ quantify this, and the comparison between two transmissivities shows the
 mutual-information penalty fading while the Holevo advantage grows.
 """
 
-from twowayqkd import attack_from_class, keyrate_report, relative_variations
+from twowayqkd import attack_from_class, class_variations, keyrate_report
 
 MU = 1e6
 CLASSES = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
@@ -26,7 +26,9 @@ for w in (1.0, 2.0, 3.0, 5.0):
 
 print("\nrelative variations (sep-sym- corner class vs collective):")
 print(f"{'omega':>6} {'dI(0.65)':>10} {'dchi(0.65)':>11} {'dI(0.95)':>10} {'dchi(0.95)':>11}")
-low = relative_variations(0.65, MU, [1.5, 2.0, 3.0, 4.0, 5.0])
-high = relative_variations(0.95, MU, [1.5, 2.0, 3.0, 4.0, 5.0])
-for (w, di_lo, dchi_lo), (_, di_hi, dchi_hi) in zip(low, high):
+OMEGAS = [1.5, 2.0, 3.0, 4.0, 5.0]
+# one evaluation of the (T, omega) grid, T-major: a row of each column per T
+_, _, _, _, d_i, d_chi = class_variations((0.65, 0.95), MU, OMEGAS, CLASSES)
+(di_low, di_high), (dchi_low, dchi_high) = d_i.reshape(2, -1), d_chi.reshape(2, -1)
+for w, di_lo, dchi_lo, di_hi, dchi_hi in zip(OMEGAS, di_low, dchi_low, di_high, dchi_high):
     print(f"{w:>6.1f} {di_lo:>10.5f} {dchi_lo:>11.5f} {di_hi:>10.5f} {dchi_hi:>11.5f}")

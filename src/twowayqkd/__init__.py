@@ -25,8 +25,8 @@ _EXPORTS = {
                  "ppt_separable", "symplectic_form", "symplectic_spectrum", "tensor",
                  "thermal_cm", "vacuum_cm", "von_neumann_entropy"),
     "protocol": ("KeyRateReport", "keyrate_asymptotic", "keyrate_report"),
-    "security": ("ScanResult", "ThresholdCurve", "excess_noise", "oneway_keyrate",
-                 "oneway_report", "optimal_attack_scan", "relative_variations", "scan_grid",
+    "security": ("ScanResult", "ThresholdCurve", "class_variations", "excess_noise",
+                 "oneway_keyrate", "oneway_report", "optimal_attack_scan", "scan_grid",
                  "threshold_curves"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

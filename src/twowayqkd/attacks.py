@@ -176,12 +176,15 @@ def classify(params):
     """Correlation class of a physical attack.
 
     Returns 'collective' (g = g' = 0), 'entangled' (fails the PPT test), or
-    'separable_correlated' otherwise.
+    'separable_correlated' otherwise.  The partial transpose of Eve's state
+    flips the sign of g', so it passes the PPT test exactly when the attack
+    (omega, g, -g') is physical; gaussian.ppt_separable(eve_cm(params)) is
+    the matrix oracle of that test.
     """
     require_physical(params)
     if abs(params.g) <= 1e-12 and abs(params.g_prime) <= 1e-12:
         return "collective"
-    if not gaussian.ppt_separable(eve_cm(params)):
+    if not _physical_mask(params.omega, params.g, -params.g_prime):
         return "entangled"
     return "separable_correlated"
 

@@ -38,7 +38,8 @@ class ProtocolParams(_ProtocolFields):
     """One two-way protocol instance: (T, eta, mu_B, mu_A).
 
     Checked on construction, also through _make and _replace: T by _check_regime,
-    eta in (0, 1), and mu_B and mu_A (finite, >= 1 SNU) by gaussian._check_variance.
+    eta in (0, 1), and mu_B and mu_A (finite, >= 1 SNU) by gaussian._check_variance,
+    each with a square that is a finite double, as total_cm needs.
     """
 
     __slots__ = ()
@@ -47,8 +48,10 @@ class ProtocolParams(_ProtocolFields):
         _check_regime(T)
         if not 0.0 < eta < 1.0:
             raise ValueError(f"beam-splitter transmissivity eta must lie in (0, 1), got {eta}")
-        gaussian._check_variance("mu_B", mu_B)
-        gaussian._check_variance("mu_A", mu_A)
+        for name, value in (("mu_B", mu_B), ("mu_A", mu_A)):
+            gaussian._check_variance(name, value)
+            if not math.isfinite(float(value) * float(value)):
+                raise ValueError(f"{name} variance must have a finite square, got {value}")
         return super().__new__(cls, T, eta, mu_B, mu_A)
 
     @classmethod

@@ -29,7 +29,7 @@ from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class
 from .errors import UnphysicalStateError
 from .gaussian import MAX_VARIANCE
 from .protocol import DEFAULT_MU, keyrate_report
-from .security import (ONEWAY_MU_A, _class_variations, _grid_minimizer, oneway_report,
+from .security import (ONEWAY_MU_A, _grid_minimizer, class_variations, oneway_report,
                        optimal_attack_scan, scan_grid, threshold_curves)
 
 _APPENDIX_CLASSES = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
@@ -290,6 +290,7 @@ def _cmd_oneway(parser, args):
 
 
 def _cmd_appendix(parser, args):
+    """Write security.class_variations' table of the appendix classes: every --T by every omega."""
     if not args.T:
         parser.error("at least one --T is required")
     mu = DEFAULT_MU if args.mu is None else args.mu
@@ -304,7 +305,7 @@ def _cmd_appendix(parser, args):
     header += [f"I_AB_{c}" for c in _APPENDIX_CLASSES]
     header += [f"chi_EA_{c}" for c in _APPENDIX_CLASSES]
     header += ["dI_AB", "dchi_EA"]
-    t, omega, i_ab, chi, d_i, d_chi = _class_variations(args.T, mu, omegas, _APPENDIX_CLASSES)
+    t, omega, i_ab, chi, d_i, d_chi = class_variations(args.T, mu, omegas, _APPENDIX_CLASSES)
     table = Table(header, (t, omega, *i_ab, *chi, d_i, d_chi))
     _write(args, table, [table])
     return 0

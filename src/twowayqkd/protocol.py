@@ -79,11 +79,6 @@ def _keyrate_arrays(T, omega, g, g_prime):
     return _rate(T, _two_way_arrays(T, omega, g, g_prime))
 
 
-def _information_arrays(T, omega, g, g_prime, mu):
-    """(I_AB, chi_EA) in bits, broadcast over all five arguments."""
-    return _information(T, _two_way_arrays(T, omega, g, g_prime), mu)
-
-
 def _check_regime(T, mu=None):
     """Reject T outside (0, 1) or below the smallest normal double (where the rate's
     log2 term underflows), a modulation variance outside (0, MAX_VARIANCE], and a

@@ -13,7 +13,7 @@ import numpy as np
 from .attacks import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_correlations,
                       _grid_values, _physical_mask, normalize_class, physical_region_grid)
 from .gaussian import _LN2, MAX_VARIANCE, _check_variance, entropic_h
-from .protocol import _check_regime, _information_arrays, _keyrate_arrays
+from .protocol import _check_regime, _information, _keyrate_arrays, _two_way_arrays
 
 #: doubling cap for the threshold bracket search
 BRACKET_CAP = 2.0 ** 16
@@ -333,18 +333,22 @@ def oneway_report(T, omega, mu_a=ONEWAY_MU_A):
 
 
 # ---------------------------------------------------------------------------
-# relative variations of the sep-sym- corner class
+# information quantities of the attack classes
 # ---------------------------------------------------------------------------
 
-def _class_variations(t_values, mu, omega_grid, classes):
-    """Checked (T, omega, I_AB, chi_EA, dI_AB, dchi_EA) of named classes over a (T, omega) grid.
+def class_variations(t_values, mu, omega_grid, classes):
+    """(T, omega, I_AB, chi_EA, dI_AB, dchi_EA) of named classes over a (T, omega) grid.
 
     The grid is every T of t_values by every omega of omega_grid, T-major:
     the T and omega columns hold one entry per node, and I_AB and chi_EA one
     row per class, in the order given, evaluated in one call.  The
-    variations compare the sep-sym- corner class with the collective attack,
-    which must both be among the classes.  mu, every T and every omega are
-    checked before any class is evaluated.
+    variations dX = (X - X_c)/X_c compare the sep-sym- corner class
+    g = g' = 1 - omega with the collective attack, which must both be among
+    the classes; nodes where the collective reference is nonpositive carry
+    NaN instead of a ratio (flagged, not fatal).  mu >= 1e3 (the asymptotic
+    regime), then _check_regime(T, mu) for every T, then _check_omega for
+    every omega are checked before any class is evaluated.  The appendix
+    command prints this table.
     """
     if not mu >= 1e3:
         raise ValueError(f"the asymptotic regime needs mu >= 1e3, got {mu}")
@@ -357,24 +361,8 @@ def _class_variations(t_values, mu, omega_grid, classes):
     t, omega = np.repeat(t_values, omega.size), np.tile(omega, len(t_values))
     index = np.array([ATTACK_CLASSES.index(c) for c in classes])
     g, g_prime = _class_correlations(index[:, None], omega)
-    i_ab, chi = _information_arrays(t, omega, g, g_prime, mu)
+    i_ab, chi = _information(t, _two_way_arrays(t, omega, g, g_prime), mu)
     ref, corner = classes.index(COLLECTIVE), classes.index(SEP_SYM_NEG)
     d_i, d_chi = (np.divide(x[corner] - x[ref], x[ref], out=np.full_like(x[ref], math.nan),
                             where=x[ref] > 0.0) for x in (i_ab, chi))
     return t, omega, i_ab, chi, d_i, d_chi
-
-
-def relative_variations(T, mu, omega_grid):
-    """Relative change of I_AB and chi_EA for the sep-sym- corner class vs collective.
-
-    For each omega in the grid, compares the sep-sym- corner class
-    g = g' = 1 - omega against the collective attack at the same (T, omega,
-    mu), returning rows (omega, dI_AB, dchi_EA) with dX = (X - X_c)/X_c, from
-    one evaluation of the whole grid.  Rows where the collective reference
-    is nonpositive carry NaN instead of a ratio; they are flagged, not fatal.
-    _class_variations first checks mu >= 1e3 (the asymptotic regime), then
-    _check_regime(T, mu) and _check_omega at every omega.
-    """
-    _, omega, _, _, d_i, d_chi = _class_variations((T,), mu, omega_grid,
-                                                   (COLLECTIVE, SEP_SYM_NEG))
-    return list(zip(omega.tolist(), d_i.tolist(), d_chi.tolist()))

@@ -7,10 +7,10 @@ as they happen; without -s they still appear for any failing criterion.
 import numpy as np
 import pytest
 
-from twowayqkd import (AttackParams, ProtocolParams, apply_symplectic, attack_from_class,
-                       conditional_cm, entropic_h, eve_cm, excess_noise, keyrate_asymptotic,
-                       keyrate_report, optimal_attack_scan, ppt_separable, protocol,
-                       relative_variations, symplectic_spectrum, threshold_curves, total_cm,
+from twowayqkd import (COLLECTIVE, SEP_SYM_NEG, AttackParams, ProtocolParams, apply_symplectic,
+                       attack_from_class, class_variations, conditional_cm, entropic_h, eve_cm,
+                       excess_noise, keyrate_asymptotic, keyrate_report, optimal_attack_scan,
+                       ppt_separable, protocol, symplectic_spectrum, threshold_curves, total_cm,
                        total_cm_circuit)
 from twowayqkd.security import INSECURE_AT_VACUUM, OK
 
@@ -196,9 +196,9 @@ def test_criterion_08_holevo_ordering_and_variations():
             checks.append((chi_d > chi,
                            f"w={w}: chi[sep-sym-]={chi_d:.4f} not above chi[{label}]={chi:.4f}"))
     omegas = [1.5, 2.0, 3.0, 4.0, 5.0]
-    low = relative_variations(0.65, mu, omegas)
-    high = relative_variations(0.95, mu, omegas)
-    for (w, di_lo, dchi_lo), (_, di_hi, dchi_hi) in zip(low, high):
+    _, _, _, _, d_i, d_chi = class_variations((0.65, 0.95), mu, omegas, (COLLECTIVE, SEP_SYM_NEG))
+    (di_low, di_high), (dchi_low, dchi_high) = d_i.reshape(2, -1), d_chi.reshape(2, -1)
+    for w, di_lo, dchi_lo, di_hi, dchi_hi in zip(omegas, di_low, dchi_low, di_high, dchi_high):
         checks.append((abs(di_hi) < abs(di_lo),
                        f"w={w}: |dI(0.95)|={abs(di_hi):.5f} not below |dI(0.65)|={abs(di_lo):.5f}"))
         checks.append((dchi_hi > dchi_lo,

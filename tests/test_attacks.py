@@ -7,6 +7,7 @@ from twowayqkd import (ATTACK_CLASSES, AttackParams, UnphysicalAttackError, atta
                        classify, eve_cm, is_bona_fide, is_physical, normalize_class,
                        physical_region_grid, ppt_separable, require_physical,
                        symplectic_spectrum)
+from twowayqkd import gaussian
 from twowayqkd.attacks import _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL
 
@@ -96,6 +97,25 @@ class TestClassify:
     def test_unphysical_raises(self):
         with pytest.raises(UnphysicalAttackError):
             classify(AttackParams(2.0, 1.9, 1.9))
+
+    def test_matches_the_matrix_route(self, monkeypatch):
+        """classify decides the PPT test in closed form, by the physicality of
+        (omega, g, -g'), since the partial transpose flips the sign of g'.  The
+        matrix route, ppt_separable(eve_cm(...)), stays the oracle: it builds the
+        partial transpose and takes its symplectic spectrum by Cholesky and SVD,
+        and shares no algebra with the closed form.  The grid holds nodes on the
+        PPT boundary, such as (1.5, 0.5, -0.5) and (2, 1, -1)."""
+        def oracle(a):
+            if abs(a.g) <= 1e-12 and abs(a.g_prime) <= 1e-12:
+                return "collective"
+            return "separable_correlated" if ppt_separable(eve_cm(a)) else "entangled"
+
+        attacks = [AttackParams(w, g, gp) for w in (1.0, 1.2, 1.5, 2.0, 3.0, 4.0)
+                   for g, gp in physical_region_grid(w, 0.1).tolist()]
+        expected = [oracle(a) for a in attacks]
+        assert {"collective", "entangled", "separable_correlated"} == set(expected)
+        monkeypatch.setattr(gaussian, "ppt_separable", lambda V: pytest.fail("matrix route"))
+        assert [classify(a) for a in attacks] == expected
 
 
 class TestPhysicalRegionGrid:

@@ -494,14 +494,13 @@ class TestInvalidInput:
         assert "must" in err and "unphysical" not in err
 
     def test_appendix_checks_every_T_before_any_block(self, monkeypatch):
-        # the one _class_variations call checks every T, and raises before it evaluates
+        # the one class_variations call checks every T, and raises before it evaluates
         calls = {}
-        count_calls(monkeypatch, calls, [(cli, "_class_variations"),
-                                         (security, "_information_arrays")])
+        count_calls(monkeypatch, calls, [(cli, "class_variations"), (security, "_information")])
         code, out, err = run_with_stderr("appendix", "--T", "0.5", "--T", "1.5")
         assert (code, out) == (1, "")
         assert "channel transmissivity T must lie in (0, 1), got 1.5" in err
-        assert calls == {"_class_variations": 1, "_information_arrays": 0}
+        assert calls == {"class_variations": 1, "_information": 0}
 
     @pytest.mark.parametrize("lo, hi, step, count", [
         (0.0, MAX_GRID_POINTS - 1.0, 1.0, MAX_GRID_POINTS),
@@ -662,7 +661,7 @@ class TestAppendixCommand:
         count_calls(monkeypatch, calls, [
             (attacks, "attack_from_class"), (cli, "attack_from_class"),
             (protocol, "keyrate_report"), (cli, "keyrate_report"), (protocol, "_two_way_at"),
-            (security, "_information_arrays")])
+            (security, "_information")])
         monkeypatch.setattr(attacks.AttackParams, "__new__",
                             lambda cls, *args, **kwargs: pytest.fail("AttackParams built"))
         code, out = run(capsys, "appendix", "--T", "0.65", "--T", "0.95", "--omega-step", "0.01")
@@ -670,18 +669,18 @@ class TestAppendixCommand:
         assert calls["attack_from_class"] == 0
         assert calls["keyrate_report"] == calls["_two_way_at"] == 0
         # one five-class evaluation of the whole (T, omega) grid; the variations come from it
-        assert calls["_information_arrays"] == 1
+        assert calls["_information"] == 1
 
     @pytest.mark.parametrize("ts", [("0.65",), ("0.65", "0.95"),
                                     ("0.3", "0.5", "0.65", "0.8", "0.95")])
     def test_one_evaluation_per_run(self, ts, monkeypatch):
         calls = {}
-        count_calls(monkeypatch, calls, [(security, "_information_arrays")])
+        count_calls(monkeypatch, calls, [(security, "_information")])
         code, out, err = run_with_stderr("appendix", *(x for t in ts for x in ("--T", t)),
                                          "--omega-max", "2", "--omega-step", "0.5")
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 1 + 3 * len(ts)
-        assert calls["_information_arrays"] == 1
+        assert calls["_information"] == 1
 
     @pytest.mark.parametrize("ts", [("1.5", "0.5", "0.65", "0.8", "0.95"),
                                     ("0.3", "0.5", "1.5", "0.8", "0.95"),
@@ -689,11 +688,11 @@ class TestAppendixCommand:
                              ids=["first", "middle", "last"])
     def test_invalid_T_anywhere_evaluates_nothing(self, ts, monkeypatch):
         calls = {}
-        count_calls(monkeypatch, calls, [(security, "_information_arrays")])
+        count_calls(monkeypatch, calls, [(security, "_information")])
         code, out, err = run_with_stderr("appendix", *(x for t in ts for x in ("--T", t)))
         assert (code, out) == (1, "")
         assert err == "twowayqkd: error: channel transmissivity T must lie in (0, 1), got 1.5\n"
-        assert calls["_information_arrays"] == 0
+        assert calls["_information"] == 0
 
     def test_matches_point_calls(self, capsys):
         # each cell against the scalar report's information fields at the class's attack
@@ -706,7 +705,7 @@ class TestAppendixCommand:
                 assert (row[f"I_AB_{label}"], row[f"chi_EA_{label}"]) == (rep.I_AB, rep.chi_EA)
 
     def test_rejects_small_modulation(self, capsys):
-        # the message of relative_variations, which owns the rule
+        # the message of class_variations, which owns the rule
         assert run_with_stderr("appendix", "--T", "0.65", "--mu", "10") == (
             1, "", "twowayqkd: error: the asymptotic regime needs mu >= 1e3, got 10.0\n")
 

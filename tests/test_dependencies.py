@@ -111,6 +111,32 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+#: the covariance-matrix toolbox: the oracle of the closed forms, not a production path
+TOOLBOX = {"symplectic_form", "vacuum_cm", "thermal_cm", "epr_cm", "eve_cm", "beam_splitter",
+           "is_symplectic", "apply_symplectic", "tensor", "partial_trace", "symplectic_spectrum",
+           "is_bona_fide", "von_neumann_entropy", "heterodyne_condition", "ppt_separable"}
+
+
+def _toolbox_references(path):
+    """Toolbox functions a module names, imports or reads as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return sorted(names & TOOLBOX)
+
+
+def test_only_the_toolbox_and_the_circuit_model_use_the_matrix_toolbox():
+    # every other module runs on closed forms; the toolbox checks them from the tests
+    used = {path.name: _toolbox_references(path) for path in PACKAGE.glob("*.py")
+            if path.name not in ("gaussian.py", "circuit.py")}
+    assert {name: names for name, names in used.items() if names} == {}
+
+
 def test_no_module_imports_dataclasses():
     # the record types are NamedTuples: dataclasses would cost every CLI start-up its import
     assert "dataclasses" not in _absolute_imports()
@@ -181,13 +207,14 @@ class TestLazyNamespace:
     def test_unknown_attribute(self):
         # then single-field getters deleted in favour of keyrate_report's fields, and
         # single-curve threshold wrappers and their exceptions deleted in favour of
-        # threshold_curves and its status column, and names only their own tests used
+        # threshold_curves and its status column, and names only their own tests used,
+        # and the one-T variations wrapper deleted in favour of class_variations
         for name in ("no_such_name", "asymptotic_total_spectrum", "total_entropy_asymptotic",
                      "conditional_spectrum_asymptotic", "conditional_entropy_asymptotic",
                      "holevo_asymptotic", "mutual_information_asymptotic", "threshold_curve",
                      "oneway_threshold_curve", "threshold_omega", "oneway_threshold_omega",
                      "DivergentThresholdError", "MonotonicityError", "entropic_h_asymptotic",
-                     "omega_from_excess", "conditioning_deviation"):
+                     "omega_from_excess", "conditioning_deviation", "relative_variations"):
             with pytest.raises(AttributeError, match=name):
                 getattr(twowayqkd, name)
 

@@ -55,19 +55,30 @@ class TestProtocolParams:
         dict(T=5e-324, eta=0.5, mu_B=2.0, mu_A=2.0),
         dict(T=0.5, eta=0.5, mu_B=math.inf, mu_A=2.0),
         dict(T=0.5, eta=0.5, mu_B=2.0, mu_A=math.inf),
+        # a square past the doubles: total_cm's muB * muB and muA * muA overflow
+        dict(T=0.5, eta=0.5, mu_B=1e160, mu_A=2.0),
+        dict(T=0.5, eta=0.5, mu_B=2.0, mu_A=1e160),
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             ProtocolParams(**kwargs)
 
     @pytest.mark.parametrize("field, value", [
-        ("T", 0.0), ("T", 1.0), ("eta", 1.0), ("mu_B", 0.5), ("mu_A", 0.0), ("mu_A", math.nan)])
+        ("T", 0.0), ("T", 1.0), ("eta", 1.0), ("mu_B", 0.5), ("mu_A", 0.0), ("mu_A", math.nan),
+        ("mu_B", 1e160), ("mu_A", 1e160)])
     def test_replace_and_make_check(self, field, value):
         valid = ProtocolParams(T=0.5, eta=0.5, mu_B=2.0, mu_A=2.0)
         with pytest.raises(ValueError, match=f"{field} "):
             valid._replace(**{field: value})
         with pytest.raises(ValueError, match=f"{field} "):
             ProtocolParams._make({**valid._asdict(), field: value}.values())
+
+    def test_large_accepted_variances_give_a_finite_total_cm(self):
+        # the largest mu_A of the closed forms' regime (near 1e15), and a mu_B just
+        # below sqrt(max double), where muB * muB is still finite
+        for p in (ProtocolParams.displacement_limit(0.8, mu=MAX_VARIANCE),
+                  ProtocolParams(0.5, 0.5, 1.3e154, 2.0)):
+            assert np.isfinite(total_cm(p, AttackParams(1.5, 0.3, -0.2))).all()
 
     def test_tuple_contract(self):
         p = ProtocolParams(T=0.5, eta=0.5, mu_B=2.0, mu_A=3.0)
@@ -304,7 +315,8 @@ class TestInformationQuantities:
         # a (T column x omega row) grid in one call, against the 0-d public report
         w = np.array(omega)
         g, g_prime = _class_correlations(ATTACK_CLASSES.index(label), w)
-        iab, chi = protocol._information_arrays(np.array(T)[:, None], w, g, g_prime, mu)
+        t = np.array(T)[:, None]
+        iab, chi = protocol._information(t, protocol._two_way_arrays(t, w, g, g_prime), mu)
         assert iab.shape == chi.shape == (len(T), len(omega))
         for i, t in enumerate(T):
             for j, a in enumerate(AttackParams(*x) for x in zip(omega, g.tolist(),

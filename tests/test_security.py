@@ -9,10 +9,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from twowayqkd import (ATTACK_CLASSES, AttackParams, UnphysicalStateError, attack_from_class,
-                       eve_cm, excess_noise, is_physical, keyrate_asymptotic, keyrate_report,
-                       oneway_keyrate, oneway_report, optimal_attack_scan, physical_region_grid,
-                       ppt_separable, relative_variations, scan_grid, security, threshold_curves)
+from twowayqkd import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, AttackParams, UnphysicalStateError,
+                       attack_from_class, class_variations, eve_cm, excess_noise, is_physical,
+                       keyrate_asymptotic, keyrate_report, oneway_keyrate, oneway_report,
+                       optimal_attack_scan, physical_region_grid, ppt_separable, scan_grid,
+                       security, threshold_curves)
 from twowayqkd._serialize import Table, csv_table, json_text
 from twowayqkd.attacks import _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
@@ -604,25 +605,29 @@ class TestCapacityBound:
 
 
 class TestRelativeVariations:
+    """The dI_AB and dchi_EA columns of class_variations: sep-sym- against collective."""
+
+    PAIR = (COLLECTIVE, SEP_SYM_NEG)
+
     def test_degenerate_at_vacuum_noise(self):
-        rows = relative_variations(0.65, 1e6, [1.0])
-        assert rows[0] == (1.0, 0.0, 0.0)
+        _, omega, _, _, d_i, d_chi = class_variations((0.65,), 1e6, [1.0], self.PAIR)
+        assert (omega.tolist(), d_i.tolist(), d_chi.tolist()) == ([1.0], [0.0], [0.0])
 
     def test_holevo_variation_positive(self):
-        rows = relative_variations(0.65, 1e6, [1.5, 2.0, 3.0, 5.0])
-        assert all(d_chi > 0.0 for _, _, d_chi in rows)
+        d_chi = class_variations((0.65,), 1e6, [1.5, 2.0, 3.0, 5.0], self.PAIR)[5]
+        assert all(d_chi > 0.0)
 
     def test_transmissivity_trend(self):
         omegas = [1.5, 2.0, 3.0, 4.0, 5.0]
-        low = relative_variations(0.65, 1e6, omegas)
-        high = relative_variations(0.95, 1e6, omegas)
-        for (_, di_lo, dchi_lo), (_, di_hi, dchi_hi) in zip(low, high):
+        _, _, _, _, d_i, d_chi = class_variations((0.65, 0.95), 1e6, omegas, self.PAIR)
+        (di_low, di_high), (dchi_low, dchi_high) = d_i.reshape(2, -1), d_chi.reshape(2, -1)
+        for di_lo, dchi_lo, di_hi, dchi_hi in zip(di_low, dchi_low, di_high, dchi_high):
             assert abs(di_hi) < abs(di_lo)
             assert dchi_hi > dchi_lo
 
     def test_validates_regime(self):
         with pytest.raises(ValueError, match=r"^the asymptotic regime needs mu >= 1e3, got 10.0$"):
-            relative_variations(0.65, 10.0, [2.0])
+            class_variations((0.65,), 10.0, [2.0], self.PAIR)
 
     @pytest.mark.parametrize("T, mu, omegas, match", [
         (0.65, 2e9, [2.0], "mu must be <= 1e\\+09, got 2000000000.0"),
@@ -635,13 +640,14 @@ class TestRelativeVariations:
              "omega-over-bound"])
     def test_rejects_out_of_range_input(self, T, mu, omegas, match):
         with pytest.raises(ValueError, match=match):
-            relative_variations(T, mu, omegas)
+            class_variations((T,), mu, omegas, self.PAIR)
 
     def test_matches_point_calls(self):
         # the one array call per grid against the scalar report's information fields
         omegas = [1.0, 1.25, 2.0, 3.5, 5.0]
         for T in (0.3, 0.65, 0.95):
-            for (w, d_i, d_chi), w_ref in zip(relative_variations(T, 1e6, omegas), omegas):
+            _, ws, _, _, d_is, d_chis = class_variations((T,), 1e6, omegas, self.PAIR)
+            for w, d_i, d_chi, w_ref in zip(ws.tolist(), d_is.tolist(), d_chis.tolist(), omegas):
                 coll, corner = AttackParams(w_ref, 0.0, 0.0), attack_from_class("sep-sym-", w_ref)
                 (i_c, chi_c), (i_d, chi_d) = ((r.I_AB, r.chi_EA) for r in
                                               (keyrate_report(T, a, 1e6) for a in (coll, corner)))
