@@ -102,15 +102,13 @@ def _appendix_flags(p):
     p.add_argument("--omega-step", type=float, default=None)
 
 
-def _build_parser(command=None):
-    """The command-line parser; given a command name, with that subcommand's parser only."""
+def _build_parser():
+    """The command-line parser, with one subparser per entry of _SUBCOMMANDS."""
     parser = _Parser(prog="twowayqkd",
                      description="Key rates and security thresholds for two-way "
                                  "Gaussian coherent-state QKD in direct reconciliation.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, fmt_default, add_flags, _) in _SUBCOMMANDS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         add_flags(p)
         p.add_argument("--format", choices=("csv", "json"), default=None,
@@ -324,10 +322,7 @@ _SUBCOMMANDS = {
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a run needs only its own subcommand's parser; --help, no command or an
-    # unknown one need them all, to list them
-    parser = _build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         args = _merge_config(parser, args)

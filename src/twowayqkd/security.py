@@ -347,8 +347,9 @@ def class_variations(t_values, mu, omega_grid, classes):
     the classes; nodes where the collective reference is nonpositive carry
     NaN instead of a ratio (flagged, not fatal).  mu >= 1e3 (the asymptotic
     regime), then _check_regime(T, mu) for every T, then _check_omega for
-    every omega are checked before any class is evaluated.  The appendix
-    command prints this table.
+    every omega, then normalize_class for every label and the presence of
+    both reference classes are checked before any class is evaluated.  The
+    appendix command prints this table.
     """
     if not mu >= 1e3:
         raise ValueError(f"the asymptotic regime needs mu >= 1e3, got {mu}")
@@ -358,6 +359,10 @@ def class_variations(t_values, mu, omega_grid, classes):
     bad = ~((omega >= 1.0) & (omega <= MAX_VARIANCE))
     if bad.any():
         _check_omega(float(omega[bad][0]))
+    classes = [normalize_class(c) for c in classes]
+    for ref in (COLLECTIVE, SEP_SYM_NEG):
+        if ref not in classes:
+            raise ValueError(f"the variations need the reference class {ref!r} among the classes")
     t, omega = np.repeat(t_values, omega.size), np.tile(omega, len(t_values))
     index = np.array([ATTACK_CLASSES.index(c) for c in classes])
     g, g_prime = _class_correlations(index[:, None], omega)

@@ -1,13 +1,15 @@
-"""Shared random-state generators, call counters and scalar, matrix-route or per-value oracles
-for the tests."""
+"""Shared random-state generators, call counters, the in-process CLI runner and scalar,
+matrix-route or per-value oracles for the tests."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 
 from twowayqkd import (DegenerateSpectrumError, UnphysicalStateError, apply_symplectic,
-                       beam_splitter, conditional_cm, entropic_h, epr_cm, gaussian,
+                       beam_splitter, cli, conditional_cm, entropic_h, epr_cm, gaussian,
                        heterodyne_condition, partial_trace, symplectic_form, tensor, thermal_cm,
                        total_cm, vacuum_cm, von_neumann_entropy)
 from twowayqkd.security import (BRACKET_CAP, BRACKET_TOL, INSECURE_AT_VACUUM, NO_CROSSING,
@@ -94,6 +96,26 @@ def count_calls(monkeypatch, calls, targets):
             return _fn(*args, **kwargs)
         calls.setdefault(name, 0)
         monkeypatch.setattr(module, name, wrapper)
+
+
+def record_calls(monkeypatch, module, name):
+    """Patch module.name with a wrapper that records each call; the list of (args, kwargs)."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def run_cli(*argv):
+    """(exit code, standard output, standard error) of cli.main(argv), run in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def oneway_quantities_circuit(T, omega, mu_a):

@@ -6,9 +6,7 @@ private kernels the harness imports, the public functions whose traced calls
 and results it reads, and the command lines of its workloads.
 """
 
-import contextlib
 import inspect
-import io
 import json
 
 import numpy as np
@@ -20,6 +18,8 @@ from twowayqkd.attacks import _physical_mask, eve_cm
 from twowayqkd.protocol import _keyrate_arrays
 from twowayqkd.security import oneway_keyrate, threshold_curves
 
+from _util import record_calls, run_cli
+
 #: functions whose traced calls or results the harness reads, by module
 TRACED = {
     gaussian: ("entropic_h", "symplectic_spectrum", "heterodyne_condition"),
@@ -29,13 +29,6 @@ TRACED = {
     _serialize: ("csv_table", "json_text"),
     cli: ("main",),
 }
-
-
-def _cli(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    return code, out.getvalue()
 
 
 def test_physicality_kernels():
@@ -93,14 +86,8 @@ def test_serializers_return_text():
 
 def test_scan_grid_builds_its_grid_once_through_the_module_global(monkeypatch):
     # the tracer's node and physical counts come from this one call
-    calls = []
     grid_fn = security.physical_region_grid
-
-    def grid(*args, **kwargs):
-        calls.append((args, kwargs))
-        return grid_fn(*args, **kwargs)
-
-    monkeypatch.setattr(security, "physical_region_grid", grid)
+    calls = record_calls(monkeypatch, security, "physical_region_grid")
     rows = security.scan_grid(0.8, 2.0, 0.1)
     assert calls == [((2.0, 0.1), {})]
     assert len(rows) == len(grid_fn(2.0, 0.1))
@@ -108,22 +95,15 @@ def test_scan_grid_builds_its_grid_once_through_the_module_global(monkeypatch):
 
 def test_workload_command_lines(monkeypatch):
     # the grid observer unpacks (omega, resolution) from positional arguments
-    seen = []
-    grid_fn = security.physical_region_grid
-
-    def grid(*args, **kwargs):
-        seen.append((args, kwargs))
-        return grid_fn(*args, **kwargs)
-
-    monkeypatch.setattr(security, "physical_region_grid", grid)
+    seen = record_calls(monkeypatch, security, "physical_region_grid")
     classes = [x for c in ATTACK_CLASSES for x in ("--attack", c)]
-    code, out = _cli("threshold", *classes, "--t-min", "0.60", "--t-max", "0.99",
-                     "--t-step", "0.13", "--with-oneway")
+    code, out, _ = run_cli("threshold", *classes, "--t-min", "0.60", "--t-max", "0.99",
+                           "--t-step", "0.13", "--with-oneway")
     assert code == 0 and len(out.splitlines()) == 1 + 8 * 4
-    assert _cli("scan", "--T", "0.8", "--omega", "1.5", "--step", "0.05")[0] in (0, 2)
-    code, out = _cli("scan", "--T", "0.8", "--omega", "3", "--step", "0.1", "--full-grid",
-                     "--format", "json")
+    assert run_cli("scan", "--T", "0.8", "--omega", "1.5", "--step", "0.05")[0] in (0, 2)
+    code, out, _ = run_cli("scan", "--T", "0.8", "--omega", "3", "--step", "0.1", "--full-grid",
+                           "--format", "json")
     assert code in (0, 2) and json.loads(out)["grid"]
-    assert _cli("scan", "--T", "0.8", "--omega", "2", "--step", "0.1", "--full-grid",
-                "--format", "csv")[0] in (0, 2)
+    assert run_cli("scan", "--T", "0.8", "--omega", "2", "--step", "0.1", "--full-grid",
+                   "--format", "csv")[0] in (0, 2)
     assert seen and all(len(args) == 2 and not kwargs for args, kwargs in seen)

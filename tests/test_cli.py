@@ -14,24 +14,12 @@ from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, gaussian
 from twowayqkd.attacks import MAX_GRID_NODES, _grid_half_width
 from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
-from _util import count_calls
-
-
-def run_with_stderr(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
-def run(_capsys, *argv):
-    code, out, _ = run_with_stderr(*argv)
-    return code, out
+from _util import count_calls, record_calls, run_cli
 
 
 class TestKeyrateCommand:
-    def test_secure_point_json(self, capsys):
-        code, out = run(capsys, "keyrate", "--T", "0.9", "--omega", "1", "--attack", "collective")
+    def test_secure_point_json(self):
+        code, out, _ = run_cli("keyrate", "--T", "0.9", "--omega", "1", "--attack", "collective")
         assert code == 0
         payload = json.loads(out)
         assert payload["R"] == pytest.approx(np.log2(0.9 * 1.9 / (np.e * 0.1)), abs=1e-12)
@@ -39,42 +27,42 @@ class TestKeyrateCommand:
                                  "S_E_cond", "I_AB", "chi_EA", "R", "sigma", "sigma_prime",
                                  "Delta"]
 
-    def test_insecure_point_exit_code(self, capsys):
-        code, out = run(capsys, "keyrate", "--T", "0.65", "--omega", "2",
-                        "--attack", "sep-sym-")
+    def test_insecure_point_exit_code(self):
+        code, out, _ = run_cli("keyrate", "--T", "0.65", "--omega", "2",
+                               "--attack", "sep-sym-")
         assert code == 2
         payload = json.loads(out)
         assert payload["R"] < 0.0
         assert payload["nu1"] == pytest.approx(3.0, rel=1e-12)
 
-    def test_unphysical_custom_attack(self, capsys):
-        code, _ = run(capsys, "keyrate", "--T", "0.9", "--omega", "1",
-                      "--g", "5", "--g-prime", "0")
+    def test_unphysical_custom_attack(self):
+        code, _, _ = run_cli("keyrate", "--T", "0.9", "--omega", "1",
+                             "--g", "5", "--g-prime", "0")
         assert code == 1
 
-    def test_named_class_conflicts_with_raw_correlations(self, capsys):
-        code, _ = run(capsys, "keyrate", "--T", "0.9", "--omega", "2",
-                      "--attack", "collective", "--g", "0.5", "--g-prime", "0")
+    def test_named_class_conflicts_with_raw_correlations(self):
+        code, _, _ = run_cli("keyrate", "--T", "0.9", "--omega", "2",
+                             "--attack", "collective", "--g", "0.5", "--g-prime", "0")
         assert code == 1
 
-    def test_custom_attack_matches_library(self, capsys):
-        code, out = run(capsys, "keyrate", "--T", "0.8", "--omega", "1.5",
-                        "--attack", "custom", "--g", "0.2", "--g-prime", "-0.1")
+    def test_custom_attack_matches_library(self):
+        code, out, _ = run_cli("keyrate", "--T", "0.8", "--omega", "1.5",
+                               "--attack", "custom", "--g", "0.2", "--g-prime", "-0.1")
         assert code == 0
         from twowayqkd import AttackParams
         expected = keyrate_report(0.8, AttackParams(1.5, 0.2, -0.1)).R
         assert json.loads(out)["R"] == expected
 
-    def test_json_round_trip_is_exact(self, capsys):
-        _, out = run(capsys, "keyrate", "--T", "0.77", "--omega", "1.9",
-                     "--attack", "sep-anti+", "--mu", "1e6")
+    def test_json_round_trip_is_exact(self):
+        _, out, _ = run_cli("keyrate", "--T", "0.77", "--omega", "1.9",
+                            "--attack", "sep-anti+", "--mu", "1e6")
         payload = json.loads(out)
         rep = keyrate_report(0.77, attack_from_class("sep-anti+", 1.9), mu=1e6)
         for key, value in rep._asdict().items():
             assert payload[key] == value
 
-    def test_missing_required_flag(self, capsys):
-        code, _ = run(capsys, "keyrate", "--T", "0.9")
+    def test_missing_required_flag(self):
+        code, _, _ = run_cli("keyrate", "--T", "0.9")
         assert code == 1
 
 
@@ -86,15 +74,15 @@ class TestKeyrateCommand:
 ], ids=["keyrate-json", "keyrate-csv", "appendix-csv", "appendix-json"])
 def test_default_modulation_is_1e6(argv):
     assert protocol.DEFAULT_MU == 1e6
-    assert run_with_stderr(*argv) == run_with_stderr(*argv, "--mu", "1e6")
+    assert run_cli(*argv) == run_cli(*argv, "--mu", "1e6")
 
 
 class TestThresholdCommand:
-    def test_csv_shape_and_determinism(self, capsys):
+    def test_csv_shape_and_determinism(self):
         args = ("threshold", "--attack", "sep-sym-", "--attack", "collective",
                 "--t-min", "0.7", "--t-max", "0.75", "--t-step", "0.01")
-        code1, out1 = run(capsys, *args)
-        code2, out2 = run(capsys, *args)
+        code1, out1, _ = run_cli(*args)
+        code2, out2, _ = run_cli(*args)
         assert code1 == code2 == 0
         assert out1 == out2
         lines = out1.splitlines()
@@ -102,71 +90,64 @@ class TestThresholdCommand:
         assert len(lines) == 1 + 2 * 6
         assert lines[1].startswith("sep-sym-,")
 
-    def test_requires_at_least_one_class(self, capsys):
-        code, _ = run(capsys, "threshold", "--t-min", "0.7", "--t-max", "0.8",
-                      "--t-step", "0.05")
+    def test_requires_at_least_one_class(self):
+        code, _, _ = run_cli("threshold", "--t-min", "0.7", "--t-max", "0.8",
+                             "--t-step", "0.05")
         assert code == 1
 
-    def test_with_oneway_baseline(self, capsys):
-        code, out = run(capsys, "threshold", "--attack", "collective",
-                        "--t-min", "0.8", "--t-max", "0.85", "--t-step", "0.05",
-                        "--with-oneway", "--format", "json")
+    def test_with_oneway_baseline(self):
+        code, out, _ = run_cli("threshold", "--attack", "collective",
+                               "--t-min", "0.8", "--t-max", "0.85", "--t-step", "0.05",
+                               "--with-oneway", "--format", "json")
         assert code == 0
         curves = json.loads(out)
         assert [c["attack_class"] for c in curves] == ["collective", "oneway"]
         for c in curves:
             assert all(p["N_star"] >= 0.0 for p in c["points"])
 
-    def test_epr_sign_curves_identical_after_label_strip(self, capsys):
+    def test_epr_sign_curves_identical_after_label_strip(self):
         base = ("--t-min", "0.4", "--t-max", "0.7", "--t-step", "0.1")
-        _, out_pos = run(capsys, "threshold", "--attack", "epr+", *base)
-        _, out_neg = run(capsys, "threshold", "--attack", "epr-", *base)
+        _, out_pos, _ = run_cli("threshold", "--attack", "epr+", *base)
+        _, out_neg, _ = run_cli("threshold", "--attack", "epr-", *base)
         strip = lambda text: [line.split(",", 1)[1] for line in text.splitlines()[1:]]
         assert strip(out_pos) == strip(out_neg)
 
-    def test_bad_grid(self, capsys):
-        code, _ = run(capsys, "threshold", "--attack", "collective",
-                      "--t-min", "0.9", "--t-max", "0.7", "--t-step", "0.05")
+    def test_bad_grid(self):
+        code, _, _ = run_cli("threshold", "--attack", "collective",
+                             "--t-min", "0.9", "--t-max", "0.7", "--t-step", "0.05")
         assert code == 1
 
 
 class TestScanCommand:
-    def test_minimizer_at_vacuum_noise(self, capsys):
-        code, out = run(capsys, "scan", "--T", "0.65", "--omega", "1",
-                        "--step", "0.1", "--format", "json")
+    def test_minimizer_at_vacuum_noise(self):
+        code, out, _ = run_cli("scan", "--T", "0.65", "--omega", "1",
+                               "--step", "0.1", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["best_g"] == 0 and payload["best_g_prime"] == 0
 
-    def test_insecure_scan_exit_code(self, capsys):
-        code, _ = run(capsys, "scan", "--T", "0.5", "--omega", "2", "--step", "0.25")
+    def test_insecure_scan_exit_code(self):
+        code, _, _ = run_cli("scan", "--T", "0.5", "--omega", "2", "--step", "0.25")
         assert code == 2
 
-    def test_full_grid_row_count(self, capsys):
-        code, out = run(capsys, "scan", "--T", "0.9", "--omega", "1.5",
-                        "--step", "0.25", "--full-grid")
+    def test_full_grid_row_count(self):
+        code, out, _ = run_cli("scan", "--T", "0.9", "--omega", "1.5",
+                               "--step", "0.25", "--full-grid")
         assert code == 0
         summary, grid = out.split("\n\n")
         assert grid.splitlines()[0] == "g,g_prime,R"
         assert len(grid.splitlines()) - 1 == len(physical_region_grid(1.5, 0.25))
 
-    def test_full_grid_json(self, capsys):
-        _, out = run(capsys, "scan", "--T", "0.9", "--omega", "1.5",
-                     "--step", "0.25", "--full-grid", "--format", "json")
+    def test_full_grid_json(self):
+        _, out, _ = run_cli("scan", "--T", "0.9", "--omega", "1.5",
+                            "--step", "0.25", "--full-grid", "--format", "json")
         payload = json.loads(out)
         assert len(payload["grid"]) == len(physical_region_grid(1.5, 0.25))
 
-    def test_full_grid_evaluates_the_grid_once(self, capsys, monkeypatch):
-        calls = []
-        keyrate_arrays = security._keyrate_arrays
-
-        def counted(*args):
-            calls.append(args)
-            return keyrate_arrays(*args)
-
-        monkeypatch.setattr(security, "_keyrate_arrays", counted)
-        code, out = run(capsys, "scan", "--T", "0.9", "--omega", "1.5",
-                        "--step", "0.25", "--full-grid", "--format", "json")
+    def test_full_grid_evaluates_the_grid_once(self, monkeypatch):
+        calls = record_calls(monkeypatch, security, "_keyrate_arrays")
+        code, out, _ = run_cli("scan", "--T", "0.9", "--omega", "1.5",
+                               "--step", "0.25", "--full-grid", "--format", "json")
         assert code == 0
         assert len(calls) == 1
         payload = json.loads(out)
@@ -175,7 +156,7 @@ class TestScanCommand:
 
 
 class TestThresholdBatching:
-    def test_threshold_builds_no_attack_params(self, capsys, monkeypatch):
+    def test_threshold_builds_no_attack_params(self, monkeypatch):
         calls = {}
         count_calls(monkeypatch, calls, [
             (attacks, "attack_from_class"), (cli, "attack_from_class"),
@@ -190,8 +171,8 @@ class TestThresholdBatching:
 
         monkeypatch.setattr(cli, "threshold_curves", threshold_curves)
         classes = [x for c in ATTACK_CLASSES for x in ("--attack", c)]
-        code, out = run(capsys, "threshold", *classes, "--t-min", "0.3", "--t-max", "0.99",
-                        "--t-step", "0.01", "--with-oneway")
+        code, out, _ = run_cli("threshold", *classes, "--t-min", "0.3", "--t-max", "0.99",
+                               "--t-step", "0.01", "--with-oneway")
         assert code == 0 and len(out.splitlines()) == 1 + 8 * 70
         assert calls["attack_from_class"] == 0 and calls["keyrate_asymptotic"] == 0
         assert calls["oneway_keyrate"] == 0 and calls["_oneway_quantities"] == 0
@@ -207,15 +188,15 @@ class TestThresholdBatching:
         assert 0 < calls["_keyrate_arrays"] <= 60
         assert 0 < calls["_oneway_arrays"] <= 60
 
-    def test_workload_kernel_calls(self, capsys, monkeypatch):
+    def test_workload_kernel_calls(self, monkeypatch):
         # the threshold-curves benchmark line: one two-way call per solver step while any
         # class lane is open, one one-way call per step while the one-way lanes are
         calls = {}
         count_calls(monkeypatch, calls, [(security, "_keyrate_arrays"),
                                          (security, "_oneway_arrays")])
         classes = [x for c in ATTACK_CLASSES for x in ("--attack", c)]
-        code, _ = run(capsys, "threshold", *classes, "--t-min", "0.30", "--t-max", "0.99",
-                      "--t-step", "0.01", "--with-oneway")
+        code, _, _ = run_cli("threshold", *classes, "--t-min", "0.30", "--t-max", "0.99",
+                             "--t-step", "0.01", "--with-oneway")
         assert code == 0
         assert calls == {"_keyrate_arrays": 59, "_oneway_arrays": 47}
 
@@ -237,7 +218,7 @@ README_RUNS = [
 
 
 @pytest.mark.parametrize("argv, expected", README_RUNS, ids=[a[0] for a, _ in README_RUNS])
-def test_commands_make_no_blas_call(argv, expected, monkeypatch, tmp_path, capsys):
+def test_commands_make_no_blas_call(argv, expected, monkeypatch, tmp_path):
     """The CLI starts BLAS with one thread because no command reaches it."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a CLI command called linear algebra")
@@ -247,7 +228,7 @@ def test_commands_make_no_blas_call(argv, expected, monkeypatch, tmp_path, capsy
                  "is_symplectic", "ppt_separable"):
         monkeypatch.setattr(gaussian, name, forbidden)
     monkeypatch.chdir(tmp_path)
-    assert run(capsys, *argv)[0] == expected
+    assert run_cli(*argv)[0] == expected
 
 
 def _cli_command(*argv, flags=(), **env_overrides):
@@ -315,12 +296,12 @@ class TestEntryPoint:
         """A process ends with os._exit, after its output, and prints what main prints."""
         monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the same width in both
         done = _cli_process(*argv)
-        assert (done.returncode, done.stdout, done.stderr) == run_with_stderr(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(*argv)
 
     def test_process_output_file_matches_main(self, tmp_path):
         argv = ("scan", "--T", "0.8", "--omega", "2", "--step", "0.02", "--full-grid")
         done = _cli_process(*argv, "--output", str(tmp_path / "process.csv"))
-        in_process = run_with_stderr(*argv, "--output", str(tmp_path / "main.csv"))
+        in_process = run_cli(*argv, "--output", str(tmp_path / "main.csv"))
         assert (done.returncode, done.stdout, done.stderr) == in_process == (2, "", "")
         assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
 
@@ -486,7 +467,7 @@ class TestInvalidInput:
             "keyrate-one-minus-T-mu-underflow", "scan-T-subnormal", "threshold-t-min-subnormal",
             "keyrate-outside-asymptotic-regime"])
     def test_rejected_with_message(self, argv, named):
-        code, out, err = run_with_stderr(*argv)
+        code, out, err = run_cli(*argv)
         assert code == 1
         assert out == ""
         assert "Traceback" not in err
@@ -497,7 +478,7 @@ class TestInvalidInput:
         # the one class_variations call checks every T, and raises before it evaluates
         calls = {}
         count_calls(monkeypatch, calls, [(cli, "class_variations"), (security, "_information")])
-        code, out, err = run_with_stderr("appendix", "--T", "0.5", "--T", "1.5")
+        code, out, err = run_cli("appendix", "--T", "0.5", "--T", "1.5")
         assert (code, out) == (1, "")
         assert "channel transmissivity T must lie in (0, 1), got 1.5" in err
         assert calls == {"class_variations": 1, "_information": 0}
@@ -540,9 +521,9 @@ class TestInvalidInput:
     def test_config_scalar_for_repeatable_flag(self, tmp_path, argv, cfg, flags):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
-        code, out, err = run_with_stderr(*argv, "--config", str(path))
+        code, out, err = run_cli(*argv, "--config", str(path))
         assert (code, err) == (0, "")
-        assert (code, out, err) == run_with_stderr(*flags)
+        assert (code, out, err) == run_cli(*flags)
 
     @pytest.mark.parametrize("command, cfg, named", [
         ("scan", {"T": "0.8", "omega": 2, "step": 0.1}, ("'T'", "number", "'0.8'")),
@@ -564,73 +545,44 @@ class TestInvalidInput:
     def test_config_value_of_wrong_type(self, tmp_path, command, cfg, named):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
-        code, out, err = run_with_stderr(command, "--config", str(path))
+        code, out, err = run_cli(command, "--config", str(path))
         assert (code, out) == (1, "")
         assert "Traceback" not in err
         assert all(word in err for word in named)
 
 
-def _parse(parser, argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-    return exc.value.code, out.getvalue(), err.getvalue()
-
-
 class TestParserPerCommand:
-    """A run builds only its own subcommand's parser, and prints what the full parser would."""
-
-    @pytest.mark.parametrize("command", list(cli._SUBCOMMANDS))
-    @pytest.mark.parametrize("rest", [("--help",), ("--format", "xml")], ids=["help", "usage-error"])
-    def test_single_parser_prints_what_the_full_one_does(self, command, rest, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        argv = [command, *rest]
-        single = _parse(_build_parser(command), argv)
-        assert single == _parse(_build_parser(), argv)
-        assert single[0] == (0 if rest == ("--help",) else 1) and any(single[1:])
-
-    @pytest.mark.parametrize("argv, built", [
-        (["scan", "--T", "0.8"], "scan"), (["appendix", "--help"], "appendix"),
-        (["--help"], None), ([], None), (["bogus"], None), (["-h", "scan"], None),
-    ])
-    def test_main_builds_the_named_parser(self, argv, built, monkeypatch):
-        seen = []
-        build = cli._build_parser
-        monkeypatch.setattr(cli, "_build_parser", lambda command=None: seen.append(command)
-                            or build(command))
-        run_with_stderr(*argv)
-        assert seen == [built]
+    """Every run builds the one parser, which holds all the subcommands."""
 
     def test_top_level_help_lists_every_command(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
-        code, out, err = run_with_stderr("--help")
-        assert (code, out, err) == _parse(_build_parser(), ["--help"])
+        code, out, err = run_cli("--help")
+        assert (code, err) == (0, "")
         assert "{keyrate,threshold,scan,oneway,appendix}" in out
         assert all(f"\n    {c} " in out for c in cli._SUBCOMMANDS)
 
 
 class TestOnewayCommand:
-    def test_secure_point(self, capsys):
-        code, out = run(capsys, "oneway", "--T", "0.9", "--omega", "1")
+    def test_secure_point(self):
+        code, out, _ = run_cli("oneway", "--T", "0.9", "--omega", "1")
         assert code == 0
         assert json.loads(out)["R"] > 0
 
-    def test_insecure_point(self, capsys):
-        code, out = run(capsys, "oneway", "--T", "0.7", "--omega", "1")
+    def test_insecure_point(self):
+        code, out, _ = run_cli("oneway", "--T", "0.7", "--omega", "1")
         assert code == 2
 
     @pytest.mark.parametrize("T, omega", [("0.9", "1.2"), ("0.3", "2")])
-    def test_zero_modulation_has_zero_rate(self, capsys, T, omega):
-        code, out = run(capsys, "oneway", "--T", T, "--omega", omega, "--mu", "0")
+    def test_zero_modulation_has_zero_rate(self, T, omega):
+        code, out, _ = run_cli("oneway", "--T", T, "--omega", omega, "--mu", "0")
         assert code == 2
         assert json.loads(out)["R"] == 0.0
 
 
 class TestAppendixCommand:
-    def test_vacuum_noise_row_degenerates(self, capsys):
-        code, out = run(capsys, "appendix", "--T", "0.65", "--mu", "1e6",
-                        "--omega-max", "2", "--omega-step", "0.5", "--format", "json")
+    def test_vacuum_noise_row_degenerates(self):
+        code, out, _ = run_cli("appendix", "--T", "0.65", "--mu", "1e6",
+                               "--omega-max", "2", "--omega-step", "0.5", "--format", "json")
         assert code == 0
         rows = json.loads(out)
         first = rows[0]
@@ -640,9 +592,9 @@ class TestAppendixCommand:
         assert len(set(i_cols)) == 1 and len(set(chi_cols)) == 1
         assert first["dI_AB"] == 0 and first["dchi_EA"] == 0
 
-    def test_optimal_attack_has_largest_holevo(self, capsys):
-        _, out = run(capsys, "appendix", "--T", "0.65", "--mu", "1e6",
-                     "--omega-max", "5", "--omega-step", "1", "--format", "json")
+    def test_optimal_attack_has_largest_holevo(self):
+        _, out, _ = run_cli("appendix", "--T", "0.65", "--mu", "1e6",
+                            "--omega-max", "5", "--omega-step", "1", "--format", "json")
         for row in json.loads(out):
             if row["omega"] == 1:
                 continue
@@ -650,13 +602,13 @@ class TestAppendixCommand:
                       if k.startswith("chi_EA_") and not k.endswith("sep-sym-")]
             assert all(row["chi_EA_sep-sym-"] > v for v in others)
 
-    def test_two_transmissivities(self, capsys):
-        _, out = run(capsys, "appendix", "--T", "0.65", "--T", "0.95", "--mu", "1e6",
-                     "--omega-max", "2", "--omega-step", "1", "--format", "json")
+    def test_two_transmissivities(self):
+        _, out, _ = run_cli("appendix", "--T", "0.65", "--T", "0.95", "--mu", "1e6",
+                            "--omega-max", "2", "--omega-step", "1", "--format", "json")
         rows = json.loads(out)
         assert sorted({row["T"] for row in rows}) == [0.65, 0.95]
 
-    def test_appendix_builds_no_attack_params(self, capsys, monkeypatch):
+    def test_appendix_builds_no_attack_params(self, monkeypatch):
         calls = {}
         count_calls(monkeypatch, calls, [
             (attacks, "attack_from_class"), (cli, "attack_from_class"),
@@ -664,7 +616,7 @@ class TestAppendixCommand:
             (security, "_information")])
         monkeypatch.setattr(attacks.AttackParams, "__new__",
                             lambda cls, *args, **kwargs: pytest.fail("AttackParams built"))
-        code, out = run(capsys, "appendix", "--T", "0.65", "--T", "0.95", "--omega-step", "0.01")
+        code, out, _ = run_cli("appendix", "--T", "0.65", "--T", "0.95", "--omega-step", "0.01")
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 401
         assert calls["attack_from_class"] == 0
         assert calls["keyrate_report"] == calls["_two_way_at"] == 0
@@ -676,8 +628,8 @@ class TestAppendixCommand:
     def test_one_evaluation_per_run(self, ts, monkeypatch):
         calls = {}
         count_calls(monkeypatch, calls, [(security, "_information")])
-        code, out, err = run_with_stderr("appendix", *(x for t in ts for x in ("--T", t)),
-                                         "--omega-max", "2", "--omega-step", "0.5")
+        code, out, err = run_cli("appendix", *(x for t in ts for x in ("--T", t)),
+                                 "--omega-max", "2", "--omega-step", "0.5")
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 1 + 3 * len(ts)
         assert calls["_information"] == 1
@@ -689,24 +641,24 @@ class TestAppendixCommand:
     def test_invalid_T_anywhere_evaluates_nothing(self, ts, monkeypatch):
         calls = {}
         count_calls(monkeypatch, calls, [(security, "_information")])
-        code, out, err = run_with_stderr("appendix", *(x for t in ts for x in ("--T", t)))
+        code, out, err = run_cli("appendix", *(x for t in ts for x in ("--T", t)))
         assert (code, out) == (1, "")
         assert err == "twowayqkd: error: channel transmissivity T must lie in (0, 1), got 1.5\n"
         assert calls["_information"] == 0
 
-    def test_matches_point_calls(self, capsys):
+    def test_matches_point_calls(self):
         # each cell against the scalar report's information fields at the class's attack
-        _, out = run(capsys, "appendix", "--T", "0.3", "--T", "0.9", "--mu", "1e5",
-                     "--omega-max", "4", "--omega-step", "0.75", "--format", "json")
+        _, out, _ = run_cli("appendix", "--T", "0.3", "--T", "0.9", "--mu", "1e5",
+                            "--omega-max", "4", "--omega-step", "0.75", "--format", "json")
         for row in json.loads(out):
             for label in cli._APPENDIX_CLASSES:
                 a = attack_from_class(label, row["omega"])
                 rep = keyrate_report(row["T"], a, 1e5)
                 assert (row[f"I_AB_{label}"], row[f"chi_EA_{label}"]) == (rep.I_AB, rep.chi_EA)
 
-    def test_rejects_small_modulation(self, capsys):
+    def test_rejects_small_modulation(self):
         # the message of class_variations, which owns the rule
-        assert run_with_stderr("appendix", "--T", "0.65", "--mu", "10") == (
+        assert run_cli("appendix", "--T", "0.65", "--mu", "10") == (
             1, "", "twowayqkd: error: the asymptotic regime needs mu >= 1e3, got 10.0\n")
 
 
@@ -728,51 +680,51 @@ class TestLibraryOwnsPhysicalBounds:
     ], ids=["appendix-omega-min-below-vacuum", "threshold-unknown-class",
             "keyrate-unknown-class"])
     def test_rejected_with_the_library_message(self, argv, message):
-        assert run_with_stderr(*argv) == (1, "", message)
+        assert run_cli(*argv) == (1, "", message)
 
     @pytest.mark.parametrize("argv", [
         ("appendix", "--T", "0.65", "--T", "0.95", "--omega-min", "1", "--omega-max", "1"),
         ("appendix", "--T", "0.65", "--mu", "1e3", "--omega-max", "2", "--omega-step", "1"),
     ], ids=["appendix-omega-at-vacuum", "appendix-mu-at-regime-bound"])
     def test_boundary_accepted(self, argv):
-        code, out, err = run_with_stderr(*argv)
+        code, out, err = run_cli(*argv)
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 1 + 2  # header and two (T, omega) rows
 
 
 class TestConfigAndOutput:
-    def test_config_file_supplies_missing_flags(self, tmp_path, capsys):
+    def test_config_file_supplies_missing_flags(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"T": 0.9, "omega": 1.0, "attack": "collective"}))
-        code, out = run(capsys, "keyrate", "--config", str(cfg))
+        code, out, _ = run_cli("keyrate", "--config", str(cfg))
         assert code == 0
         assert json.loads(out)["R"] == pytest.approx(2.6532293791095727, abs=1e-12)
 
-    def test_flags_override_config(self, tmp_path, capsys):
+    def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"T": 0.9, "omega": 1.0, "attack": "collective"}))
-        code, out = run(capsys, "keyrate", "--config", str(cfg), "--omega", "2.0")
+        code, out, _ = run_cli("keyrate", "--config", str(cfg), "--omega", "2.0")
         assert code == 0
         assert json.loads(out)["nu1"] == 2
 
-    def test_unknown_config_key(self, tmp_path, capsys):
+    def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"testing": 1}))
-        code, _ = run(capsys, "keyrate", "--T", "0.9", "--omega", "1",
-                      "--attack", "collective", "--config", str(cfg))
+        code, _, _ = run_cli("keyrate", "--T", "0.9", "--omega", "1",
+                             "--attack", "collective", "--config", str(cfg))
         assert code == 1
 
-    def test_output_file(self, tmp_path, capsys):
+    def test_output_file(self, tmp_path):
         target = tmp_path / "report.json"
-        code, out = run(capsys, "keyrate", "--T", "0.9", "--omega", "1",
-                        "--attack", "collective", "--output", str(target))
+        code, out, _ = run_cli("keyrate", "--T", "0.9", "--omega", "1",
+                               "--attack", "collective", "--output", str(target))
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["R"] > 0
 
-    def test_csv_format_of_keyrate(self, capsys):
-        code, out = run(capsys, "keyrate", "--T", "0.9", "--omega", "1",
-                        "--attack", "collective", "--format", "csv")
+    def test_csv_format_of_keyrate(self):
+        code, out, _ = run_cli("keyrate", "--T", "0.9", "--omega", "1",
+                               "--attack", "collective", "--format", "csv")
         assert code == 0
         lines = out.splitlines()
         assert lines[0].split(",")[0] == "nu1"

@@ -1,8 +1,6 @@
 import ast
-import contextlib
 import importlib
 import inspect
-import io
 import os
 import re
 import subprocess
@@ -12,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import twowayqkd
+
+from _util import run_cli
 
 PACKAGE = Path(twowayqkd.__file__).parent
 TESTS = Path(__file__).parent
@@ -78,9 +78,7 @@ def test_console_script_is_the_module_entry_point():
 
 def test_main_returns_the_exit_code():
     # main serves in-process callers (tests, the traced bench); only the entry point exits
-    from twowayqkd import cli
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["keyrate", "--T", "0.8", "--omega", "2", "--attack", "collective"])
+    code = run_cli("keyrate", "--T", "0.8", "--omega", "2", "--attack", "collective")[0]
     assert type(code) is int and code == 2
 
 
@@ -106,8 +104,10 @@ def _unused_imports(path):
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    # no linter is a dependency; this is its unused-import rule, stdlib only
-    unused = {path.name: sorted(_unused_imports(path)) for path in PACKAGE.glob("*.py")}
+    # no linter is a dependency; this is its unused-import rule, stdlib only, over the
+    # package and the tests
+    unused = {f"{path.parent.name}/{path.name}": sorted(_unused_imports(path))
+              for path in (*PACKAGE.glob("*.py"), *TESTS.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
 
 

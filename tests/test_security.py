@@ -23,7 +23,7 @@ from twowayqkd.security import (BRACKET_TOL, INSECURE_AT_VACUUM, NO_CROSSING, NO
                                 _oneway_quantities)
 
 from _hiprec import mp_attack, mp_oneway_information, mp_oneway_rate, mp_twoway_rate, with_dps
-from _util import bisect_threshold, lexsort_minimizer, oneway_quantities_circuit
+from _util import bisect_threshold, lexsort_minimizer, oneway_quantities_circuit, record_calls
 
 
 class TestExcessNoise:
@@ -412,31 +412,19 @@ class TestOptimalAttackScan:
             _grid_minimizer(0.5, 2.0, 0.5, rows)
 
     def test_rate_kernel_sees_half_the_grid(self, monkeypatch):
-        lanes = []
-        kernel = security._keyrate_arrays
-
-        def counted(T, omega, g, g_prime):
-            lanes.append(np.broadcast(g, g_prime).size)
-            return kernel(T, omega, g, g_prime)
-
-        monkeypatch.setattr(security, "_keyrate_arrays", counted)
+        calls = record_calls(monkeypatch, security, "_keyrate_arrays")
         for w, step in ((1.0, 0.1), (1.5, 0.05), (3.0, 0.1)):
             g, gp = physical_region_grid(w, step).T
             optimal_attack_scan(0.8, w, step)
+            lanes = [np.broadcast(*args[2:]).size for args, _ in calls]
             assert lanes and sum(lanes) <= (g.size + np.count_nonzero(g == gp)) // 2, (w, step)
-            lanes.clear()
+            calls.clear()
 
     def test_rate_kernel_sees_one_node_per_antidiagonal(self, monkeypatch):
         # at most 2n - 1 = 1,201 of the 134,651 half-grid nodes
-        lanes = []
-        kernel = security._keyrate_arrays
-
-        def counted(T, omega, g, g_prime):
-            lanes.append(np.broadcast(g, g_prime).size)
-            return kernel(T, omega, g, g_prime)
-
-        monkeypatch.setattr(security, "_keyrate_arrays", counted)
+        calls = record_calls(monkeypatch, security, "_keyrate_arrays")
         optimal_attack_scan(0.8, 3.0, 0.01)
+        lanes = [np.broadcast(*args[2:]).size for args, _ in calls]
         assert lanes and sum(lanes) <= 2 * 601 - 1
 
     def test_memory_peak(self):
@@ -529,11 +517,17 @@ class TestOneWayBaseline:
             for j, w in enumerate(omega):
                 assert (i_ab[i, j], chi[i, j]) == _oneway_quantities(t, w, mu_a)
 
-    def test_matches_extended_precision(self):
+    @pytest.mark.parametrize("label", [*ATTACK_CLASSES, "oneway"])
+    def test_matches_extended_precision(self, label):
+        # each class's float rate against the same closed form in 40 digits
         for T in (0.05, 0.3, 0.6, 0.8, 0.9, 0.99):
             for w in (1.0, 1.5, 3.0, 6.0):
-                exact = with_dps(mp_oneway_rate, T, w, ONEWAY_MU_A)
-                assert abs(oneway_keyrate(T, w) - float(exact)) <= 1e-7
+                if label == "oneway":
+                    rate, exact = oneway_keyrate(T, w), with_dps(mp_oneway_rate, T, w, ONEWAY_MU_A)
+                else:
+                    rate = keyrate_asymptotic(T, attack_from_class(label, w))
+                    exact = with_dps(lambda: mp_twoway_rate(T, w, *mp_attack(label, w)))
+                assert abs(rate - float(exact)) <= 1e-13, (T, w)
 
     @pytest.mark.parametrize("T", [1e-10, 1e-300])
     def test_mutual_information_at_small_T(self, T):
@@ -604,7 +598,7 @@ class TestCapacityBound:
         assert oneway_keyrate(T, omega) <= plob_single_use(T, omega)
 
 
-class TestRelativeVariations:
+class TestClassVariations:
     """The dI_AB and dchi_EA columns of class_variations: sep-sym- against collective."""
 
     PAIR = (COLLECTIVE, SEP_SYM_NEG)
@@ -641,6 +635,19 @@ class TestRelativeVariations:
     def test_rejects_out_of_range_input(self, T, mu, omegas, match):
         with pytest.raises(ValueError, match=match):
             class_variations((T,), mu, omegas, self.PAIR)
+
+    @pytest.mark.parametrize("classes, match", [
+        (("collective", "bogus", "sep-sym-"), "unknown attack class 'bogus'"),
+        (("collective", "epr+"), "reference class 'sep-sym-'")], ids=["unknown", "no-corner"])
+    def test_rejects_bad_classes(self, classes, match):
+        with pytest.raises(ValueError, match=match):
+            class_variations((0.65,), 1e6, [2.0], classes)
+
+    @pytest.mark.parametrize("classes", [("collective", "sep_sym_neg"), ("COLLECTIVE", "sep-sym-")])
+    def test_alias_labels_equal_canonical(self, classes):
+        alias = class_variations((0.65, 0.95), 1e6, [1.0, 2.0, 3.5], classes)
+        canonical = class_variations((0.65, 0.95), 1e6, [1.0, 2.0, 3.5], self.PAIR)
+        assert [x.tobytes() for x in alias] == [x.tobytes() for x in canonical]
 
     def test_matches_point_calls(self):
         # the one array call per grid against the scalar report's information fields
