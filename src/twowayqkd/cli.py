@@ -214,24 +214,21 @@ def _resolve_attack(parser, args):
 
 
 def _even_grid(parser, name, lo, hi, step):
-    """lo, lo + step, ... up to hi (lo <= hi) as a float64 array; the size is checked first."""
+    """lo, lo + step, ... up to hi as a float64 array.  The CLI's one grid check: finite ends
+    and step, step > 0, lo <= hi, then the size; the values' own bounds are the library's."""
     for suffix, value in (("min", lo), ("max", hi), ("step", step)):
         if not math.isfinite(value):
             parser.error(f"{name}-{suffix} must be finite, got {value}")
     if not step > 0.0:
         parser.error(f"{name}-step must be positive, got {step}")
+    if not lo <= hi:
+        parser.error(f"{name}-min must be at most {name}-max, got {lo} and {hi}")
     span = (hi - lo) / step + 1e-9
     count = math.floor(span) + 1 if math.isfinite(span) else span
     if count > MAX_GRID_POINTS:
         parser.error(f"{name}-step {step} gives {count:.6g} grid points; "
                      f"a grid must hold at most {MAX_GRID_POINTS}")
     return lo + np.arange(count) * step
-
-
-def _t_grid(parser, args):
-    if not 0.0 < args.t_min < args.t_max < 1.0:
-        parser.error(f"need 0 < t-min < t-max < 1, got {args.t_min}, {args.t_max}")
-    return _even_grid(parser, "t", args.t_min, args.t_max, args.t_step)
 
 
 def _cmd_keyrate(parser, args):
@@ -248,7 +245,7 @@ def _cmd_threshold(parser, args):
     if not args.attack:
         parser.error("at least one --attack class is required")
     _require(parser, args, ("t_min", "t_max", "t_step"))
-    grid = _t_grid(parser, args)
+    grid = _even_grid(parser, "t", args.t_min, args.t_max, args.t_step)
     curves = threshold_curves(args.attack, grid, with_oneway=args.with_oneway)
     header = ("T", "omega_star", "N_star", "secure")
     columns = [(c.T, c.omega_star, c.N_star, c.secure) for c in curves]
@@ -295,8 +292,6 @@ def _cmd_appendix(parser, args):
     w_min = 1.0 if args.omega_min is None else args.omega_min
     w_max = 5.0 if args.omega_max is None else args.omega_max
     w_step = 0.25 if args.omega_step is None else args.omega_step
-    if not w_max >= w_min:
-        parser.error(f"bad omega grid: [{w_min}, {w_max}] step {w_step}")
     omegas = _even_grid(parser, "omega", w_min, w_max, w_step)
 
     header = ["T", "omega"]

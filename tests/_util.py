@@ -1,4 +1,4 @@
-"""Shared random-state generators, call counters, the in-process CLI runner and scalar,
+"""Shared random-state generators, the call recorder, the in-process CLI runner and scalar,
 matrix-route or per-value oracles for the tests."""
 
 import contextlib
@@ -84,18 +84,6 @@ def spectrum_from_eig(V):
         raise DegenerateSpectrumError(
             f"expected {n} positive-imaginary eigenvalues, found {pos.size}")
     return np.abs(pos)
-
-
-def count_calls(monkeypatch, calls, targets):
-    """Patch each (module, name) in targets with a wrapper that counts into calls[name]."""
-    for module, name in targets:
-        fn = getattr(module, name)
-
-        def wrapper(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        calls.setdefault(name, 0)
-        monkeypatch.setattr(module, name, wrapper)
 
 
 def record_calls(monkeypatch, module, name):

@@ -14,7 +14,7 @@ from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, gaussian
 from twowayqkd.attacks import MAX_GRID_NODES, _grid_half_width
 from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
-from _util import count_calls, record_calls, run_cli
+from _util import record_calls, run_cli
 
 
 class TestKeyrateCommand:
@@ -112,10 +112,18 @@ class TestThresholdCommand:
         strip = lambda text: [line.split(",", 1)[1] for line in text.splitlines()[1:]]
         assert strip(out_pos) == strip(out_neg)
 
-    def test_bad_grid(self):
-        code, _, _ = run_cli("threshold", "--attack", "collective",
-                             "--t-min", "0.9", "--t-max", "0.7", "--t-step", "0.05")
-        assert code == 1
+    def test_one_point_grid_is_the_first_row_of_each_curve(self):
+        base = ("threshold", "--t-min", "0.9", "--t-step", "0.05", "--attack", "sep-sym-",
+                "--with-oneway")
+        code, one, err = run_cli(*base, "--t-max", "0.9")
+        assert (code, err) == (0, "")
+        _, two, _ = run_cli(*base, "--t-max", "0.95")
+        header, *rows = two.splitlines(keepends=True)
+        firsts = {}
+        for row in rows:
+            firsts.setdefault(row.split(",", 1)[0], row)
+        assert list(firsts) == ["sep-sym-", "oneway"]
+        assert one == header + "".join(firsts.values())
 
 
 class TestScanCommand:
@@ -157,12 +165,13 @@ class TestScanCommand:
 
 class TestThresholdBatching:
     def test_threshold_builds_no_attack_params(self, monkeypatch):
-        calls = {}
-        count_calls(monkeypatch, calls, [
-            (attacks, "attack_from_class"), (cli, "attack_from_class"),
-            (protocol, "keyrate_asymptotic"), (security, "_keyrate_arrays"),
-            (security, "oneway_keyrate"), (security, "_oneway_quantities"),
-            (security, "_oneway_arrays"), (security, "excess_noise")])
+        from_class = [record_calls(monkeypatch, m, "attack_from_class") for m in (attacks, cli)]
+        keyrate = record_calls(monkeypatch, protocol, "keyrate_asymptotic")
+        two_way = record_calls(monkeypatch, security, "_keyrate_arrays")
+        oneway_keyrate = record_calls(monkeypatch, security, "oneway_keyrate")
+        quantities = record_calls(monkeypatch, security, "_oneway_quantities")
+        one_way = record_calls(monkeypatch, security, "_oneway_arrays")
+        excess_noise = record_calls(monkeypatch, security, "excess_noise")
         results = []
 
         def threshold_curves(*args, **kwargs):
@@ -174,10 +183,10 @@ class TestThresholdBatching:
         code, out, _ = run_cli("threshold", *classes, "--t-min", "0.3", "--t-max", "0.99",
                                "--t-step", "0.01", "--with-oneway")
         assert code == 0 and len(out.splitlines()) == 1 + 8 * 70
-        assert calls["attack_from_class"] == 0 and calls["keyrate_asymptotic"] == 0
-        assert calls["oneway_keyrate"] == 0 and calls["_oneway_quantities"] == 0
+        assert sum(map(len, from_class)) == 0 and len(keyrate) == 0
+        assert len(oneway_keyrate) == 0 and len(quantities) == 0
         # the curves reach the emitter as arrays, with no per-point work in between
-        assert calls["excess_noise"] == 0
+        assert len(excess_noise) == 0
         (curves,) = results
         for c in curves:
             for column in (c.T, c.omega_star, c.N_star):
@@ -185,20 +194,19 @@ class TestThresholdBatching:
             assert isinstance(c.secure, np.ndarray) and c.secure.dtype == np.bool_
         # one kernel call per solver step for the open lanes of all seven curves, not one
         # per curve or per lane
-        assert 0 < calls["_keyrate_arrays"] <= 60
-        assert 0 < calls["_oneway_arrays"] <= 60
+        assert 0 < len(two_way) <= 60
+        assert 0 < len(one_way) <= 60
 
     def test_workload_kernel_calls(self, monkeypatch):
         # the threshold-curves benchmark line: one two-way call per solver step while any
         # class lane is open, one one-way call per step while the one-way lanes are
-        calls = {}
-        count_calls(monkeypatch, calls, [(security, "_keyrate_arrays"),
-                                         (security, "_oneway_arrays")])
+        two_way = record_calls(monkeypatch, security, "_keyrate_arrays")
+        one_way = record_calls(monkeypatch, security, "_oneway_arrays")
         classes = [x for c in ATTACK_CLASSES for x in ("--attack", c)]
         code, _, _ = run_cli("threshold", *classes, "--t-min", "0.30", "--t-max", "0.99",
                              "--t-step", "0.01", "--with-oneway")
         assert code == 0
-        assert calls == {"_keyrate_arrays": 59, "_oneway_arrays": 47}
+        assert (len(two_way), len(one_way)) == (59, 47)
 
 
 # the README's examples with their exit codes, plus a scan without --full-grid
@@ -455,6 +463,10 @@ class TestInvalidInput:
          ("(1-T)*mu = 0.09999999999998899", "asymptotic regime", "chi_EA=-2.5017")),
         (("threshold", "--attack", "collective", "--t-min", "5e-324", "--t-max", "0.5",
           "--t-step", "0.25"), ("T", "5e-324", "smallest normal double 2.23e-308")),
+        (("threshold", "--attack", "collective", "--t-min", "0.9", "--t-max", "0.7",
+          "--t-step", "0.05"), ("t-min", "t-max", "0.9", "0.7")),
+        (("appendix", "--T", "0.65", "--omega-min", "3", "--omega-max", "2"),
+         ("omega-min", "omega-max", "3.0", "2.0")),
     ], ids=["scan-omega-inf", "scan-T-above-one", "scan-T-nan", "scan-T-zero",
             "scan-step-inf", "keyrate-omega-inf", "oneway-omega-inf", "oneway-omega-nan",
             "oneway-mu-inf", "keyrate-mu-inf", "appendix-mu-inf", "appendix-omega-max-inf",
@@ -465,7 +477,8 @@ class TestInvalidInput:
             "keyrate-mu-over-bound", "keyrate-omega-over-bound", "appendix-omega-over-bound",
             "keyrate-T-mu-underflow", "keyrate-mu-underflow", "appendix-T-mu-underflow",
             "keyrate-one-minus-T-mu-underflow", "scan-T-subnormal", "threshold-t-min-subnormal",
-            "keyrate-outside-asymptotic-regime"])
+            "keyrate-outside-asymptotic-regime", "threshold-grid-reversed",
+            "appendix-grid-reversed"])
     def test_rejected_with_message(self, argv, named):
         code, out, err = run_cli(*argv)
         assert code == 1
@@ -476,12 +489,12 @@ class TestInvalidInput:
 
     def test_appendix_checks_every_T_before_any_block(self, monkeypatch):
         # the one class_variations call checks every T, and raises before it evaluates
-        calls = {}
-        count_calls(monkeypatch, calls, [(cli, "class_variations"), (security, "_information")])
+        variations = record_calls(monkeypatch, cli, "class_variations")
+        information = record_calls(monkeypatch, security, "_information")
         code, out, err = run_cli("appendix", "--T", "0.5", "--T", "1.5")
         assert (code, out) == (1, "")
         assert "channel transmissivity T must lie in (0, 1), got 1.5" in err
-        assert calls == {"class_variations": 1, "_information": 0}
+        assert (len(variations), len(information)) == (1, 0)
 
     @pytest.mark.parametrize("lo, hi, step, count", [
         (0.0, MAX_GRID_POINTS - 1.0, 1.0, MAX_GRID_POINTS),
@@ -609,42 +622,39 @@ class TestAppendixCommand:
         assert sorted({row["T"] for row in rows}) == [0.65, 0.95]
 
     def test_appendix_builds_no_attack_params(self, monkeypatch):
-        calls = {}
-        count_calls(monkeypatch, calls, [
-            (attacks, "attack_from_class"), (cli, "attack_from_class"),
-            (protocol, "keyrate_report"), (cli, "keyrate_report"), (protocol, "_two_way_at"),
-            (security, "_information")])
+        from_class = [record_calls(monkeypatch, m, "attack_from_class") for m in (attacks, cli)]
+        report = [record_calls(monkeypatch, m, "keyrate_report") for m in (protocol, cli)]
+        two_way_at = record_calls(monkeypatch, protocol, "_two_way_at")
+        information = record_calls(monkeypatch, security, "_information")
         monkeypatch.setattr(attacks.AttackParams, "__new__",
                             lambda cls, *args, **kwargs: pytest.fail("AttackParams built"))
         code, out, _ = run_cli("appendix", "--T", "0.65", "--T", "0.95", "--omega-step", "0.01")
         assert code == 0 and len(out.splitlines()) == 1 + 2 * 401
-        assert calls["attack_from_class"] == 0
-        assert calls["keyrate_report"] == calls["_two_way_at"] == 0
+        assert sum(map(len, from_class)) == 0
+        assert sum(map(len, report)) == len(two_way_at) == 0
         # one five-class evaluation of the whole (T, omega) grid; the variations come from it
-        assert calls["_information"] == 1
+        assert len(information) == 1
 
     @pytest.mark.parametrize("ts", [("0.65",), ("0.65", "0.95"),
                                     ("0.3", "0.5", "0.65", "0.8", "0.95")])
     def test_one_evaluation_per_run(self, ts, monkeypatch):
-        calls = {}
-        count_calls(monkeypatch, calls, [(security, "_information")])
+        information = record_calls(monkeypatch, security, "_information")
         code, out, err = run_cli("appendix", *(x for t in ts for x in ("--T", t)),
                                  "--omega-max", "2", "--omega-step", "0.5")
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 1 + 3 * len(ts)
-        assert calls["_information"] == 1
+        assert len(information) == 1
 
     @pytest.mark.parametrize("ts", [("1.5", "0.5", "0.65", "0.8", "0.95"),
                                     ("0.3", "0.5", "1.5", "0.8", "0.95"),
                                     ("0.3", "0.5", "0.65", "0.8", "1.5")],
                              ids=["first", "middle", "last"])
     def test_invalid_T_anywhere_evaluates_nothing(self, ts, monkeypatch):
-        calls = {}
-        count_calls(monkeypatch, calls, [(security, "_information")])
+        information = record_calls(monkeypatch, security, "_information")
         code, out, err = run_cli("appendix", *(x for t in ts for x in ("--T", t)))
         assert (code, out) == (1, "")
         assert err == "twowayqkd: error: channel transmissivity T must lie in (0, 1), got 1.5\n"
-        assert calls["_information"] == 0
+        assert len(information) == 0
 
     def test_matches_point_calls(self):
         # each cell against the scalar report's information fields at the class's attack
@@ -662,6 +672,14 @@ class TestAppendixCommand:
             1, "", "twowayqkd: error: the asymptotic regime needs mu >= 1e3, got 10.0\n")
 
 
+def _threshold_error(label, t_min, t_max, t_step):
+    """What a threshold command prints for the ValueError of threshold_curves on its grid."""
+    grid = _even_grid(_build_parser(), "t", t_min, t_max, t_step)
+    with pytest.raises(ValueError) as exc:
+        security.threshold_curves([label], grid)
+    return f"twowayqkd: error: {exc.value}\n"
+
+
 class TestLibraryOwnsPhysicalBounds:
     """The CLI leaves each physical bound and class label to the library function
     that applies it: a command fails with that function's own message, and takes
@@ -677,8 +695,12 @@ class TestLibraryOwnsPhysicalBounds:
         (("threshold", "--attack", "bogus", "--t-min", "0.5", "--t-max", "0.9",
           "--t-step", "0.1"), UNKNOWN_CLASS),
         (("keyrate", "--T", "0.8", "--omega", "2", "--attack", "bogus"), UNKNOWN_CLASS),
+        (("threshold", "--attack", "collective", "--t-min", "0", "--t-max", "0.5",
+          "--t-step", "0.25"), _threshold_error("collective", 0.0, 0.5, 0.25)),
+        (("threshold", "--attack", "collective", "--t-min", "0.5", "--t-max", "1",
+          "--t-step", "0.25"), _threshold_error("collective", 0.5, 1.0, 0.25)),
     ], ids=["appendix-omega-min-below-vacuum", "threshold-unknown-class",
-            "keyrate-unknown-class"])
+            "keyrate-unknown-class", "threshold-t-min-zero", "threshold-grid-reaches-one"])
     def test_rejected_with_the_library_message(self, argv, message):
         assert run_cli(*argv) == (1, "", message)
 

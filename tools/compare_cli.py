@@ -1,0 +1,123 @@
+"""Compare the command line of two source trees: exit code, stdout and stderr, byte for byte.
+
+    python tools/compare_cli.py PARENT_SRC [CHANGE_SRC]
+
+Each SRC is a directory that holds the `twowayqkd` package, such as the
+`src/` of a clean checkout of the parent commit; CHANGE_SRC defaults to the
+`src/` next to `tools/`.  Every command line of LINES runs as a fresh
+`python -m twowayqkd.cli` process on each side, with that side first on
+PYTHONPATH, COLUMNS=80 and an empty scratch directory as working directory.
+One line is printed per command line that differs, naming what differs, then
+a count.  Exit code 1 on any difference, 0 when every line matches.
+
+LINES holds the three benchmark workloads' command lines at seeds 0 and 1 as
+`bench/run.py` writes them, `keyrate`, `oneway` and `appendix` in CSV and
+JSON, every `--help`, and a few rejected inputs.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_CLASSES = ["collective", "epr+", "epr-", "sep-sym+", "sep-sym-", "sep-anti+", "sep-anti-"]
+_SHUFFLED = ["sep-sym+", "sep-anti-", "sep-anti+", "epr-", "collective", "sep-sym-", "epr+"]
+_T_GRID = ["--t-min", "0.30", "--t-max", "0.99", "--t-step", "0.01", "--with-oneway"]
+
+
+def _threshold(classes):
+    return ["threshold", *[x for c in classes for x in ("--attack", c)], *_T_GRID]
+
+
+def _scan(T, omega, step="0.01", fmt=None):
+    full = [] if fmt is None else ["--full-grid", "--format", fmt]
+    return ["scan", "--T", T, "--omega", omega, "--step", step, *full]
+
+
+_SEED_0 = [_threshold(_CLASSES)]
+_SEED_0 += [_scan(T, w) for T, w in [
+    ("0.5000", "1.5"), ("0.5000", "2"), ("0.5000", "3"), ("0.6500", "1.5"), ("0.6500", "2"),
+    ("0.6500", "3"), ("0.8000", "1.5"), ("0.8000", "2"), ("0.8000", "3"), ("0.9500", "1.5"),
+    ("0.9500", "2"), ("0.9500", "3")]]
+_SEED_0 += [_scan("0.8000", "3", "0.02", "json"), _scan("0.8000", "2", "0.02", "csv")]
+
+_SEED_1 = [_threshold(_SHUFFLED)]
+_SEED_1 += [_scan(T, w) for T, w in [
+    ("0.9567", "2"), ("0.7919", "3"), ("0.8030", "1.5"), ("0.9406", "1.5"), ("0.6490", "3"),
+    ("0.9487", "3"), ("0.5053", "3"), ("0.5069", "2"), ("0.6451", "1.5"), ("0.6499", "2"),
+    ("0.8058", "2"), ("0.4927", "1.5")]]
+_SEED_1 += [_scan("0.8069", "2", "0.02", "csv"), _scan("0.7927", "3", "0.02", "json")]
+
+_FORMATS = [[*argv, "--format", fmt] for fmt in ("csv", "json") for argv in [
+    ["keyrate", "--T", "0.9", "--omega", "1", "--attack", "collective"],
+    ["keyrate", "--T", "0.8", "--omega", "1.6", "--attack", "custom",
+     "--g", "0.2", "--g-prime", "-0.3"],
+    ["oneway", "--T", "0.9", "--omega", "1.2"],
+    ["appendix", "--T", "0.65", "--T", "0.95", "--mu", "1e6", "--omega-max", "5",
+     "--omega-step", "0.5"]]]
+
+_HELP = [["--help"]] + [[command, "--help"]
+                        for command in ("keyrate", "threshold", "scan", "oneway", "appendix")]
+
+_REJECTED = [
+    ["threshold", "--attack", "collective", "--t-min", "0.9", "--t-max", "0.7", "--t-step", "0.05"],
+    ["threshold", "--attack", "collective", "--t-min", "0", "--t-max", "0.5", "--t-step", "0.25"],
+    ["threshold", "--attack", "collective", "--t-min", "nan", "--t-max", "0.5", "--t-step", "0.1"],
+    ["appendix", "--T", "0.65", "--omega-min", "3", "--omega-max", "2"],
+    ["keyrate", "--T", "1.5", "--omega", "2", "--attack", "collective"],
+    ["scan", "--T", "0.8", "--omega", "2", "--step", "0"],
+    ["oneway", "--T", "0.9", "--omega", "1.2", "--mu", "-0.5"],
+]
+
+#: every command line the comparison runs, in order
+LINES = _SEED_0 + _SEED_1 + _FORMATS + _HELP + _REJECTED
+
+
+def _run(src, argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80", PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "twowayqkd.cli", *argv], env=env, cwd=cwd,
+                          capture_output=True, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def compare(old_src, new_src, lines=LINES):
+    """One message per command line whose exit code, stdout or stderr differs between trees."""
+    old_src, new_src = Path(old_src).resolve(), Path(new_src).resolve()
+    differences = []
+    with tempfile.TemporaryDirectory() as cwd:
+        for argv in lines:
+            old, new = _run(old_src, argv, cwd), _run(new_src, argv, cwd)
+            named = []
+            if old[0] != new[0]:
+                named.append(f"exit code {old[0]} -> {new[0]}")
+            if old[1] != new[1]:
+                named.append(f"stdout {len(old[1])} -> {len(new[1])} bytes")
+            if old[2] != new[2]:
+                named.append(f"stderr {old[2].decode(errors='replace')!r} -> "
+                             f"{new[2].decode(errors='replace')!r}")
+            if named:
+                differences.append(" ".join(argv) + ": " + "; ".join(named))
+    return differences
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    if not 1 <= len(args) <= 2:
+        print("usage: python tools/compare_cli.py PARENT_SRC [CHANGE_SRC]", file=sys.stderr)
+        return 1
+    old_src = Path(args[0])
+    new_src = Path(args[1]) if len(args) == 2 else Path(__file__).resolve().parents[1] / "src"
+    for src in (old_src, new_src):
+        if not (src / "twowayqkd" / "cli.py").is_file():
+            print(f"compare_cli: {src} holds no twowayqkd package", file=sys.stderr)
+            return 1
+    differences = compare(old_src, new_src)
+    for line in differences:
+        print(line)
+    print(f"{len(differences)} of {len(LINES)} command lines differ")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
