@@ -215,7 +215,8 @@ def _resolve_attack(parser, args):
 
 def _even_grid(parser, name, lo, hi, step):
     """lo, lo + step, ... up to hi as a float64 array.  The CLI's one grid check: finite ends
-    and step, step > 0, lo <= hi, then the size; the values' own bounds are the library's."""
+    and step, step > 0, lo <= hi, the size, then strictly increasing values (a step below
+    the spacing of doubles repeats them); the values' own bounds are the library's."""
     for suffix, value in (("min", lo), ("max", hi), ("step", step)):
         if not math.isfinite(value):
             parser.error(f"{name}-{suffix} must be finite, got {value}")
@@ -228,7 +229,11 @@ def _even_grid(parser, name, lo, hi, step):
     if count > MAX_GRID_POINTS:
         parser.error(f"{name}-step {step} gives {count:.6g} grid points; "
                      f"a grid must hold at most {MAX_GRID_POINTS}")
-    return lo + np.arange(count) * step
+    grid = lo + np.arange(count) * step
+    if not (np.diff(grid) > 0.0).all():
+        parser.error(f"{name}-step {step} must exceed the spacing of doubles on [{lo}, {hi}], "
+                     "or the grid repeats values")
+    return grid
 
 
 def _cmd_keyrate(parser, args):

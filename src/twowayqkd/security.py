@@ -6,7 +6,7 @@ of the channel transmissivity T.
 """
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,9 @@ def _bisect_lanes(rate, n):
     at every step and to do so below BRACKET_CAP, then bisects to a bracket
     width <= BRACKET_TOL and checks |rate| <= RESIDUAL_TOL at the midpoint.
     Lanes share no arithmetic, so each makes the decisions a scalar search
-    would.  Returns (roots, status): a float array, NaN unless the lane's
-    status is OK, and an object array of the status strings above.
+    would.  For n > 0, rate is called only on open lanes, never on none.
+    Returns (roots, status): a float array, NaN unless the lane's status is
+    OK, and an object array of the status strings above.
     """
     status = np.full(n, OK, dtype=object)
     roots = np.full(n, np.nan)
@@ -92,10 +93,11 @@ def _bisect_lanes(rate, n):
         up = rate(active, mid) > 0.0
         lo[active[up]] = mid[up]
         hi[active[~up]] = mid[~up]
-    root = 0.5 * (lo[done] + hi[done])
-    off = np.abs(rate(done, root)) > RESIDUAL_TOL
-    status[done[off]] = NON_MONOTONE
-    roots[done[~off]] = root[~off]
+    if done.size:
+        root = 0.5 * (lo[done] + hi[done])
+        off = np.abs(rate(done, root)) > RESIDUAL_TOL
+        status[done[off]] = NON_MONOTONE
+        roots[done[~off]] = root[~off]
     return roots, status
 
 
@@ -131,66 +133,44 @@ def _check_t_grid(t_grid):
         _check_regime(t)
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("transmissivity grid must be strictly increasing")
-    return t_grid
-
-
-class _LaneFamily(NamedTuple):
-    """Threshold curves sharing one key-rate kernel, broadcast over lane arrays."""
-
-    labels: list         # one per curve
-    rate: Callable       # rate(T, omega, param)
-    params: np.ndarray   # one per curve
-
-
-def _class_rate(T, omega, index):
-    return _keyrate_arrays(T, omega, *_class_correlations(index, omega))
-
-
-def _oneway_rate(T, omega, mu_a):
-    return np.subtract(*_oneway_arrays(T, omega, mu_a))
+    return np.array(t_grid)
 
 
 def threshold_curves(attack_classes, t_grid, with_oneway=False):
     """Security-threshold curves of attack classes over a strictly increasing T grid.
 
     One curve per class, in the order given (repeats included), then the
-    one-way baseline curve if with_oneway.  A lane family holds curve
-    labels, one broadcast kernel rate(T, omega, param) and one parameter
-    per curve: the class table (the class index) and the one-way baseline
-    (ONEWAY_MU_A).  Every T of every curve is one lane, curve-major, and all
-    lanes are bisected at once; each solver step calls each family's kernel
-    once on its open lanes, and not at all when it has none.  A further
-    rate joins as one more family.  Per-point failures are flagged in the
-    curve's status column rather than aborting the curve.
+    one-way baseline curve if with_oneway.  Each rate model is one
+    _bisect_lanes solve, so each solver step calls its kernel once on its
+    open lanes: the classes over curve-major lanes, one per class and T,
+    each with its class index; the one-way baseline over the T grid.  A
+    model with no curves is not solved, and a further rate joins as one
+    more solve.  Per-point failures are flagged in the curve's status
+    column rather than aborting the curve.
     """
     labels = [normalize_class(c) for c in attack_classes]
     t_grid = _check_t_grid(t_grid)
-    families = [_LaneFamily(labels, _class_rate,
-                            np.array([ATTACK_CLASSES.index(c) for c in labels], dtype=int))]
+    n = t_grid.size
+    t = np.tile(t_grid, len(labels) + bool(with_oneway))
+    solves = []
+    if labels:
+        index = np.repeat([ATTACK_CLASSES.index(c) for c in labels], n)
+        solves.append(_bisect_lanes(lambda lanes, omega: _keyrate_arrays(
+            t[lanes], omega, *_class_correlations(index[lanes], omega)), index.size))
     if with_oneway:
-        families.append(_LaneFamily(["oneway"], _oneway_rate, np.array([ONEWAY_MU_A])))
-    names = [name for f in families for name in f.labels]
-    n = len(t_grid)
-    t = np.tile(t_grid, len(names))
-    starts = np.cumsum([0] + [n * len(f.labels) for f in families])
-
-    def rate(lanes, omega):
-        out = np.empty(lanes.size)
-        for f, start, stop in zip(families, starts, starts[1:]):
-            mine = (lanes >= start) & (lanes < stop)
-            if mine.any():
-                lane = lanes[mine]
-                out[mine] = f.rate(t[lane], omega[mine], f.params[(lane - start) // n])
-        return out
-
-    roots, status = _bisect_lanes(rate, t.size)
+        labels.append("oneway")
+        solves.append(_bisect_lanes(lambda lanes, omega: np.subtract(
+            *_oneway_arrays(t_grid[lanes], omega, ONEWAY_MU_A)), n))
+    if not solves:
+        return []
+    roots, status = map(np.concatenate, zip(*solves))
     omega_star = np.select([status == INSECURE_AT_VACUUM, status == NO_CROSSING,
                             status == NON_MONOTONE], [1.0, math.inf, math.nan], roots)
     # N* is excess_noise(T, omega*) in the same IEEE operations, so 0, inf and NaN carry over
     columns = (t, omega_star, (1.0 - t) * (omega_star - 1.0) / t, status != INSECURE_AT_VACUUM,
                status)
     return [ThresholdCurve(name, *(c[j * n:(j + 1) * n] for c in columns))
-            for j, name in enumerate(names)]
+            for j, name in enumerate(labels)]
 
 
 # ---------------------------------------------------------------------------

@@ -467,6 +467,10 @@ class TestInvalidInput:
           "--t-step", "0.05"), ("t-min", "t-max", "0.9", "0.7")),
         (("appendix", "--T", "0.65", "--omega-min", "3", "--omega-max", "2"),
          ("omega-min", "omega-max", "3.0", "2.0")),
+        (("threshold", "--attack", "collective", "--t-min", "0.5",
+          "--t-max", "0.5000000000000001", "--t-step", "1e-20"), ("t-step", "1e-20", "repeats")),
+        (("appendix", "--T", "0.65", "--omega-min", "2", "--omega-max", "2.0000000000000004",
+          "--omega-step", "1e-16"), ("omega-step", "1e-16", "repeats")),
     ], ids=["scan-omega-inf", "scan-T-above-one", "scan-T-nan", "scan-T-zero",
             "scan-step-inf", "keyrate-omega-inf", "oneway-omega-inf", "oneway-omega-nan",
             "oneway-mu-inf", "keyrate-mu-inf", "appendix-mu-inf", "appendix-omega-max-inf",
@@ -478,7 +482,8 @@ class TestInvalidInput:
             "keyrate-T-mu-underflow", "keyrate-mu-underflow", "appendix-T-mu-underflow",
             "keyrate-one-minus-T-mu-underflow", "scan-T-subnormal", "threshold-t-min-subnormal",
             "keyrate-outside-asymptotic-regime", "threshold-grid-reversed",
-            "appendix-grid-reversed"])
+            "appendix-grid-reversed", "threshold-step-below-spacing",
+            "appendix-step-below-spacing"])
     def test_rejected_with_message(self, argv, named):
         code, out, err = run_cli(*argv)
         assert code == 1

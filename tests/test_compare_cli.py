@@ -1,4 +1,4 @@
-"""tools/compare_cli.py: a tree matches itself, and a difference is reported."""
+"""tools/compare_cli.py: its lines, a tree matching itself, and a reported difference."""
 
 import importlib.util
 import shutil
@@ -12,6 +12,17 @@ SRC = Path(twowayqkd.__file__).parents[1]
 _spec = importlib.util.spec_from_file_location("compare_cli", TOOL)
 compare_cli = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_cli)
+
+
+def test_lines_start_with_every_workload_line():
+    # the benchmark's full-size command lines, seed 0 then seed 1, each in workload order
+    workloads = [inv.args for seed in (0, 1)
+                 for name in ("threshold-curves", "optimal-scan", "grid-export")
+                 for inv in compare_cli.WORKLOADS[name](seed, small=False)]
+    assert len(workloads) == 30
+    assert compare_cli.LINES[:30] == workloads
+    assert compare_cli.LINES[0][:3] == ["threshold", "--attack", "collective"]
+    assert compare_cli.LINES[1] == ["scan", "--T", "0.5000", "--omega", "1.5", "--step", "0.01"]
 
 
 def test_tree_matches_itself():

@@ -200,6 +200,29 @@ class TestBatchedSolver:
         assert {s for c in batch for s in c.status.tolist()} == {
             OK, INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE}
 
+    def test_each_rate_model_calls_only_its_own_kernel(self, monkeypatch):
+        # one solve per rate model: the class curves call no one-way kernel, the one-way
+        # curve no two-way kernel, and no curves call neither
+        two_way = record_calls(monkeypatch, security, "_keyrate_arrays")
+        one_way = record_calls(monkeypatch, security, "_oneway_arrays")
+        threshold_curves(["collective", "sep-sym-"], self.T_GRID)
+        assert two_way and not one_way
+        two_way.clear()
+        threshold_curves([], self.T_GRID, with_oneway=True)
+        assert one_way and not two_way
+        one_way.clear()
+        assert threshold_curves([], self.T_GRID) == []
+        assert not two_way and not one_way
+
+    def test_kernels_never_see_an_empty_lane_set(self, monkeypatch):
+        # epr+ at T = 0.9 rebounds while bracketing, so no lane reaches the residual check
+        two_way = record_calls(monkeypatch, security, "_keyrate_arrays")
+        one_way = record_calls(monkeypatch, security, "_oneway_arrays")
+        curves = threshold_curves(["epr+"], [0.5, 0.9], with_oneway=True)
+        assert curves[0].status.tolist() == [INSECURE_AT_VACUUM, NON_MONOTONE]
+        assert two_way and one_way
+        assert all(np.size(args[0]) > 0 for args, _ in two_way + one_way)
+
     def test_batched_curves_check_classes_then_grid(self):
         with pytest.raises(ValueError, match="unknown attack class 'bogus'"):
             threshold_curves(["collective", "bogus"], [])

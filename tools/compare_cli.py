@@ -10,9 +10,9 @@ PYTHONPATH, COLUMNS=80 and an empty scratch directory as working directory.
 One line is printed per command line that differs, naming what differs, then
 a count.  Exit code 1 on any difference, 0 when every line matches.
 
-LINES holds the three benchmark workloads' command lines at seeds 0 and 1 as
-`bench/run.py` writes them, `keyrate`, `oneway` and `appendix` in CSV and
-JSON, every `--help`, and a few rejected inputs.
+LINES holds the three benchmark workloads' command lines at seeds 0 and 1,
+built by `bench/run.py`'s WORKLOADS, then `keyrate`, `oneway` and `appendix` in
+CSV and JSON, every `--help`, and a few rejected inputs.
 """
 
 import os
@@ -21,33 +21,12 @@ import sys
 import tempfile
 from pathlib import Path
 
-_CLASSES = ["collective", "epr+", "epr-", "sep-sym+", "sep-sym-", "sep-anti+", "sep-anti-"]
-_SHUFFLED = ["sep-sym+", "sep-anti-", "sep-anti+", "epr-", "collective", "sep-sym-", "epr+"]
-_T_GRID = ["--t-min", "0.30", "--t-max", "0.99", "--t-step", "0.01", "--with-oneway"]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from run import WORKLOADS  # noqa: E402  (bench/run.py, which needs bench/ on sys.path)
 
-
-def _threshold(classes):
-    return ["threshold", *[x for c in classes for x in ("--attack", c)], *_T_GRID]
-
-
-def _scan(T, omega, step="0.01", fmt=None):
-    full = [] if fmt is None else ["--full-grid", "--format", fmt]
-    return ["scan", "--T", T, "--omega", omega, "--step", step, *full]
-
-
-_SEED_0 = [_threshold(_CLASSES)]
-_SEED_0 += [_scan(T, w) for T, w in [
-    ("0.5000", "1.5"), ("0.5000", "2"), ("0.5000", "3"), ("0.6500", "1.5"), ("0.6500", "2"),
-    ("0.6500", "3"), ("0.8000", "1.5"), ("0.8000", "2"), ("0.8000", "3"), ("0.9500", "1.5"),
-    ("0.9500", "2"), ("0.9500", "3")]]
-_SEED_0 += [_scan("0.8000", "3", "0.02", "json"), _scan("0.8000", "2", "0.02", "csv")]
-
-_SEED_1 = [_threshold(_SHUFFLED)]
-_SEED_1 += [_scan(T, w) for T, w in [
-    ("0.9567", "2"), ("0.7919", "3"), ("0.8030", "1.5"), ("0.9406", "1.5"), ("0.6490", "3"),
-    ("0.9487", "3"), ("0.5053", "3"), ("0.5069", "2"), ("0.6451", "1.5"), ("0.6499", "2"),
-    ("0.8058", "2"), ("0.4927", "1.5")]]
-_SEED_1 += [_scan("0.8069", "2", "0.02", "csv"), _scan("0.7927", "3", "0.02", "json")]
+# the command lines of every benchmark workload at full size, seed 0 then seed 1
+_WORKLOAD_LINES = [inv.args for seed in (0, 1) for workload in WORKLOADS.values()
+                   for inv in workload(seed, small=False)]
 
 _FORMATS = [[*argv, "--format", fmt] for fmt in ("csv", "json") for argv in [
     ["keyrate", "--T", "0.9", "--omega", "1", "--attack", "collective"],
@@ -71,7 +50,7 @@ _REJECTED = [
 ]
 
 #: every command line the comparison runs, in order
-LINES = _SEED_0 + _SEED_1 + _FORMATS + _HELP + _REJECTED
+LINES = _WORKLOAD_LINES + _FORMATS + _HELP + _REJECTED
 
 
 def _run(src, argv, cwd):
