@@ -15,7 +15,7 @@ from .attacks import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, _check_omega, _cl
 from .gaussian import _LN2, MAX_VARIANCE, _check_variance, entropic_h
 from .protocol import _check_regime, _information, _keyrate_arrays, _two_way_arrays
 
-#: doubling cap for the threshold bracket search
+#: top rung of the ladder 1, 2, 4, ... that brackets threshold roots
 BRACKET_CAP = 2.0 ** 16
 
 #: bisection bracket width and residual tolerances
@@ -53,38 +53,29 @@ def _bisect_lanes(rate, n):
     """Zeros in omega of n lane rates on [1, inf), all bisected at once.
 
     rate(lanes, omega) returns the rates of the lanes indexed by `lanes` at
-    the matching thermal variances `omega` (both arrays).  Each lane doubles
-    omega from 2 until the rate turns negative, requiring it to fall strictly
-    at every step and to do so below BRACKET_CAP, then bisects to a bracket
-    width <= BRACKET_TOL and checks |rate| <= RESIDUAL_TOL at the midpoint.
+    the matching thermal variances `omega` (both arrays).  One call rates
+    every lane on the whole ladder omega = 1, 2, 4, ..., BRACKET_CAP, lanes
+    repeating, so rate must be defined at every rung for every lane, also
+    past where the lane's search stops.  A lane's bracket ends at the first
+    rung where its rate fails to fall strictly or turns negative; a lane that
+    never stops has no crossing.  Bracketed lanes bisect to a width <=
+    BRACKET_TOL, then |rate| <= RESIDUAL_TOL is checked at the midpoint.
     Lanes share no arithmetic, so each makes the decisions a scalar search
-    would.  For n > 0, rate is called only on open lanes, never on none.
-    Returns (roots, status): a float array, NaN unless the lane's status is
-    OK, and an object array of the status strings above.
+    would, and rate is called on no lanes only when n = 0.  Returns (omega,
+    status) per lane, as a ThresholdCurve holds them: the root and OK, or
+    1.0 and INSECURE_AT_VACUUM, inf and NO_CROSSING, NaN and NON_MONOTONE.
     """
-    status = np.full(n, OK, dtype=object)
-    roots = np.full(n, np.nan)
-    lo, hi = np.ones(n), np.full(n, 2.0)
+    ladder = 2.0 ** np.arange(math.floor(math.log2(BRACKET_CAP)) + 1)
     lanes = np.arange(n)
-    r_lo = rate(lanes, lo)
-    secure = r_lo > 0.0
-    status[~secure] = INSECURE_AT_VACUUM
-    active, r_lo = lanes[secure], r_lo[secure]
-    bracketed = [lanes[:0]]
-    while active.size:
-        r_hi = rate(active, hi[active])
-        rising = ~(r_hi < r_lo)
-        status[active[rising]] = NON_MONOTONE
-        crossed = ~rising & (r_hi < 0.0)
-        bracketed.append(active[crossed])
-        going = ~rising & ~crossed
-        active, r_lo = active[going], r_hi[going]
-        lo[active] = hi[active]
-        hi[active] *= 2.0
-        capped = hi[active] > BRACKET_CAP
-        status[active[capped]] = NO_CROSSING
-        active, r_lo = active[~capped], r_lo[~capped]
-    done = active = np.concatenate(bracketed)
+    r = rate(np.repeat(lanes, ladder.size), np.tile(ladder, n)).reshape(n, ladder.size)
+    falls = r[:, 1:] < r[:, :-1]
+    stops = ~falls | (r[:, 1:] < 0.0)
+    k = stops.argmax(axis=1)  # a lane stops on rung k + 1, if it stops at all
+    insecure = ~(r[:, 0] > 0.0)
+    capped = ~stops[lanes, k]
+    off = ~falls[lanes, k]
+    lo, hi = ladder[k], ladder[k + 1]
+    done = active = lanes[~(insecure | capped | off)]
     while True:
         active = active[hi[active] - lo[active] > BRACKET_TOL]
         if not active.size:
@@ -93,12 +84,12 @@ def _bisect_lanes(rate, n):
         up = rate(active, mid) > 0.0
         lo[active[up]] = mid[up]
         hi[active[~up]] = mid[~up]
+    root = 0.5 * (lo + hi)
     if done.size:
-        root = 0.5 * (lo[done] + hi[done])
-        off = np.abs(rate(done, root)) > RESIDUAL_TOL
-        status[done[off]] = NON_MONOTONE
-        roots[done[~off]] = root[~off]
-    return roots, status
+        off[done] = np.abs(rate(done, root[done])) > RESIDUAL_TOL
+    cases = [insecure, capped, off]
+    return (np.select(cases, [1.0, math.inf, math.nan], root),
+            np.select(cases, [INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE], OK).astype(object))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +154,7 @@ def threshold_curves(attack_classes, t_grid, with_oneway=False):
             *_oneway_arrays(t_grid[lanes], omega, ONEWAY_MU_A)), n))
     if not solves:
         return []
-    roots, status = map(np.concatenate, zip(*solves))
-    omega_star = np.select([status == INSECURE_AT_VACUUM, status == NO_CROSSING,
-                            status == NON_MONOTONE], [1.0, math.inf, math.nan], roots)
+    omega_star, status = map(np.concatenate, zip(*solves))
     # N* is excess_noise(T, omega*) in the same IEEE operations, so 0, inf and NaN carry over
     columns = (t, omega_star, (1.0 - t) * (omega_star - 1.0) / t, status != INSECURE_AT_VACUUM,
                status)

@@ -206,7 +206,7 @@ class TestThresholdBatching:
         code, _, _ = run_cli("threshold", *classes, "--t-min", "0.30", "--t-max", "0.99",
                              "--t-step", "0.01", "--with-oneway")
         assert code == 0
-        assert (len(two_way), len(one_way)) == (59, 47)
+        assert (len(two_way), len(one_way)) == (47, 41)
 
 
 # the README's examples with their exit codes, plus a scan without --full-grid

@@ -15,12 +15,12 @@ from twowayqkd import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, AttackParams, Un
                        optimal_attack_scan, physical_region_grid, ppt_separable, scan_grid,
                        security, threshold_curves)
 from twowayqkd._serialize import Table, csv_table, json_text
-from twowayqkd.attacks import _physical_mask
+from twowayqkd.attacks import _class_correlations, _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
 from twowayqkd.protocol import _keyrate_arrays
-from twowayqkd.security import (BRACKET_TOL, INSECURE_AT_VACUUM, NO_CROSSING, NON_MONOTONE, OK,
-                                ONEWAY_MU_A, _bisect_lanes, _grid_minimizer, _oneway_arrays,
-                                _oneway_quantities)
+from twowayqkd.security import (BRACKET_CAP, BRACKET_TOL, INSECURE_AT_VACUUM, NO_CROSSING,
+                                NON_MONOTONE, OK, ONEWAY_MU_A, _bisect_lanes, _grid_minimizer,
+                                _oneway_arrays, _oneway_quantities)
 
 from _hiprec import mp_attack, mp_oneway_information, mp_oneway_rate, mp_twoway_rate, with_dps
 from _util import bisect_threshold, lexsort_minimizer, oneway_quantities_circuit, record_calls
@@ -130,6 +130,36 @@ class TestThresholdCurve:
             threshold_curves(["collective"], [])
 
 
+#: the solver's bracket ladder 1, 2, 4, ..., BRACKET_CAP
+LADDER = [2.0 ** k for k in range(int(math.log2(BRACKET_CAP)) + 1)]
+
+
+def ladder_lane(values):
+    """Scalar rate through values[k] at omega = LADDER[k], linear between rungs."""
+    def rate(w):
+        k = math.frexp(w)[1] - 1  # the rung at or below w
+        if w == LADDER[k]:
+            return values[k]
+        return values[k] + (values[k + 1] - values[k]) * (w - LADDER[k]) / LADDER[k]
+    return rate
+
+
+@st.composite
+def ladder_values(draw):
+    """Rung values that fall from a random start, perhaps shifted to an exact zero on a
+    rung, then perhaps given a NaN or a rebound (a value no lower than the rung before)."""
+    rungs = st.integers(0, len(LADDER) - 1)
+    steps = draw(st.lists(st.floats(0.01, 3.0), min_size=len(LADDER) - 1,
+                          max_size=len(LADDER) - 1))
+    values = draw(st.floats(-1.0, 40.0)) - np.cumsum([0.0, *steps])
+    if draw(st.booleans()):
+        values -= values[draw(rungs)]
+    for rung in draw(st.lists(rungs, max_size=2)):
+        values[rung] = draw(st.sampled_from(
+            [math.nan, values[max(rung - 1, 0)] + draw(st.floats(0.0, 1.0))]))
+    return values.tolist()
+
+
 class TestBatchedSolver:
     # insecure at vacuum noise below T ~ 0.66 (one-way: ~ 0.73), rebounding
     # EPR rates above it, roots for the other classes
@@ -174,10 +204,45 @@ class TestBatchedSolver:
                                    NON_MONOTONE, OK]
         assert roots[0] == pytest.approx(3.0, abs=1e-10)
         assert roots[5] == pytest.approx(5.0, abs=1e-10)
-        assert np.isnan(roots[1:5]).all()
-        assert [bisect_threshold(r)[1] for r in lane_rates] == status.tolist()
-        for i in (0, 5):
-            assert bisect_threshold(lane_rates[i]) == (roots[i], OK)
+        # each lane returns the oracle's (omega, status) as a whole, NaN included
+        assert [repr(lane) for lane in zip(roots.tolist(), status.tolist())] == [
+            repr(bisect_threshold(r)) for r in lane_rates]
+
+    @settings(max_examples=300, deadline=None)
+    @given(lanes=st.lists(ladder_values(), min_size=1, max_size=8))
+    @example(lanes=[[40.0 - k for k in range(len(LADDER))],        # positive at the cap
+                    [8.0 - k for k in range(len(LADDER))],         # exact zero on a rung
+                    [3.5 - k for k in range(len(LADDER))],         # root between rungs
+                    [8.0 - k if k != 5 else 4.0 for k in range(len(LADDER))],  # rebound
+                    [8.0 - k if k != 2 else math.nan for k in range(len(LADDER))]])
+    def test_lanes_equal_scalar_oracle_bit_for_bit(self, lanes):
+        # rung-boundary cases the physical rates do not reach: each lane returns the
+        # scalar search's (omega, status), whatever the lanes beside it
+        rates = [ladder_lane(values) for values in lanes]
+
+        def rate(index, omega):
+            return np.array([rates[i](w) for i, w in zip(index.tolist(), omega.tolist())])
+
+        roots, status = _bisect_lanes(rate, len(rates))
+        assert [repr(lane) for lane in zip(roots.tolist(), status.tolist())] == [
+            repr(bisect_threshold(r)) for r in rates]
+
+    def test_both_kernels_are_defined_on_every_rung(self):
+        # the ladder rates every lane up to BRACKET_CAP, also past where its search stops;
+        # at extreme T this raises no warning (an error here) and changes no lane.  The
+        # class lanes are rated one at a time through the batch kernel, since
+        # keyrate_asymptotic refuses the EPR classes at omega = 8192 (g rounds unphysical)
+        grid = [1e-300, 1e-150, 1e-12, 0.5, 0.9, 1 - 1e-9, 1 - 1e-12, 1 - 2.2e-16]
+        for curve in threshold_curves(ATTACK_CLASSES, grid, with_oneway=True):
+            for T, omega_star, status in zip(curve.T.tolist(), curve.omega_star.tolist(),
+                                             curve.status.tolist()):
+                if curve.attack_class == "oneway":
+                    rate = lambda w, T=T: oneway_keyrate(T, w)
+                else:
+                    rate = lambda w, T=T, i=ATTACK_CLASSES.index(curve.attack_class): float(
+                        _keyrate_arrays(T, w, *_class_correlations(i, w)))
+                assert repr((omega_star, status)) == repr(bisect_threshold(rate)), (
+                    curve.attack_class, T)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_batched_curves_equal_one_curve_calls(self, seed):

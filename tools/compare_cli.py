@@ -11,8 +11,9 @@ One line is printed per command line that differs, naming what differs, then
 a count.  Exit code 1 on any difference, 0 when every line matches.
 
 LINES holds the three benchmark workloads' command lines at seeds 0 and 1,
-built by `bench/run.py`'s WORKLOADS, then `keyrate`, `oneway` and `appendix` in
-CSV and JSON, every `--help`, and a few rejected inputs.
+built by `bench/run.py`'s WORKLOADS, then a `threshold` run that reaches every
+solver outcome, `keyrate`, `oneway` and `appendix` in CSV and JSON, every
+`--help`, and a few rejected inputs.
 """
 
 import os
@@ -27,6 +28,11 @@ from run import WORKLOADS  # noqa: E402  (bench/run.py, which needs bench/ on sy
 # the command lines of every benchmark workload at full size, seed 0 then seed 1
 _WORKLOAD_LINES = [inv.args for seed in (0, 1) for workload in WORKLOADS.values()
                    for inv in workload(seed, small=False)]
+
+# a threshold run that reaches every solver outcome, no_crossing included, which none of
+# the workload lines does
+_OUTCOMES = [["threshold", "--attack", "sep-sym+", "--attack", "epr+", "--with-oneway",
+              "--t-min", "0.5", "--t-max", "0.9995", "--t-step", "0.0005"]]
 
 _FORMATS = [[*argv, "--format", fmt] for fmt in ("csv", "json") for argv in [
     ["keyrate", "--T", "0.9", "--omega", "1", "--attack", "collective"],
@@ -50,7 +56,7 @@ _REJECTED = [
 ]
 
 #: every command line the comparison runs, in order
-LINES = _WORKLOAD_LINES + _FORMATS + _HELP + _REJECTED
+LINES = _WORKLOAD_LINES + _OUTCOMES + _FORMATS + _HELP + _REJECTED
 
 
 def _run(src, argv, cwd):
