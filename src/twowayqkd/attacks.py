@@ -189,8 +189,11 @@ def classify(params):
     return "separable_correlated"
 
 
-def _grid_half_width(omega, resolution):
-    """kmax of the (2 kmax + 1)^2-node grid of physical_region_grid, checked against the cap."""
+def _grid_values(omega, resolution):
+    """Node values k * resolution, k = -kmax..kmax, of each axis of physical_region_grid.
+
+    ValueError, before anything is allocated, if the grid's (2 kmax + 1)^2 nodes exceed
+    MAX_GRID_NODES."""
     _check_omega(omega)
     if not (math.isfinite(resolution) and resolution > 0.0):
         raise ValueError(f"grid resolution must be finite and positive, got {resolution}")
@@ -200,12 +203,7 @@ def _grid_half_width(omega, resolution):
     if nodes > MAX_GRID_NODES:
         raise ValueError(f"grid resolution {resolution} at omega {omega} gives {nodes:.6g} "
                          f"grid nodes; a scan grid must hold at most {MAX_GRID_NODES}")
-    return math.floor(span)
-
-
-def _grid_values(omega, resolution):
-    """Node values k * resolution, k = -kmax..kmax, of each axis of physical_region_grid."""
-    kmax = _grid_half_width(omega, resolution)
+    kmax = math.floor(span)
     return np.arange(-kmax, kmax + 1) * resolution
 
 

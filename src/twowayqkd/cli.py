@@ -29,8 +29,8 @@ from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class
 from .errors import UnphysicalStateError
 from .gaussian import MAX_VARIANCE
 from .protocol import DEFAULT_MU, keyrate_report
-from .security import (ONEWAY_MU_A, _grid_minimizer, class_variations, oneway_report,
-                       optimal_attack_scan, scan_grid, threshold_curves)
+from .security import (ONEWAY_MU_A, class_variations, oneway_report, optimal_attack_scan,
+                       scan_grid, threshold_curves)
 
 _APPENDIX_CLASSES = ("collective", "epr+", "sep-sym+", "sep-anti+", "sep-sym-")
 
@@ -264,15 +264,11 @@ def _cmd_threshold(parser, args):
 
 def _cmd_scan(parser, args):
     _require(parser, args, ("T", "omega", "step"))
-    if args.full_grid:
-        rows = scan_grid(args.T, args.omega, args.step)
-        result = _grid_minimizer(args.T, args.omega, args.step, rows)
-    else:
-        result = optimal_attack_scan(args.T, args.omega, args.step)
+    result = optimal_attack_scan(args.T, args.omega, args.step)
     payload = result._asdict()
     tables = [Table.record(payload)]
     if args.full_grid:
-        grid = Table(("g", "g_prime", "R"), tuple(rows.T))
+        grid = Table(("g", "g_prime", "R"), tuple(scan_grid(args.T, args.omega, args.step).T))
         payload = {**payload, "grid": grid}
         tables.append(grid)
     _write(args, payload, tables)

@@ -197,33 +197,17 @@ def scan_grid(T, omega, resolution):
     return np.column_stack((grid, rates))
 
 
-def _grid_minimizer(T, omega, resolution, rows):
-    """ScanResult of the lowest-rate row of (g, g', R) rows; ties go to the smallest g, then g'.
-
-    The rows must be in row-major order (g varying slowest, then g'), as
-    physical_region_grid returns them, so that the first minimum is the
-    tie-break winner.  A NaN rate raises rather than wins.
-    """
-    g, gp, rates = rows.T
-    best = np.argmin(rates)
-    if np.isnan(rates[best]):
-        raise ValueError(f"key rate is NaN at (g, g') = ({g[best]}, {gp[best]})")
-    return ScanResult(T=float(T), omega=float(omega),
-                      best_g=float(g[best]), best_g_prime=float(gp[best]),
-                      R_min=float(rates[best]), grid_resolution=float(resolution))
-
-
 def optimal_attack_scan(T, omega, resolution):
     """Grid minimizer of the asymptotic key rate over the physical region.
 
-    Ties are broken towards the smallest g, then the smallest g'.  On each
+    Ties go to the first minimum in row-major order: the smallest g, then the
+    smallest g'.  A NaN rate raises ValueError rather than wins.  On each
     antidiagonal i + j = k of the grid, u = (g + g')/2 is fixed, and the rate
     does not fall as |g - g'| grows (Lemma A of the README).  The node
     (floor(k/2), ceil(k/2)), nearest the diagonal, thus rates lowest, and it
     is physical whenever any node of its antidiagonal is.  So only those
-    2n - 1 nodes are evaluated.  They reach _grid_minimizer in row-major
-    order, and the result is the one a scan of the whole grid gives, bit
-    for bit.
+    2n - 1 nodes are evaluated, in row-major order, and the result is the
+    one a scan of the whole grid gives, bit for bit.
     """
     _check_regime(T)
     vals = _grid_values(omega, resolution)
@@ -231,8 +215,13 @@ def optimal_attack_scan(T, omega, resolution):
     g, gp = vals[k // 2], vals[(k + 1) // 2]
     physical = _physical_mask(omega, g, gp)
     g, gp = g[physical], gp[physical]
-    return _grid_minimizer(T, omega, resolution,
-                           np.column_stack((g, gp, _keyrate_arrays(T, omega, g, gp))))
+    rates = _keyrate_arrays(T, omega, g, gp)
+    best = np.argmin(rates)
+    if np.isnan(rates[best]):
+        raise ValueError(f"key rate is NaN at (g, g') = ({g[best]}, {gp[best]})")
+    return ScanResult(T=float(T), omega=float(omega),
+                      best_g=float(g[best]), best_g_prime=float(gp[best]),
+                      R_min=float(rates[best]), grid_resolution=float(resolution))
 
 
 # ---------------------------------------------------------------------------

@@ -146,8 +146,8 @@ def conditioning_deviation(p, a):
 def lexsort_minimizer(rows):
     """(g, g', R) of the lowest-rate row of (g, g', R) rows, ties to the smallest g, then g'.
 
-    Oracle for security._grid_minimizer and the half-grid optimal_attack_scan:
-    a full sort of the whole grid, in any row order.
+    Oracle for optimal_attack_scan's minimum and tie rule: a full sort of the
+    whole grid, in any row order.
     """
     g, gp, rates = rows.T
     best = np.lexsort((gp, g, rates))[0]

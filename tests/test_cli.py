@@ -11,7 +11,7 @@ import pytest
 
 from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, gaussian,
                        keyrate_report, physical_region_grid, protocol, security)
-from twowayqkd.attacks import MAX_GRID_NODES, _grid_half_width
+from twowayqkd.attacks import MAX_GRID_NODES, _grid_values
 from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
 from _util import record_calls, run_cli
@@ -153,14 +153,36 @@ class TestScanCommand:
         assert len(payload["grid"]) == len(physical_region_grid(1.5, 0.25))
 
     def test_full_grid_evaluates_the_grid_once(self, monkeypatch):
+        # one call rates the half grid (every mirror pair once), the other the summary's
+        # antidiagonal nodes, at most 2n - 1 of them for n nodes an axis
         calls = record_calls(monkeypatch, security, "_keyrate_arrays")
         code, out, _ = run_cli("scan", "--T", "0.9", "--omega", "1.5",
                                "--step", "0.25", "--full-grid", "--format", "json")
         assert code == 0
-        assert len(calls) == 1
+        g, gp = physical_region_grid(1.5, 0.25).T
+        summary, half = sorted(np.broadcast(*args[2:]).size for args, _ in calls)
+        assert half == (g.size + np.count_nonzero(g == gp)) // 2
+        assert summary <= 2 * len(_grid_values(1.5, 0.25)) - 1
         payload = json.loads(out)
         best = min((row["R"], row["g"], row["g_prime"]) for row in payload["grid"])
         assert (payload["R_min"], payload["best_g"], payload["best_g_prime"]) == best
+
+    @pytest.mark.parametrize("argv", [
+        ("--T", "1e-300", "--omega", "1.5", "--step", "0.015"),
+        ("--T", "0.9999999999999998", "--omega", "20", "--step", "0.2")],
+        ids=["T-tiny", "T-next-to-one"])
+    def test_full_grid_prints_the_same_summary(self, argv):
+        # the T extremes, where the rate rises least off the diagonal
+        code, out, err = run_cli("scan", *argv)
+        full_code, full_out, full_err = run_cli("scan", *argv, "--full-grid")
+        assert (full_code, full_err) == (code, err)
+        assert full_out.split("\n\n")[0] + "\n" == out
+        code, out, err = run_cli("scan", *argv, "--format", "json")
+        full_code, full_out, full_err = run_cli("scan", *argv, "--full-grid", "--format", "json")
+        assert (full_code, full_err) == (code, err)
+        payload = json.loads(full_out)
+        del payload["grid"]
+        assert payload == json.loads(out)
 
 
 class TestThresholdBatching:
@@ -519,15 +541,15 @@ class TestInvalidInput:
         assert f"gives {MAX_GRID_POINTS + 1} grid points" in capsys.readouterr().err
 
     def test_scan_grid_cap_is_inclusive(self, monkeypatch):
-        # node counts only: nothing of the grid is allocated
-        assert _grid_half_width(3.0, 0.01) == 300  # 361,201 nodes, the largest scan in use
-        assert _grid_half_width(499.0, 1.0) == 499  # 999^2 <= MAX_GRID_NODES < 1001^2
+        # axis lengths only: nothing of the square grid is allocated
+        assert len(_grid_values(3.0, 0.01)) == 601  # 361,201 nodes, the largest scan in use
+        assert len(_grid_values(499.0, 1.0)) == 999  # 999^2 <= MAX_GRID_NODES < 1001^2
         with pytest.raises(ValueError, match="1.002e\\+06 grid nodes"):
-            _grid_half_width(500.0, 1.0)
+            _grid_values(500.0, 1.0)
         monkeypatch.setattr(attacks, "MAX_GRID_NODES", 25)
-        assert _grid_half_width(2.0, 1.0) == 2
+        assert len(_grid_values(2.0, 1.0)) == 5
         with pytest.raises(ValueError, match="at most 25"):
-            _grid_half_width(3.0, 1.0)
+            _grid_values(3.0, 1.0)
 
     @pytest.mark.parametrize("argv, cfg, flags", [
         (("threshold",), {"attack": "sep-sym-", "t-min": 0.5, "t-max": 0.9, "t-step": 0.1},

@@ -19,8 +19,8 @@ from twowayqkd.attacks import _class_correlations, _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
 from twowayqkd.protocol import _keyrate_arrays
 from twowayqkd.security import (BRACKET_CAP, BRACKET_TOL, INSECURE_AT_VACUUM, NO_CROSSING,
-                                NON_MONOTONE, OK, ONEWAY_MU_A, _bisect_lanes, _grid_minimizer,
-                                _oneway_arrays, _oneway_quantities)
+                                NON_MONOTONE, OK, ONEWAY_MU_A, _bisect_lanes, _oneway_arrays,
+                                _oneway_quantities)
 
 from _hiprec import mp_attack, mp_oneway_information, mp_oneway_rate, mp_twoway_rate, with_dps
 from _util import bisect_threshold, lexsort_minimizer, oneway_quantities_circuit, record_calls
@@ -485,19 +485,27 @@ class TestOptimalAttackScan:
         assume(is_physical(attack))
         assert ppt_separable(eve_cm(attack))
 
-    def test_minimizer_breaks_ties_in_row_order(self):
-        # equal rates: the first row in row-major order wins, as with the full sort
-        g, gp = physical_region_grid(2.0, 0.5).T
-        for rates in (np.zeros_like(g), np.where(np.abs(g) + np.abs(gp) > 1.0, -1.0, 0.0),
-                      np.round(np.cos(3.0 * g) * np.cos(3.0 * gp), 1)):
-            rows = np.column_stack((g, gp, rates))
-            result = _grid_minimizer(0.5, 2.0, 0.5, rows)
+    def test_minimizer_breaks_ties_in_row_order(self, monkeypatch):
+        # equal synthetic rates: the first node in row-major order wins, as with the full sort
+        for fake in (lambda g, gp: np.zeros_like(g),
+                     lambda g, gp: np.where(np.abs(g) + np.abs(gp) > 1.0, -1.0, 0.0),
+                     lambda g, gp: np.round(np.cos(3.0 * g) * np.cos(3.0 * gp), 1)):
+            rated = []
+
+            def rates(T, omega, g, gp):
+                rated.append(np.column_stack((g, gp, fake(g, gp))))
+                return rated[-1][:, 2]
+
+            monkeypatch.setattr(security, "_keyrate_arrays", rates)
+            result = optimal_attack_scan(0.5, 2.0, 0.5)
+            (rows,) = rated
             assert (result.best_g, result.best_g_prime, result.R_min) == lexsort_minimizer(rows)
 
-    def test_minimizer_rejects_nan_rate(self):
-        rows = np.array([[-0.5, 0.0, 1.0], [0.0, 0.0, math.nan], [0.5, 0.0, -1.0]])
+    def test_minimizer_rejects_nan_rate(self, monkeypatch):
+        monkeypatch.setattr(security, "_keyrate_arrays", lambda T, omega, g, gp: np.where(
+            g == 0.0, math.nan, np.where(g > 0.0, -1.0, 1.0)))
         with pytest.raises(ValueError, match="NaN"):
-            _grid_minimizer(0.5, 2.0, 0.5, rows)
+            optimal_attack_scan(0.5, 2.0, 0.5)
 
     def test_rate_kernel_sees_half_the_grid(self, monkeypatch):
         calls = record_calls(monkeypatch, security, "_keyrate_arrays")

@@ -11,9 +11,10 @@ One line is printed per command line that differs, naming what differs, then
 a count.  Exit code 1 on any difference, 0 when every line matches.
 
 LINES holds the three benchmark workloads' command lines at seeds 0 and 1,
-built by `bench/run.py`'s WORKLOADS, then a `threshold` run that reaches every
-solver outcome, `keyrate`, `oneway` and `appendix` in CSV and JSON, every
-`--help`, and a few rejected inputs.
+built by `bench/run.py`'s WORKLOADS, then two `scan --full-grid` runs at the T
+extremes, a `threshold` run that reaches every solver outcome, `keyrate`,
+`oneway` and `appendix` in CSV and JSON, every `--help`, and a few rejected
+inputs.
 """
 
 import os
@@ -28,6 +29,12 @@ from run import WORKLOADS  # noqa: E402  (bench/run.py, which needs bench/ on sy
 # the command lines of every benchmark workload at full size, seed 0 then seed 1
 _WORKLOAD_LINES = [inv.args for seed in (0, 1) for workload in WORKLOADS.values()
                    for inv in workload(seed, small=False)]
+
+# full-grid scans at the T extremes, where the rate rises least off the diagonal
+_FULL_GRID = [["scan", "--T", "1e-300", "--omega", "1.5", "--step", "0.015", "--full-grid",
+               "--format", "json"],
+              ["scan", "--T", "0.9999999999999998", "--omega", "20", "--step", "0.2",
+               "--full-grid"]]
 
 # a threshold run that reaches every solver outcome, no_crossing included, which none of
 # the workload lines does
@@ -56,7 +63,7 @@ _REJECTED = [
 ]
 
 #: every command line the comparison runs, in order
-LINES = _WORKLOAD_LINES + _OUTCOMES + _FORMATS + _HELP + _REJECTED
+LINES = _WORKLOAD_LINES + _FULL_GRID + _OUTCOMES + _FORMATS + _HELP + _REJECTED
 
 
 def _run(src, argv, cwd):
