@@ -105,27 +105,27 @@ def normalize_class(label):
     raise ValueError(f"unknown attack class {label!r}; expected one of {', '.join(ATTACK_CLASSES)}")
 
 
-def _class_correlations(index, omega):
-    """Correlations (g, g') of the classes ATTACK_CLASSES[index], broadcast over index and omega.
+#: which of (w, 1/p, p, 1, 2w-1), p = w + sqrt(w^2-1), each gap (a, a', b, b') of each class is
+_CLASS_GAP_ROWS = np.array([(0, 0, 0, 0), (1, 2, 2, 1), (2, 1, 1, 2), (3, 3, 4, 4), (4, 4, 3, 3),
+                            (3, 4, 4, 3), (4, 3, 3, 4)])
 
-    The one class table: attack_from_class, the threshold solver and the
-    appendix read it, the batch paths once per array of omega and indices.
+
+def _gaps(omega, g, g_prime):
+    """Gaps (a, a', b, b') = (w - g, w - g', w + g, w + g') of Eve's correlations."""
+    return omega - g, omega - g_prime, omega + g, omega + g_prime
+
+
+def _class_gaps(index, omega):
+    """Gaps (a, a', b, b') of the classes ATTACK_CLASSES[index], broadcast over index and omega.
+
+    The one class table, exact where w -+ g of attack_from_class's floats is not: an EPR
+    class's gaps multiply to 1, and a separable class's smaller gaps are 1.
     """
-    omega = np.asarray(omega, dtype=float)
-    c = np.sqrt(omega * omega - 1.0)
-    s = omega - 1.0
-    zero = np.zeros_like(omega)
-    table = {
-        COLLECTIVE: (zero, zero),
-        EPR_POS: (c, -c),
-        EPR_NEG: (-c, c),
-        SEP_SYM_POS: (s, s),
-        SEP_SYM_NEG: (-s, -s),
-        SEP_ANTI_POS: (s, -s),
-        SEP_ANTI_NEG: (-s, s),
-    }
-    g, g_prime = zip(*(table[name] for name in ATTACK_CLASSES))
-    return np.choose(index, g), np.choose(index, g_prime)
+    index, omega = np.broadcast_arrays(index, np.asarray(omega, dtype=float))
+    p = omega + np.sqrt((omega - 1.0) * (omega + 1.0))
+    values = np.stack((omega, 1.0 / p, p, np.ones_like(omega), 2.0 * omega - 1.0)).reshape(5, -1)
+    gaps = values[_CLASS_GAP_ROWS[index.ravel()].T, np.arange(index.size)]
+    return tuple(gaps.reshape(4, *index.shape))
 
 
 def attack_from_class(label, omega):
@@ -135,24 +135,32 @@ def attack_from_class(label, omega):
     epr+ / epr- -> (+-sqrt(w^2-1), -+sqrt(w^2-1))   maximally entangled ancillas
     sep-sym+/-  -> (+-(w-1), +-(w-1))               separable, symmetric correlations
     sep-anti+/- -> (+-(w-1), -+(w-1))               separable, antisymmetric correlations
+
+    Each correlation is (b - a)/2 of the class's gap row, or +-sqrt((w-1)(w+1)) for the EPR
+    classes.  At large omega an EPR float triple can fall outside the physical region;
+    `keyrate --attack`, `threshold` and `appendix` rate the exact class through its gaps.
     """
     _check_omega(omega)
-    g, gp = _class_correlations(ATTACK_CLASSES.index(normalize_class(label)), omega)
-    return AttackParams(float(omega), float(g), float(gp))
+    name = normalize_class(label)
+    a, a_prime, b, b_prime = map(float, _class_gaps(ATTACK_CLASSES.index(name), omega))
+    if name in (EPR_POS, EPR_NEG):
+        c = math.sqrt((omega - 1.0) * (omega + 1.0))
+        return AttackParams(float(omega), math.copysign(c, b - a),
+                            math.copysign(c, b_prime - a_prime))
+    return AttackParams(float(omega), (b - a) / 2.0, (b_prime - a_prime) / 2.0)
 
 
 def _physical_mask(omega, g, g_prime):
-    """Vectorized physicality check of Eve's covariance matrix.
+    """Vectorized physicality check of Eve's covariance matrix, in the gaps of _gaps.
 
-    [[w I, G], [G, w I]] is positive definite iff |g|, |g'| < w, and its
-    symplectic eigenvalues are sqrt((w-g)(w-g')) and sqrt((w+g)(w+g'))
-    (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)); both must
-    be >= 1 - gaussian.BONA_FIDE_ATOL.
+    [[w I, G], [G, w I]] is positive definite iff a, a', b, b' > 0, and its symplectic eigenvalues
+    sqrt(a a'), sqrt(b b') (Serafini, Illuminati & De Siena, J. Phys. B 37, L21 (2004)) must be
+    >= 1 - gaussian.BONA_FIDE_ATOL.  a > 0 and a a' >= that floor squared give a' > 0, and so
+    for b'.  fl(w - g) > 0 iff g < w, so each point is decided as |g|, |g'| < w decides it.
     """
-    g, gp = np.broadcast_arrays(np.asarray(g, dtype=float), np.asarray(g_prime, dtype=float))
+    a, a_prime, b, b_prime = _gaps(omega, np.asarray(g, float), np.asarray(g_prime, float))
     floor = (1.0 - gaussian.BONA_FIDE_ATOL) ** 2
-    return ((np.abs(g) < omega) & (np.abs(gp) < omega)
-            & ((omega - g) * (omega - gp) >= floor) & ((omega + g) * (omega + gp) >= floor))
+    return (a > 0.0) & (b > 0.0) & (a * a_prime >= floor) & (b * b_prime >= floor)
 
 
 def is_physical(params):

@@ -25,10 +25,10 @@ if "numpy" not in sys.modules:
 import numpy as np  # noqa: E402
 
 from ._serialize import Table, csv_table, json_text
-from .attacks import ATTACK_CLASSES, AttackParams, attack_from_class
+from .attacks import ATTACK_CLASSES, AttackParams
 from .errors import UnphysicalStateError
 from .gaussian import MAX_VARIANCE
-from .protocol import DEFAULT_MU, keyrate_report
+from .protocol import DEFAULT_MU, _class_report, keyrate_report
 from .security import (ONEWAY_MU_A, class_variations, oneway_report, optimal_attack_scan,
                        scan_grid, threshold_curves)
 
@@ -203,16 +203,6 @@ def _write(args, payload, tables):
             fh.write(text)
 
 
-def _resolve_attack(parser, args):
-    if args.attack is not None and str(args.attack).strip().lower() != "custom":
-        if args.g is not None or args.g_prime is not None:
-            parser.error("--g/--g-prime conflict with a named --attack; use --attack custom")
-        return attack_from_class(args.attack, args.omega)
-    if args.g is None or args.g_prime is None:
-        parser.error("custom attacks need both --g and --g-prime")
-    return AttackParams(args.omega, args.g, args.g_prime)
-
-
 def _even_grid(parser, name, lo, hi, step):
     """lo, lo + step, ... up to hi as a float64 array.  The CLI's one grid check: finite ends
     and step, step > 0, lo <= hi, the size, then strictly increasing values (a step below
@@ -238,9 +228,15 @@ def _even_grid(parser, name, lo, hi, step):
 
 def _cmd_keyrate(parser, args):
     _require(parser, args, ("T", "omega"))
-    attack = _resolve_attack(parser, args)
     mu = DEFAULT_MU if args.mu is None else args.mu
-    report = keyrate_report(args.T, attack, mu=mu)
+    if args.attack is not None and str(args.attack).strip().lower() != "custom":
+        if args.g is not None or args.g_prime is not None:
+            parser.error("--g/--g-prime conflict with a named --attack; use --attack custom")
+        report = _class_report(args.T, args.attack, args.omega, mu)  # through its exact gaps
+    else:
+        if args.g is None or args.g_prime is None:
+            parser.error("custom attacks need both --g and --g-prime")
+        report = keyrate_report(args.T, AttackParams(args.omega, args.g, args.g_prime), mu=mu)
     payload = report._asdict()
     _write(args, payload, [Table.record(payload)])
     return 0 if report.R > 0.0 else 2

@@ -10,10 +10,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attacks import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_correlations,
+from .attacks import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, _check_omega, _class_gaps,
                       _grid_values, _physical_mask, normalize_class, physical_region_grid)
 from .gaussian import _LN2, MAX_VARIANCE, _check_variance, entropic_h
-from .protocol import _check_regime, _information, _keyrate_arrays, _two_way_arrays
+from .protocol import _check_regime, _information, _keyrate_arrays, _rate, _two_way_arrays
 
 #: top rung of the ladder 1, 2, 4, ... that brackets threshold roots
 BRACKET_CAP = 2.0 ** 16
@@ -146,8 +146,8 @@ def threshold_curves(attack_classes, t_grid, with_oneway=False):
     solves = []
     if labels:
         index = np.repeat([ATTACK_CLASSES.index(c) for c in labels], n)
-        solves.append(_bisect_lanes(lambda lanes, omega: _keyrate_arrays(
-            t[lanes], omega, *_class_correlations(index[lanes], omega)), index.size))
+        solves.append(_bisect_lanes(lambda lanes, omega: _rate(t[lanes], _two_way_arrays(
+            t[lanes], omega, *_class_gaps(index[lanes], omega))), index.size))
     if with_oneway:
         labels.append("oneway")
         solves.append(_bisect_lanes(lambda lanes, omega: np.subtract(
@@ -235,12 +235,11 @@ def _oneway_arrays(T, omega, mu_a):
     A-B correlation c^2 = T (a^2 - 1); heterodyne on A leaves
     b_cond = T + (1-T) omega, and sqrt(det V_AB) = a b - c^2 = (1-T) a omega + T.
     """
-    b = T * mu_a + (1.0 - T) * omega
     b_cond = T + (1.0 - T) * omega
     root_det = (1.0 - T) * mu_a * omega + T
-    # symplectic eigenvalues of V_AB: the larger one without cancellation,
-    # the smaller from their product sqrt(det)
-    d = np.abs(mu_a - b)
+    # symplectic eigenvalues of V_AB: the larger one without cancellation, from the
+    # gap |a - b| = (1-T)|a - omega|, the smaller from their product sqrt(det)
+    d = (1.0 - T) * np.abs(mu_a - omega)
     nu_plus = 0.5 * (np.sqrt(d * d + 4.0 * root_det) + d)
     nu_minus = root_det / nu_plus
     # heterodyne read-out of both quadratures, one vacuum unit added:
@@ -323,8 +322,7 @@ def class_variations(t_values, mu, omega_grid, classes):
             raise ValueError(f"the variations need the reference class {ref!r} among the classes")
     t, omega = np.repeat(t_values, omega.size), np.tile(omega, len(t_values))
     index = np.array([ATTACK_CLASSES.index(c) for c in classes])
-    g, g_prime = _class_correlations(index[:, None], omega)
-    i_ab, chi = _information(t, _two_way_arrays(t, omega, g, g_prime), mu)
+    i_ab, chi = _information(t, _two_way_arrays(t, omega, *_class_gaps(index[:, None], omega)), mu)
     ref, corner = classes.index(COLLECTIVE), classes.index(SEP_SYM_NEG)
     d_i, d_chi = (np.divide(x[corner] - x[ref], x[ref], out=np.full_like(x[ref], math.nan),
                             where=x[ref] > 0.0) for x in (i_ab, chi))

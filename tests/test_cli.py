@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, gaussian,
+from twowayqkd import (ATTACK_CLASSES, attack_from_class, attacks, cli, gaussian, is_physical,
                        keyrate_report, physical_region_grid, protocol, security)
 from twowayqkd.attacks import MAX_GRID_NODES, _grid_values
 from twowayqkd.cli import MAX_GRID_POINTS, _build_parser, _even_grid, main
 
+from _hiprec import mp_attack, mp_twoway_rate, with_dps
 from _util import record_calls, run_cli
 
 
@@ -64,6 +65,26 @@ class TestKeyrateCommand:
     def test_missing_required_flag(self):
         code, _, _ = run_cli("keyrate", "--T", "0.9")
         assert code == 1
+
+    @pytest.mark.parametrize("omega", [8192.0, 3e4, 1e6])
+    @pytest.mark.parametrize("label", ["epr+", "epr-"])
+    def test_named_class_at_large_omega(self, label, omega):
+        # the class is rated through its exact gaps: its float triple rounds outside the
+        # physical region at 8192 and 3e4 (exit 1), and at 1e6 gave nu1 = nu2 = 1.0000038
+        # and an R 7.8e-5 bits too low
+        code, out, err = run_cli("keyrate", "--T", "0.9", "--omega", repr(omega), "--attack",
+                                 label, "--mu", "1e9")
+        assert code in (0, 2), err
+        payload = json.loads(out)
+        exact = with_dps(lambda: mp_twoway_rate(0.9, omega, *mp_attack(label, omega)))
+        assert abs(payload["R"] - float(exact)) <= 1e-12
+        assert payload["nu1"] == payload["nu2"] == 1.0
+        # the same triple as a custom attack is still refused
+        a = attack_from_class(label, omega)
+        code, out, err = run_cli("keyrate", "--T", "0.9", "--omega", repr(omega), "--attack",
+                                 "custom", "--g", repr(a.g), "--g-prime", repr(a.g_prime))
+        if not is_physical(a):
+            assert (code, out) == (1, "") and "violates the bona fide condition" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -187,9 +208,9 @@ class TestScanCommand:
 
 class TestThresholdBatching:
     def test_threshold_builds_no_attack_params(self, monkeypatch):
-        from_class = [record_calls(monkeypatch, m, "attack_from_class") for m in (attacks, cli)]
+        from_class = [record_calls(monkeypatch, m, "attack_from_class") for m in (attacks,)]
         keyrate = record_calls(monkeypatch, protocol, "keyrate_asymptotic")
-        two_way = record_calls(monkeypatch, security, "_keyrate_arrays")
+        two_way = record_calls(monkeypatch, security, "_two_way_arrays")
         oneway_keyrate = record_calls(monkeypatch, security, "oneway_keyrate")
         quantities = record_calls(monkeypatch, security, "_oneway_quantities")
         one_way = record_calls(monkeypatch, security, "_oneway_arrays")
@@ -222,7 +243,7 @@ class TestThresholdBatching:
     def test_workload_kernel_calls(self, monkeypatch):
         # the threshold-curves benchmark line: one two-way call per solver step while any
         # class lane is open, one one-way call per step while the one-way lanes are
-        two_way = record_calls(monkeypatch, security, "_keyrate_arrays")
+        two_way = record_calls(monkeypatch, security, "_two_way_arrays")
         one_way = record_calls(monkeypatch, security, "_oneway_arrays")
         classes = [x for c in ATTACK_CLASSES for x in ("--attack", c)]
         code, _, _ = run_cli("threshold", *classes, "--t-min", "0.30", "--t-max", "0.99",
@@ -649,7 +670,7 @@ class TestAppendixCommand:
         assert sorted({row["T"] for row in rows}) == [0.65, 0.95]
 
     def test_appendix_builds_no_attack_params(self, monkeypatch):
-        from_class = [record_calls(monkeypatch, m, "attack_from_class") for m in (attacks, cli)]
+        from_class = [record_calls(monkeypatch, m, "attack_from_class") for m in (attacks,)]
         report = [record_calls(monkeypatch, m, "keyrate_report") for m in (protocol, cli)]
         two_way_at = record_calls(monkeypatch, protocol, "_two_way_at")
         information = record_calls(monkeypatch, security, "_information")
@@ -684,13 +705,13 @@ class TestAppendixCommand:
         assert len(information) == 0
 
     def test_matches_point_calls(self):
-        # each cell against the scalar report's information fields at the class's attack
+        # each cell against the scalar report's information fields of the class, which
+        # `keyrate --attack` prints
         _, out, _ = run_cli("appendix", "--T", "0.3", "--T", "0.9", "--mu", "1e5",
                             "--omega-max", "4", "--omega-step", "0.75", "--format", "json")
         for row in json.loads(out):
             for label in cli._APPENDIX_CLASSES:
-                a = attack_from_class(label, row["omega"])
-                rep = keyrate_report(row["T"], a, 1e5)
+                rep = protocol._class_report(row["T"], label, row["omega"], 1e5)
                 assert (row[f"I_AB_{label}"], row[f"chi_EA_{label}"]) == (rep.I_AB, rep.chi_EA)
 
     def test_rejects_small_modulation(self):

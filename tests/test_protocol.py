@@ -13,7 +13,7 @@ from twowayqkd import (ATTACK_CLASSES, AttackParams, ProtocolParams, UnphysicalA
                        keyrate_report, symplectic_spectrum, total_cm, total_cm_circuit,
                        von_neumann_entropy)
 from twowayqkd import protocol, security
-from twowayqkd.attacks import _class_correlations, _physical_mask, physical_region_grid
+from twowayqkd.attacks import _class_gaps, _gaps, _physical_mask, physical_region_grid
 from twowayqkd.gaussian import MAX_VARIANCE
 
 from _util import conditioning_deviation, random_physical_attack, record_calls
@@ -187,7 +187,7 @@ class TestAsymptoticSpectra:
     @example(T=0.5, omega=MAX_VARIANCE)
     def test_collective_spectra_are_omega_bit_for_bit(self, T, omega):
         # the general form sqrt(fl(w*w)) returns w: no collective branch is needed
-        c = protocol._two_way_arrays(T, omega, 0.0, 0.0)
+        c = protocol._two_way_arrays(T, omega, *_gaps(omega, 0.0, 0.0))
         assert struct.pack("<3d", float(c.nu1), float(c.nu2), float(c.nubar1)) == \
             struct.pack("<3d", omega, omega, omega)
 
@@ -210,7 +210,7 @@ class TestAsymptoticSpectra:
     def test_conditional_limit_toward_full_transmission(self):
         # the kernel, not keyrate_report: chi_EA < 0 at mu = 1e6 this close to T = 1
         a = attack_from_class("sep-sym-", 2.0)
-        nb1 = protocol._two_way_arrays(1.0 - 1e-9, a.omega, a.g, a.g_prime).nubar1
+        nb1 = protocol._two_way_arrays(1.0 - 1e-9, a.omega, *_gaps(*a)).nubar1
         assert nb1 == pytest.approx(1.0, abs=1e-4)
 
     def test_numeric_conditional_spectrum_converges(self):
@@ -312,16 +312,16 @@ class TestInformationQuantities:
            omega=st.lists(st.floats(1.0, 50.0), min_size=1, max_size=6),
            mu=st.floats(1e3, MAX_VARIANCE))
     def test_broadcast_information_equals_point_calls(self, label, T, omega, mu):
-        # a (T column x omega row) grid in one call, against the 0-d public report
+        # a (T column x omega row) grid of the class's gap rows in one call, against the 0-d
+        # report of the class
         w = np.array(omega)
-        g, g_prime = _class_correlations(ATTACK_CLASSES.index(label), w)
+        gaps = _class_gaps(ATTACK_CLASSES.index(label), w)
         t = np.array(T)[:, None]
-        iab, chi = protocol._information(t, protocol._two_way_arrays(t, w, g, g_prime), mu)
+        iab, chi = protocol._information(t, protocol._two_way_arrays(t, w, *gaps), mu)
         assert iab.shape == chi.shape == (len(T), len(omega))
         for i, t in enumerate(T):
-            for j, a in enumerate(AttackParams(*x) for x in zip(omega, g.tolist(),
-                                                                 g_prime.tolist())):
-                rep = keyrate_report(t, a, mu)
+            for j, w in enumerate(omega):
+                rep = protocol._class_report(t, label, w, mu)
                 assert (iab[i, j], chi[i, j]) == (rep.I_AB, rep.chi_EA)
 
     def test_information_rejects_nonpositive_sigma(self, monkeypatch):
@@ -390,7 +390,7 @@ class TestKeyRate:
             if a.g == 0.0:
                 # collective lanes: nu1 = nu2 = nubar1 = omega and sigma = sigma' = Delta
                 # exactly, so the entropy term (h + h) - h is h(omega) with no rounding
-                delta = 1.0 + t * t + (1.0 - t * t) * a.omega
+                delta = 1.0 + t * t + (1.0 - t) * (1.0 + t) * a.omega
                 assert r == float(np.log2(2.0 * t * (1.0 + t) / (np.e * (1.0 - t) * delta))
                                   - entropic_h(a.omega))
 
@@ -422,7 +422,8 @@ class TestKeyRate:
         w2 = w1 + step
         assume(w2 <= 50.0)
         index = ATTACK_CLASSES.index(label)
-        rates = [protocol._keyrate_arrays(T, w, *_class_correlations(index, w)) for w in (w1, w2)]
+        rates = [protocol._rate(T, protocol._two_way_arrays(T, w, *_class_gaps(index, w)))
+                 for w in (w1, w2)]
         assert rates[1] < rates[0]
 
     def test_epr_signs_equivalent(self):
@@ -481,8 +482,8 @@ class TestKeyRate:
         bits = lambda fields: {k: struct.pack("<d", v) for k, v in fields.items()}
         for a in attacks:
             T, mu = float(rng.uniform(0.05, 0.99)), float(10.0 ** rng.uniform(3.0, 9.0))
-            c = protocol._two_way_arrays(T, a.omega, a.g, a.g_prime)
-            product, nubar2 = (1.0 - T) ** 2 * mu * mu, (1.0 - T * T) * mu
+            c = protocol._two_way_arrays(T, a.omega, *_gaps(*a))
+            product, nubar2 = (1.0 - T) ** 2 * mu * mu, (1.0 - T) * (1.0 + T) * mu
             iab, chi = map(float, protocol._information(T, c, mu))
             alone = dict(nu1=float(c.nu1), nu2=float(c.nu2), nu3nu4_product=product,
                          nubar1=float(c.nubar1), nubar2=nubar2,

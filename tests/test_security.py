@@ -15,9 +15,9 @@ from twowayqkd import (ATTACK_CLASSES, COLLECTIVE, SEP_SYM_NEG, AttackParams, Un
                        optimal_attack_scan, physical_region_grid, ppt_separable, scan_grid,
                        security, threshold_curves)
 from twowayqkd._serialize import Table, csv_table, json_text
-from twowayqkd.attacks import _class_correlations, _physical_mask
+from twowayqkd.attacks import _class_gaps, _physical_mask
 from twowayqkd.gaussian import BONA_FIDE_ATOL, MAX_VARIANCE, entropic_h
-from twowayqkd.protocol import _keyrate_arrays
+from twowayqkd.protocol import _keyrate_arrays, _rate, _two_way_arrays
 from twowayqkd.security import (BRACKET_CAP, BRACKET_TOL, INSECURE_AT_VACUUM, NO_CROSSING,
                                 NON_MONOTONE, OK, ONEWAY_MU_A, _bisect_lanes, _oneway_arrays,
                                 _oneway_quantities)
@@ -240,7 +240,7 @@ class TestBatchedSolver:
                     rate = lambda w, T=T: oneway_keyrate(T, w)
                 else:
                     rate = lambda w, T=T, i=ATTACK_CLASSES.index(curve.attack_class): float(
-                        _keyrate_arrays(T, w, *_class_correlations(i, w)))
+                        _rate(T, _two_way_arrays(T, w, *_class_gaps(i, w))))
                 assert repr((omega_star, status)) == repr(bisect_threshold(rate)), (
                     curve.attack_class, T)
 
@@ -268,7 +268,7 @@ class TestBatchedSolver:
     def test_each_rate_model_calls_only_its_own_kernel(self, monkeypatch):
         # one solve per rate model: the class curves call no one-way kernel, the one-way
         # curve no two-way kernel, and no curves call neither
-        two_way = record_calls(monkeypatch, security, "_keyrate_arrays")
+        two_way = record_calls(monkeypatch, security, "_two_way_arrays")
         one_way = record_calls(monkeypatch, security, "_oneway_arrays")
         threshold_curves(["collective", "sep-sym-"], self.T_GRID)
         assert two_way and not one_way
@@ -281,7 +281,7 @@ class TestBatchedSolver:
 
     def test_kernels_never_see_an_empty_lane_set(self, monkeypatch):
         # epr+ at T = 0.9 rebounds while bracketing, so no lane reaches the residual check
-        two_way = record_calls(monkeypatch, security, "_keyrate_arrays")
+        two_way = record_calls(monkeypatch, security, "_two_way_arrays")
         one_way = record_calls(monkeypatch, security, "_oneway_arrays")
         curves = threshold_curves(["epr+"], [0.5, 0.9], with_oneway=True)
         assert curves[0].status.tolist() == [INSECURE_AT_VACUUM, NON_MONOTONE]
@@ -615,15 +615,23 @@ class TestOneWayBaseline:
 
     @pytest.mark.parametrize("label", [*ATTACK_CLASSES, "oneway"])
     def test_matches_extended_precision(self, label):
-        # each class's float rate against the same closed form in 40 digits
-        for T in (0.05, 0.3, 0.6, 0.8, 0.9, 0.99):
-            for w in (1.0, 1.5, 3.0, 6.0):
+        # each class's float rate against the same closed form in 40 digits.  The classes go
+        # through their exact gap rows, as threshold, appendix and `keyrate --attack` rate
+        # them, to 1e-14 also at T = 1 - 10^-k and omega up to MAX_VARIANCE, where forming
+        # w -+ g or 1 - sqrt(T) by subtraction was off by up to 0.33 bits (epr+ at
+        # T = 1 - 1e-9, omega = 1e9); the public float triple is held to 1e-13 where it was
+        for T in (0.05, 0.3, 0.6, 0.8, 0.9, 0.99, *(1.0 - 10.0 ** -k for k in (3, 6, 9, 12))):
+            for w in (1.0, 1.5, 3.0, 6.0, 48.2, 65536.0, MAX_VARIANCE):
                 if label == "oneway":
                     rate, exact = oneway_keyrate(T, w), with_dps(mp_oneway_rate, T, w, ONEWAY_MU_A)
                 else:
-                    rate = keyrate_asymptotic(T, attack_from_class(label, w))
+                    gaps = _class_gaps(ATTACK_CLASSES.index(label), w)
+                    rate = float(_rate(T, _two_way_arrays(T, w, *gaps)))
                     exact = with_dps(lambda: mp_twoway_rate(T, w, *mp_attack(label, w)))
-                assert abs(rate - float(exact)) <= 1e-13, (T, w)
+                    if T <= 0.99 and w <= 6.0:
+                        public = keyrate_asymptotic(T, attack_from_class(label, w))
+                        assert abs(public - float(exact)) <= 1e-13, (T, w)
+                assert abs(rate - float(exact)) <= 1e-14, (T, w)
 
     @pytest.mark.parametrize("T", [1e-10, 1e-300])
     def test_mutual_information_at_small_T(self, T):

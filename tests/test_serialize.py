@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twowayqkd import (ATTACK_CLASSES, attack_from_class, class_variations, keyrate_report,
-                       oneway_report, optimal_attack_scan, scan_grid, threshold_curves)
+                       oneway_report, optimal_attack_scan, protocol, scan_grid, threshold_curves)
 from twowayqkd import _serialize
 from twowayqkd._serialize import Table
 from twowayqkd._serialize import csv_table as column_csv
@@ -71,7 +71,7 @@ def oracle_appendix(fmt):
     for T in (0.65, 0.95):
         _, omegas, _, _, d_is, d_chis = class_variations((T,), 1e6, [1.0, 1.5, 2.0], classes)
         for omega, d_i, d_chi in zip(omegas.tolist(), d_is.tolist(), d_chis.tolist()):
-            reports = [keyrate_report(T, attack_from_class(c, omega), 1e6) for c in classes]
+            reports = [protocol._class_report(T, c, omega, 1e6) for c in classes]
             rows.append([T, omega, *(r.I_AB for r in reports), *(r.chi_EA for r in reports),
                          d_i, d_chi])
     if fmt == "json":

@@ -13,8 +13,8 @@ a count.  Exit code 1 on any difference, 0 when every line matches.
 LINES holds the three benchmark workloads' command lines at seeds 0 and 1,
 built by `bench/run.py`'s WORKLOADS, then two `scan --full-grid` runs at the T
 extremes, a `threshold` run that reaches every solver outcome, `keyrate`,
-`oneway` and `appendix` in CSV and JSON, every `--help`, and a few rejected
-inputs.
+`oneway` and `appendix` in CSV and JSON, every `--help`, a few rejected inputs,
+and a few accuracy probes at large omega and near T = 1.
 """
 
 import os
@@ -62,8 +62,17 @@ _REJECTED = [
     ["oneway", "--T", "0.9", "--omega", "1.2", "--mu", "-0.5"],
 ]
 
+# accuracy probes: the EPR classes at large omega, near T = 1 and a fine appendix grid
+_PROBES = [
+    ["keyrate", "--T", "0.9", "--omega", "8192", "--attack", "epr+"],
+    ["keyrate", "--T", "0.8", "--omega", "3e4", "--attack", "epr-"],
+    ["keyrate", "--T", "0.999999", "--omega", "1e9", "--attack", "sep-sym-"],
+    ["oneway", "--T", "0.999999999999", "--omega", "1"],
+    ["appendix", "--T", "0.3", "--omega-max", "50", "--omega-step", "0.7"],
+]
+
 #: every command line the comparison runs, in order
-LINES = _WORKLOAD_LINES + _FULL_GRID + _OUTCOMES + _FORMATS + _HELP + _REJECTED
+LINES = _WORKLOAD_LINES + _FULL_GRID + _OUTCOMES + _FORMATS + _HELP + _REJECTED + _PROBES
 
 
 def _run(src, argv, cwd):
